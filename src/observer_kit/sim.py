@@ -81,25 +81,32 @@ def rhs(state, model, g_net, design):
 
     The layout is (x, xhat_1, ..., xhat_N). Each observer runs a copy of
     the plant corrected by output injection on its own measurement and by
-    the weighted disagreement with its in-neighbors' estimates.
+    the weighted disagreement with its in-neighbors' estimates. ``state``
+    is one state of shape (dim,) or a batch of m states as the columns of
+    a (dim, m) array, with dim = n (N + 1); the result has the same shape.
     """
     n = model.n
     N = model.node_count
-    if state.shape != (n * (N + 1),):
+    dim = n * (N + 1)
+    if state.ndim not in (1, 2) or state.shape[0] != dim:
         raise DimensionError(
-            f"state must have length {n * (N + 1)}, got {state.shape}"
+            f"state must have shape ({dim},) or ({dim}, m), got {state.shape}"
         )
     A = model.A
     adjacency = g_net.adjacency
+    degree = adjacency.sum(axis=1)
     x = state[:n]
-    xhat = state[n:].reshape(N, n)
+    xhat = state[n:].reshape(N, n, *state.shape[1:])
+    # node estimates as rows, batch columns flattened into each row
+    xhat_rows = state[n:].reshape(N, -1)
     out = np.empty_like(state)
     out[:n] = A @ x
     for i in range(N):
         H = model.outputs[i]
         node = design.nodes[i]
         innovation = node.L @ (H @ (x - xhat[i]))
-        disagreement = adjacency[i] @ (xhat - xhat[i])
+        neighbors = (adjacency[i] @ xhat_rows).reshape(xhat[i].shape)
+        disagreement = neighbors - degree[i] * xhat[i]
         out[n * (i + 1) : n * (i + 2)] = (
             A @ xhat[i]
             + innovation
@@ -109,10 +116,9 @@ def rhs(state, model, g_net, design):
 
 
 def closed_loop_matrix(model, g_net, design):
-    """Matrix F with rhs(z) = F z, found by probing rhs on unit vectors."""
+    """Matrix F with rhs(z) = F z, found by applying rhs once to the identity."""
     dim = model.n * (model.node_count + 1)
-    cols = [rhs(e, model, g_net, design) for e in np.eye(dim)]
-    return np.column_stack(cols)
+    return rhs(np.eye(dim), model, g_net, design)
 
 
 def integrate(config, model, g_net, design):
@@ -242,8 +248,9 @@ def write_csv(trace, stream, include_states=False):
         header += [f"x_{j + 1}" for j in range(n)]
         header += [f"xhat_{i + 1}_{j + 1}" for i in range(N) for j in range(n)]
     stream.write(",".join(header) + "\n")
-    for k in range(trace.times.size):
-        row = [trace.times[k], trace.e_global[k], *trace.e_norms[k]]
-        if include_states:
-            row += [*trace.x[k], *trace.xhat[k].ravel()]
-        stream.write(",".join(f"{value:.17g}" for value in row) + "\n")
+    columns = [trace.times, trace.e_global, trace.e_norms]
+    if include_states:
+        columns += [trace.x, trace.xhat.reshape(trace.times.size, N * n)]
+    table = np.column_stack(columns)
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    stream.write(row_format * table.shape[0] % tuple(table.ravel().tolist()))

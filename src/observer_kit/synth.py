@@ -157,15 +157,14 @@ def compute_epsilon(decomps, balanced, g=None, margin=0.9):
 
     Forms S = T.T (mirror x I_n) T + G with T the block diagonal of the
     per-node orthogonal transforms and G the block diagonal of
-    diag(g_i I_{v_i}, 0). Joint observability together with strong
-    connectivity makes S positive definite; the returned bound is
-    ``margin * lambda_min(S)``.
+    diag(g_i I_{v_i}, 0), see `coupling_matrix`. Joint observability
+    together with strong connectivity makes S positive definite; the
+    returned bound is ``margin * lambda_min(S)``.
 
     Raises `AssumptionViolationError` when lambda_min(S) is not safely
     positive, which signals that one of the two standing assumptions
     failed numerically.
     """
-    n = decomps[0].n
     N = len(decomps)
     if g is None:
         g = np.ones(N)
@@ -175,12 +174,7 @@ def compute_epsilon(decomps, balanced, g=None, margin=0.9):
     # zero weights are admitted here so the lambda_min check below can
     # report the degenerate case; the pipeline itself requires g > 0
 
-    T = scipy.linalg.block_diag(*[d.T for d in decomps])
-    G = scipy.linalg.block_diag(
-        *[np.diag(np.concatenate([np.full(d.v, gi), np.zeros(n - d.v)]))
-          for d, gi in zip(decomps, g)]
-    )
-    S = T.T @ np.kron(balanced.mirror, np.eye(n)) @ T + G
+    S = coupling_matrix(decomps, balanced.mirror, g)
     lam_min = float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
     if lam_min <= 1e-12:
         raise AssumptionViolationError(
@@ -188,6 +182,23 @@ def compute_epsilon(decomps, balanced, g=None, margin=0.9):
             "observability or strong connectivity does not hold numerically"
         )
     return margin * lam_min
+
+
+def coupling_matrix(decomps, mirror, g):
+    """The matrix S = T.T (mirror x I_n) T + G of `compute_epsilon`.
+
+    Assembled block by block: S_ij = mirror_ij * T_i.T T_j, plus g_i on
+    the first v_i diagonal entries of block i. All the products T_i.T T_j
+    come from one (nN x n)(n x nN) product, so the cost is O(n (nN)^2)
+    rather than the (nN)^3 of multiplying out the block-diagonal and
+    Kronecker factors.
+    """
+    n = decomps[0].n
+    T_row = np.hstack([d.T for d in decomps])
+    S = (T_row.T @ T_row) * np.kron(mirror, np.ones((n, n)))
+    observable = np.concatenate([np.arange(n) < d.v for d in decomps])
+    S[np.diag_indices_from(S)] += np.repeat(g, n) * observable
+    return S
 
 
 def _min_coupling_budget(A_iu, A_ir, tol=BISECTION_TOL):

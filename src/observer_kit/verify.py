@@ -34,7 +34,9 @@ class GlobalErrorSystem:
     diagonal of the decoupled per-node error maps A - L_i H_i, Mbar the
     block diagonal of the consensus weightings and R the balancing of the
     graph Laplacian L. P is the block diagonal of the inverted weightings,
-    the matrix of the certificate's quadratic form.
+    the matrix of the certificate's quadratic form. All four are dense
+    nN x nN arrays; E is assembled from its n x n blocks, so building the
+    system costs O((nN)^2) plus N small inversions.
     """
 
     E: np.ndarray
@@ -62,27 +64,30 @@ def _check_compatible(model, design):
 def build_global_error_matrix(model, balanced, design):
     """Assemble the global error system for a design on a balanced graph.
 
-    The coupling term uses the balancing weights recomputed from the
-    graph, which is what makes the result depend on the graph only
-    through the product R L.
+    Block (i, j) of E is delta_ij (A - L_i H_i) - gamma (R L)_ij M_i,
+    formed directly from the blocks instead of multiplying Mbar by
+    kron(R L, I_n). The coupling term uses the balancing weights
+    recomputed from the graph, which is what makes the result depend on
+    the graph only through the product R L.
     """
     _check_compatible(model, design)
     if balanced.laplacian.shape[0] != design.node_count:
         raise DimensionError("graph size does not match the design")
-    n = model.n
     Lambda = scipy.linalg.block_diag(
         *[model.A - node.L @ H for node, H in zip(design.nodes, model.outputs)]
     )
-    Mbar = scipy.linalg.block_diag(*[node.M for node in design.nodes])
+    Ms = np.stack([node.M for node in design.nodes])
+    Mbar = scipy.linalg.block_diag(*Ms)
     RL = balanced.R @ balanced.laplacian
-    E = Lambda - design.gamma * Mbar @ np.kron(RL, np.eye(n))
+    coupling = (RL[:, None, :, None] * Ms[:, :, None, :]).reshape(Lambda.shape)
+    E = Lambda - design.gamma * coupling
 
     blocks, conds = [], []
     for node in design.nodes:
         conds.append(float(np.linalg.cond(node.M)))
-        blocks.append(np.linalg.inv(node.M))
+        P_i = np.linalg.inv(node.M)
+        blocks.append(0.5 * (P_i + P_i.T))
     P = scipy.linalg.block_diag(*blocks)
-    P = 0.5 * (P + P.T)
     return GlobalErrorSystem(
         E=E, Lambda=Lambda, Mbar=Mbar, P=P, condition_numbers=tuple(conds)
     )
@@ -109,25 +114,44 @@ class LyapunovCertificate(NamedTuple):
 def lyapunov_certificate(model, balanced, design, alpha=None):
     """Quadratic-form certificate of decay rate alpha.
 
-    Builds P Lambda + Lambda.T P - gamma * kron(mirror, I_n) + 2*alpha*P
-    with P the block diagonal of the inverted consensus weightings, and
-    tests it for negative definiteness. The per-node condition numbers of
-    the weightings are reported so a near-singular inversion is visible.
+    Builds Z = P Lambda + Lambda.T P - gamma * kron(mirror, I_n) + 2*alpha*P
+    with P the block diagonal of the inverted consensus weightings (see
+    `certificate_matrix`), and tests it for negative definiteness. The
+    per-node condition numbers of the weightings are reported so a
+    near-singular inversion is visible.
     """
     if alpha is None:
         alpha = design.alpha
     err_sys = build_global_error_matrix(model, balanced, design)
-    n = model.n
-    Z = (
-        err_sys.P @ err_sys.Lambda
-        + err_sys.Lambda.T @ err_sys.P
-        - design.gamma * np.kron(balanced.mirror, np.eye(n))
-        + 2.0 * alpha * err_sys.P
+    return _lyapunov_certificate(err_sys, balanced.mirror, design.gamma, alpha)
+
+
+def _lyapunov_certificate(err_sys, mirror, gamma, alpha):
+    verdict = numerics.is_negative_definite(
+        certificate_matrix(err_sys, mirror, gamma, alpha)
     )
-    verdict = numerics.is_negative_definite(Z)
     return LyapunovCertificate(
         verdict.is_negative_definite, verdict.margin, err_sys.condition_numbers
     )
+
+
+def certificate_matrix(err_sys, mirror, gamma, alpha):
+    """The matrix Z of the Lyapunov certificate, assembled block by block.
+
+    Z_ij = delta_ij (P_i Lambda_i + Lambda_i.T P_i + 2*alpha*P_i)
+    - gamma * mirror_ij * I_n, where P_i and Lambda_i are the diagonal
+    blocks of ``err_sys.P`` and ``err_sys.Lambda``. Only N products of
+    n x n blocks are formed, never a product of nN x nN matrices.
+    """
+    N = mirror.shape[0]
+    n = err_sys.P.shape[0] // N
+    Z = -gamma * np.kron(mirror, np.eye(n))
+    for i in range(N):
+        blk = slice(i * n, (i + 1) * n)
+        P_i = err_sys.P[blk, blk]
+        Lambda_i = err_sys.Lambda[blk, blk]
+        Z[blk, blk] += P_i @ Lambda_i + Lambda_i.T @ P_i + 2.0 * alpha * P_i
+    return Z
 
 
 @dataclass(frozen=True)
@@ -157,6 +181,8 @@ class VerificationReport:
 def verify_design(model, g_net, design, alpha=None):
     """Run both certificates and cross-check their consistency.
 
+    The global error system is built once and shared by both.
+
     A true Lyapunov certificate implies exponential decay at the same
     rate, so (Lyapunov pass, abscissa fail) is impossible for correct
     arithmetic and raises `NumericalFailureError`. The opposite split is
@@ -167,7 +193,7 @@ def verify_design(model, g_net, design, alpha=None):
     balanced = balance(g_net)
     err_sys = build_global_error_matrix(model, balanced, design)
     spect = spectral_abscissa_certificate(err_sys.E, alpha)
-    lyap = lyapunov_certificate(model, balanced, design, alpha)
+    lyap = _lyapunov_certificate(err_sys, balanced.mirror, design.gamma, alpha)
 
     if lyap.passed and not spect.passed:
         raise NumericalFailureError(

@@ -9,6 +9,7 @@ observation cases instead, with perfect conditioning at any size.
 """
 
 import numpy as np
+import pytest
 
 from observer_kit import Digraph, SystemModel, joint_observability_rank
 
@@ -83,3 +84,30 @@ def random_model(rng, n, n_nodes):
     if rng.random() < 0.5:
         return random_dense_model(rng, n, n_nodes)
     return random_partial_model(rng, n, n_nodes)
+
+
+# (n, owned) instances for block-assembly oracles: owned[i] lists the
+# rotated coordinates node i measures, so v_i = len(owned[i]). They mix
+# v_i = n, 0 < v_i < n and v_i = 0 on N >= 3 nodes, plus a single node.
+MIXED_OBSERVABILITY_CASES = [
+    pytest.param(3, [[0, 1, 2], [0], [1, 2], []], id="v=3,1,2,0"),
+    pytest.param(4, [[0, 1], [2, 3], [0, 1, 2, 3]], id="v=2,2,4"),
+    pytest.param(3, [[0, 2]], id="single-node-v=2"),
+]
+
+
+def rotated_partial_model(rng, n, owned):
+    """Plant Q diag(modes) Q.T with a random rotation Q and distinct modes;
+    node i measures the rotated coordinates owned[i] (a zero output row
+    when the list is empty), so its observable dimension is len(owned[i])."""
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = Q @ np.diag(rng.permutation(np.linspace(-1.0, 1.5, n))) @ Q.T
+    outputs = tuple(Q.T[idx] if idx else np.zeros((1, n)) for idx in owned)
+    return SystemModel(A=A, outputs=outputs)
+
+
+def graph_for(rng, n_nodes):
+    """Random strongly connected digraph, or the lone node when n_nodes is 1."""
+    if n_nodes == 1:
+        return Digraph(np.zeros((1, 1)))
+    return random_sc_digraph(rng, n_nodes)

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from conftest import random_model, random_sc_digraph
 from observer_kit.decomp import SystemModel
-from observer_kit.errors import DivergenceError, InsufficientDataError
+from observer_kit.errors import DimensionError, DivergenceError, InsufficientDataError
 from observer_kit.graph import Digraph, balance
 from observer_kit.sim import (
     SimulationConfig,
@@ -89,6 +89,36 @@ class TestRhs:
         E = build_global_error_matrix(model, bal, design).E
         assert np.allclose(F[n:, n:], E, atol=1e-12)
         assert np.allclose(F[n:, :n], 0.0)
+
+    def test_batched_state_matches_column_by_column(self):
+        rng = np.random.default_rng(12)
+        model = random_model(rng, 3, 4)
+        g_net = random_sc_digraph(rng, 4)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        dim = 3 * 5
+        batch = rng.normal(size=(dim, 6))
+        got = rhs(batch, model, g_net, design)
+        assert got.shape == batch.shape
+        for k in range(batch.shape[1]):
+            expected = rhs(batch[:, k], model, g_net, design)
+            scale = np.max(np.abs(expected))
+            assert np.allclose(got[:, k], expected, rtol=1e-12, atol=1e-12 * scale)
+        with pytest.raises(DimensionError):
+            rhs(np.zeros(dim + 1), model, g_net, design)
+        with pytest.raises(DimensionError):
+            rhs(np.zeros((dim + 1, 2)), model, g_net, design)
+        with pytest.raises(DimensionError):
+            rhs(np.zeros((dim, 2, 2)), model, g_net, design)
+
+    def test_closed_loop_matrix_matches_unit_vector_probe(self):
+        rng = np.random.default_rng(13)
+        model = random_model(rng, 3, 3)
+        g_net = random_sc_digraph(rng, 3)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        dim = 3 * 4
+        probe = np.column_stack([rhs(e, model, g_net, design) for e in np.eye(dim)])
+        F = closed_loop_matrix(model, g_net, design)
+        assert np.allclose(F, probe, rtol=1e-12, atol=1e-12 * np.max(np.abs(probe)))
 
 
 class TestIntegrate:
@@ -292,6 +322,29 @@ class TestWriteCsv:
         assert float(rows[1][0]) == times[1]
         assert float(rows[0][1]) == e[0]
         assert float(rows[1][1]) == e[1]
+
+    def test_bytes_match_per_row_formatting(self):
+        # inexact, signed zero, tiny, integral, large and irrational values
+        values = np.array([1.0 / 3.0, -0.0, 1e-300, 2.0, -7.5e12, np.pi])
+        rows, N, n = 3, 2, 2
+        trace = SimulationTrace(
+            times=np.array([0.0, 1.0 / 3.0, 2.0]),
+            x=np.resize(np.roll(values, 1), (rows, n)),
+            xhat=np.resize(np.roll(values, 2), (rows, N, n)),
+            e_norms=np.resize(np.roll(values, 3), (rows, N)),
+            e_global=np.resize(values, rows),
+            fitted_rate=None,
+        )
+        buf = io.StringIO()
+        write_csv(trace, buf, include_states=True)
+        header, body = buf.getvalue().split("\n", 1)
+        expected = ""
+        for k in range(rows):
+            row = [trace.times[k], trace.e_global[k], *trace.e_norms[k]]
+            row += [*trace.x[k], *trace.xhat[k].ravel()]
+            expected += ",".join(f"{value:.17g}" for value in row) + "\n"
+        assert body == expected
+        assert "-0," in body and "1e-300" in body and "0.33333333333333331" in body
 
     def test_state_columns(self):
         trace = SimulationTrace(

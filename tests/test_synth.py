@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_model, random_partial_model, random_sc_digraph
+from conftest import (
+    MIXED_OBSERVABILITY_CASES,
+    graph_for,
+    random_model,
+    random_partial_model,
+    random_sc_digraph,
+    rotated_partial_model,
+)
 from observer_kit.decomp import NodeDecomposition, SystemModel, decompose_node
 from observer_kit.errors import AssumptionViolationError, NumericalFailureError
 from observer_kit.graph import Digraph, balance
@@ -11,6 +18,7 @@ from observer_kit.synth import (
     SynthesisParams,
     assemble_gains,
     compute_epsilon,
+    coupling_matrix,
     place_observer_poles,
     select_gamma,
     solve_design_lyapunov,
@@ -81,6 +89,35 @@ class TestComputeEpsilon:
             bumped[rng.integers(0, N)] *= 2.0
             eps_high = compute_epsilon(decomps, bal, bumped, margin=1.0 - 1e-12)
             assert eps_high >= eps_low - 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n, owned", MIXED_OBSERVABILITY_CASES)
+    def test_block_assembly_matches_kronecker_definition(self, n, owned, seed):
+        rng = np.random.default_rng(seed)
+        model = rotated_partial_model(rng, n, owned)
+        decomps = [decompose_node(H, model.A) for H in model.outputs]
+        assert [d.v for d in decomps] == [len(idx) for idx in owned]
+        N = len(owned)
+        bal = balance(graph_for(rng, N))
+        if N > 1:
+            assert not np.allclose(bal.r, 1.0)
+        g = rng.uniform(0.5, 2.0, N)
+        T = scipy.linalg.block_diag(*[d.T for d in decomps])
+        G = scipy.linalg.block_diag(
+            *[np.diag(np.r_[np.full(d.v, gi), np.zeros(n - d.v)]) for d, gi in zip(decomps, g)]
+        )
+        dense = T.T @ np.kron(bal.mirror, np.eye(n)) @ T + G
+        S = coupling_matrix(decomps, bal.mirror, g)
+        assert np.max(np.abs(S - dense)) <= 1e-12 * np.max(np.abs(dense))
+        if N == 1:
+            # a lone node with v < n is not observable: S is singular
+            with pytest.raises(AssumptionViolationError):
+                compute_epsilon(decomps, bal, g)
+        else:
+            lam_min = np.linalg.eigvalsh(0.5 * (dense + dense.T))[0]
+            assert compute_epsilon(decomps, bal, g, margin=0.9) == pytest.approx(
+                0.9 * lam_min, rel=1e-9
+            )
 
 
 class TestSelectGamma:

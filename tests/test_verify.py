@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import random_model, random_sc_digraph
+from conftest import (
+    MIXED_OBSERVABILITY_CASES,
+    graph_for,
+    random_model,
+    random_sc_digraph,
+    rotated_partial_model,
+)
+from observer_kit import verify
 from observer_kit.decomp import SystemModel
 from observer_kit.errors import DimensionError
 from observer_kit.graph import Digraph, balance
 from observer_kit.synth import NodeGains, ObserverDesign, SynthesisParams, synthesize
 from observer_kit.verify import (
     build_global_error_matrix,
+    certificate_matrix,
     lyapunov_certificate,
     spectral_abscissa_certificate,
     verify_design,
@@ -28,6 +37,45 @@ def scalar_pair_design(l, m, gamma, alpha=1.0):
 
 def scalar_pair_model(a):
     return SystemModel(A=[[a]], outputs=([[1.0]], [[1.0]]))
+
+
+def random_gains_instance(seed, n, owned):
+    """Model, balanced graph and a design with random gains and random
+    weightings (positive definite, with a small skew part that pins which
+    side of the coupling M_i multiplies): every block of E and Z differs
+    from every other."""
+    rng = np.random.default_rng(seed)
+    model = rotated_partial_model(rng, n, owned)
+    bal = balance(graph_for(rng, len(owned)))
+    nodes = []
+    for H in model.outputs:
+        B, C = rng.normal(size=(2, n, n))
+        nodes.append(
+            NodeGains(
+                L=rng.normal(size=(n, H.shape[0])),
+                M=B @ B.T + n * np.eye(n) + 0.1 * (C - C.T),
+                v=n,
+                P_io=np.eye(n),
+            )
+        )
+    design = ObserverDesign(
+        gamma=rng.uniform(1.0, 5.0), epsilon=0.9, alpha=1.0, r=bal.r, nodes=tuple(nodes)
+    )
+    return model, bal, design
+
+
+def dense_blocks(model, bal, design):
+    """Lambda, Mbar and P as explicit block diagonals."""
+    Lambda = scipy.linalg.block_diag(
+        *[model.A - node.L @ H for node, H in zip(design.nodes, model.outputs)]
+    )
+    Mbar = scipy.linalg.block_diag(*[node.M for node in design.nodes])
+    P = np.linalg.inv(Mbar)
+    return Lambda, Mbar, 0.5 * (P + P.T)
+
+
+def assert_rel_close(got, expected, rtol=1e-12):
+    assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
 
 
 class TestBuildGlobalErrorMatrix:
@@ -86,6 +134,20 @@ class TestBuildGlobalErrorMatrix:
         coupling = sys_.Lambda - sys_.E
         expected = design.gamma * sys_.Mbar @ np.kron(bal.laplacian, np.eye(2))
         assert np.allclose(coupling, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n, owned", MIXED_OBSERVABILITY_CASES)
+    def test_block_assembly_matches_kronecker_definition(self, n, owned, seed):
+        model, bal, design = random_gains_instance(seed, n, owned)
+        if len(owned) > 1:
+            assert not np.allclose(bal.r, 1.0)
+        Lambda, Mbar, _ = dense_blocks(model, bal, design)
+        RL = bal.R @ bal.laplacian
+        dense = Lambda - design.gamma * Mbar @ np.kron(RL, np.eye(n))
+        sys_ = build_global_error_matrix(model, bal, design)
+        assert_rel_close(sys_.E, dense)
+        assert_rel_close(sys_.Lambda, Lambda)
+        assert_rel_close(sys_.Mbar, Mbar)
 
     def test_dimension_mismatch_rejected(self):
         model = scalar_pair_model(0.3)
@@ -152,6 +214,27 @@ class TestLyapunovCertificate:
         assert not cert.passed
         assert cert.margin >= 0
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n, owned", MIXED_OBSERVABILITY_CASES)
+    def test_block_assembly_matches_kronecker_definition(self, n, owned, seed):
+        model, bal, design = random_gains_instance(seed, n, owned)
+        alpha = 0.7
+        Lambda, _, P = dense_blocks(model, bal, design)
+        dense = (
+            P @ Lambda
+            + Lambda.T @ P
+            - design.gamma * np.kron(bal.mirror, np.eye(n))
+            + 2.0 * alpha * P
+        )
+        sys_ = build_global_error_matrix(model, bal, design)
+        assert_rel_close(sys_.P, P)
+        Z = certificate_matrix(sys_, bal.mirror, design.gamma, alpha)
+        assert_rel_close(Z, dense)
+        cert = lyapunov_certificate(model, bal, design, alpha=alpha)
+        assert cert.margin == pytest.approx(
+            np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1], rel=1e-9
+        )
+
 
 class TestVerifyDesign:
     def test_report_on_synthesized_design(self):
@@ -181,6 +264,22 @@ class TestVerifyDesign:
                 report = verify_design(model, g_net, design, alpha=alpha)
                 if report.lyapunov_passed:
                     assert report.passed
+
+    def test_builds_error_system_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        model = random_model(rng, 3, 3)
+        g_net = random_sc_digraph(rng, 3)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        calls = []
+        real = verify.build_global_error_matrix
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "build_global_error_matrix", spy)
+        verify_design(model, g_net, design)
+        assert len(calls) == 1
 
     def test_stable_but_uncertified_note(self):
         # non-normal stable error dynamics: the abscissa clears -1 but the
