@@ -93,6 +93,20 @@ def rank(M, rtol=RANK_RTOL):
     return int(np.sum(s > s[0] * max(M.shape) * rtol))
 
 
+def spectral_norm(M):
+    """2-norm of a matrix, as the square root of the largest eigenvalue of M.T M.
+
+    Only that one eigenvalue is computed, which is much cheaper than the
+    full SVD behind ``np.linalg.norm(M, 2)``.
+    """
+    M = as_matrix(M)
+    if M.size == 0:
+        return 0.0
+    gram = M.T @ M
+    top = scipy.linalg.eigvalsh(gram, subset_by_index=[gram.shape[0] - 1] * 2)
+    return float(np.sqrt(max(top[0], 0.0)))
+
+
 class Definiteness(NamedTuple):
     """Verdict of a negative-definiteness test plus its eigenvalue margin."""
 

@@ -13,6 +13,7 @@ from observer_kit.numerics import (
     orthonormal_row_space_basis,
     rank,
     solve_lyapunov,
+    spectral_norm,
     svd,
 )
 
@@ -135,6 +136,16 @@ class TestSvdAndRank:
         assert rank(np.zeros((2, 2))) == 0
         assert rank(np.eye(3)) == 3
         assert rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+
+    def test_spectral_norm_matches_largest_singular_value(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            m, n = rng.integers(1, 8, 2)
+            M = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3, 3)
+            expected = np.linalg.norm(M, 2)
+            assert abs(spectral_norm(M) - expected) <= 1e-12 * expected
+        assert spectral_norm(np.zeros((3, 3))) == 0.0
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
 class TestDefiniteness:

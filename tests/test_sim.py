@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_model, random_sc_digraph
+from conftest import random_model, random_partial_model, random_sc_digraph
+from observer_kit import sim
 from observer_kit.decomp import SystemModel
 from observer_kit.errors import DimensionError, DivergenceError, InsufficientDataError
 from observer_kit.graph import Digraph, balance
+from observer_kit.numerics import spectral_norm
 from observer_kit.sim import (
     SimulationConfig,
     SimulationTrace,
@@ -223,6 +225,98 @@ class TestIntegrate:
             with pytest.raises(DivergenceError) as err:
                 integrate(config, model, SINGLE_NODE, design)
         assert err.value.step is not None and err.value.step > 0
+
+    def test_divergence_step_is_first_non_finite_state(self, monkeypatch):
+        # the error grows by the RK4 factor 65/24 per step; (65/24)**713 is
+        # the first power above the largest float, whatever the block length
+        model = SystemModel(A=[[0.0]], outputs=([[1.0]],))
+        design = scalar_design(l=-100.0, m=1.0, gamma=0.0)
+        config = SimulationConfig(
+            t_final=20.0, dt=1e-2, x0=[0.0], xhat0=[[1.0]], seed=0
+        )
+        for single_steps in (False, True):
+            if single_steps:
+                monkeypatch.setattr(sim, "_BLOCK", 1)
+            with pytest.warns(UserWarning, match="too\\s+coarse"):
+                with pytest.raises(DivergenceError) as err:
+                    integrate(config, model, SINGLE_NODE, design)
+            assert err.value.step == 713
+            assert err.value.time == pytest.approx(7.13)
+
+    @pytest.mark.filterwarnings("ignore:dt \\* \\|\\|E\\|\\|:UserWarning")
+    def test_error_coordinates_keep_digits(self):
+        # the plant state grows to about 1e6 while the error decays to about
+        # 1e-5; stepping e directly keeps the digits a subtraction would lose
+        rng = np.random.default_rng(1)
+        g_net = random_sc_digraph(rng, 20)
+        model = random_partial_model(rng, 20, 20)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        config = SimulationConfig(t_final=10, dt=1e-3, seed=1)
+        trace = integrate(config, model, g_net, design)
+        E = build_global_error_matrix(model, balance(g_net), design).E
+        e0 = (trace.xhat[0] - trace.x[0]).ravel()
+        exact = np.linalg.norm(
+            np.linalg.matrix_power(scipy.linalg.expm(E), 10) @ e0
+        )
+        assert abs(trace.e_global[-1] - exact) <= 1e-9 * exact
+
+    @pytest.mark.filterwarnings("ignore:error norm hit zero:UserWarning")
+    @pytest.mark.parametrize(
+        "t_final, record_stride, zero_error",
+        [
+            pytest.param(1.0, 7, False, id="stride-7-of-1000-steps"),
+            pytest.param(0.05, 1, False, id="shorter-than-a-block"),
+            pytest.param(1.0, 1, True, id="zero-initial-error"),
+        ],
+    )
+    def test_blocked_stepping_matches_single_steps(
+        self, monkeypatch, t_final, record_stride, zero_error
+    ):
+        rng = np.random.default_rng(14)
+        model = random_model(rng, 3, 3)
+        g_net = random_sc_digraph(rng, 3)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        x0 = rng.uniform(-1.0, 1.0, 3)
+        xhat0 = np.tile(x0, (3, 1)) if zero_error else None
+        config = SimulationConfig(
+            t_final=t_final, dt=1e-3, x0=x0, xhat0=xhat0, seed=15,
+            record_stride=record_stride,
+        )
+        blocked = integrate(config, model, g_net, design)
+        monkeypatch.setattr(sim, "_BLOCK", 1)
+        single = integrate(config, model, g_net, design)
+        steps = int(round(t_final / 1e-3))
+        recorded = [*range(0, steps + 1, record_stride)]
+        if recorded[-1] != steps:
+            recorded.append(steps)
+        assert np.array_equal(blocked.times, np.array(recorded) * 1e-3)
+        assert np.array_equal(single.times, blocked.times)
+        rows = len(recorded)
+        for got, want in [
+            (blocked.x, single.x),
+            (blocked.xhat.reshape(rows, -1), single.xhat.reshape(rows, -1)),
+            (blocked.e_norms, single.e_norms),
+        ]:
+            gap = np.linalg.norm(got - want, axis=1)
+            assert np.all(gap <= 1e-12 * np.linalg.norm(want, axis=1))
+        if zero_error:
+            assert np.all(blocked.e_global == 0.0)
+            assert np.all(single.e_global == 0.0)
+        else:
+            gap = np.abs(blocked.e_global - single.e_global)
+            assert np.all(gap <= 1e-12 * single.e_global)
+
+    @pytest.mark.parametrize("n", [2, 10, 30])
+    def test_step_size_norm(self, n):
+        rng = np.random.default_rng(1)
+        g_net = random_sc_digraph(rng, n)
+        model = random_partial_model(rng, n, n)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        E = closed_loop_matrix(model, g_net, design)[n:, n:]
+        norm = spectral_norm(E)
+        assert abs(norm - np.linalg.norm(E, 2)) <= 1e-12 * norm
+        built = build_global_error_matrix(model, balance(g_net), design).E
+        assert abs(norm - np.linalg.norm(built, 2)) <= 1e-12 * norm
 
     def test_deterministic_csv(self):
         rng = np.random.default_rng(9)
