@@ -39,6 +39,7 @@ from .synth import (
     ObserverDesign,
     SynthesisParams,
     assemble_gains,
+    check_assumptions,
     compute_epsilon,
     place_observer_poles,
     select_gamma,
@@ -80,6 +81,7 @@ __all__ = [
     "assemble_gains",
     "balance",
     "build_global_error_matrix",
+    "check_assumptions",
     "compute_epsilon",
     "decompose_node",
     "estimate_decay_rate",

@@ -14,7 +14,6 @@ import os
 import sys
 
 from .config import build_sim_config, load_config, load_design, save_design
-from .decomp import decompose_node, joint_observability_rank
 from .errors import (
     AssumptionViolationError,
     ConfigError,
@@ -23,9 +22,8 @@ from .errors import (
     InsufficientDataError,
     NumericalFailureError,
 )
-from .graph import is_strongly_connected
 from .sim import integrate, write_csv
-from .synth import synthesize
+from .synth import check_assumptions, synthesize
 from .verify import verify_design
 
 EXIT_OK = 0
@@ -59,12 +57,9 @@ def _emit(report, path=None):
 
 def cmd_check(args):
     loaded = load_config(args.config)
-    decomps = [
-        decompose_node(H, loaded.model.A, loaded.params.rank_rtol)
-        for H in loaded.model.outputs
-    ]
-    connected = is_strongly_connected(loaded.graph)
-    joint = joint_observability_rank(loaded.model, decomps, loaded.params.rank_rtol)
+    decomps, connected, joint = check_assumptions(
+        loaded.model, loaded.graph, loaded.params.rank_rtol
+    )
     report = {
         "strongly_connected": connected,
         "joint_rank": joint,

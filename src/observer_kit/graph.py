@@ -68,33 +68,15 @@ def laplacian(g):
 def is_strongly_connected(g):
     """True when every ordered node pair is joined by a directed path.
 
-    Double reachability sweep: node 0 must reach every node following the
-    edge directions, and every node must reach node 0 (equivalently node 0
-    reaches all nodes in the reversed graph).
+    Boolean reachability by repeated squaring: starting from the edges
+    plus the self pairs, each squaring doubles the longest path covered,
+    so (N - 1).bit_length() squarings reach every node within N - 1 hops.
+    The graph is strongly connected when every pair ends up reachable.
     """
-    A = g.adjacency
-    n = g.node_count
-    if n <= 1:
-        return True
-    # successors of i in the information-flow direction are the nonzero
-    # entries of column i (edge i -> j stored at A[j, i])
-    return _reaches_all(A.T, n) and _reaches_all(A, n)
-
-
-def _reaches_all(adj_rows, n):
-    # BFS from node 0; adj_rows[i] nonzero entries are the neighbors of i
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in np.flatnonzero(adj_rows[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    nxt.append(j)
-        frontier = nxt
-    return bool(seen.all())
+    reach = (g.adjacency > 0) | np.eye(g.node_count, dtype=bool)
+    for _ in range((g.node_count - 1).bit_length()):
+        reach = (reach.astype(float) @ reach) > 0
+    return bool(reach.all())
 
 
 @dataclass(frozen=True)

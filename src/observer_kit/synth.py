@@ -9,7 +9,8 @@ The pipeline decouples the network topology from the local gain design:
 3. compute a positive constant ``epsilon`` that lower-bounds the mirror
    coupling seen through the per-node coordinate changes,
 4. pick the coupling gain ``gamma`` large enough that consensus dominates
-   every unobservable block at the requested decay rate,
+   every unobservable block at the requested decay rate; each node's
+   budget is the largest eigenvalue of one quadratic eigenvalue problem,
 5. stabilize each observable block by output injection with poles pushed
    left of ``-alpha``,
 6. solve one small Lyapunov equation per node for the certificate block
@@ -23,6 +24,7 @@ and must come back strictly negative definite.
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -34,10 +36,9 @@ from .graph import balance, is_strongly_connected
 
 logger = logging.getLogger(__name__)
 
-# Width below which the bisection for the per-node coupling budget stops.
-# Also the floor for the budget itself, keeping gamma*epsilon - 2*alpha
+# Floor for the per-node coupling budget, keeping gamma*epsilon - 2*alpha
 # strictly positive when no node imposes a real constraint.
-BISECTION_TOL = 1e-9
+BUDGET_FLOOR = 1e-9
 
 
 @dataclass
@@ -137,11 +138,14 @@ class ObserverDesign:
                 )
                 for nd in data["nodes"]
             )
+            r = np.asarray(data["r"], dtype=float)
+            if r.shape != (len(nodes),):
+                raise ValueError(f"r has shape {r.shape}, expected ({len(nodes)},)")
             return cls(
                 gamma=float(data["gamma"]),
                 epsilon=float(data["epsilon"]),
                 alpha=float(data["alpha"]),
-                r=np.asarray(data["r"], dtype=float),
+                r=r,
                 nodes=nodes,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -201,36 +205,19 @@ def coupling_matrix(decomps, mirror, g):
     return S
 
 
-def _min_coupling_budget(A_iu, A_ir, tol=BISECTION_TOL):
-    """Smallest b > 0 with lambda_max(Sym(A_iu) + A_ir A_ir.T / b) < b.
+def _min_coupling_budget(A_iu, A_ir, floor=BUDGET_FLOOR):
+    """Smallest b > 0 with lambda_max(Sym(A_iu) + A_ir A_ir.T / b) <= b.
 
-    The left-hand side is strictly decreasing in b and tends to -inf, so a
-    unique crossing exists; monotone bisection returns the certified-
-    negative end of the final bracket. When the inequality already holds
-    at the resolution floor the floor itself is returned, never zero, so
-    the caller's budget stays strictly positive.
+    For b > 0 this is b^2 I - b S - K >= 0 with S = Sym(A_iu) and
+    K = A_ir A_ir.T >= 0, so b is the largest eigenvalue of the quadratic
+    pencil mu^2 I - mu S - K, i.e. of its companion [[S, K], [I, 0]]
+    (Tisseur & Meerbergen, SIAM Review 2001); all of them are real since
+    K >= 0. The floor is returned when it is larger, so the caller's
+    budget stays strictly positive.
     """
-    S = _sym(A_iu)
-    K = A_ir @ A_ir.T
-
-    def excess(b):
-        return float(np.linalg.eigvalsh(S + K / b)[-1]) - b
-
-    if excess(tol) < 0:
-        return tol
-    hi = 1.0
-    while excess(hi) >= 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NumericalFailureError("coupling budget bisection failed to bracket")
-    lo = tol
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    m = A_iu.shape[0]
+    companion = np.block([[_sym(A_iu), A_ir @ A_ir.T], [np.eye(m), np.zeros((m, m))]])
+    return max(float(np.max(numerics.eigenvalues(companion).real)), floor)
 
 
 def select_gamma(decomps, epsilon, alpha, margin=1.1):
@@ -239,23 +226,24 @@ def select_gamma(decomps, epsilon, alpha, margin=1.1):
     For each node with a nontrivial unobservable part, the minimal budget
     b_i = gamma*epsilon - 2*alpha making
 
-        Sym(A_iu) - b I + A_ir A_ir.T / b < 0
+        Sym(A_iu) - b I + A_ir A_ir.T / b <= 0
 
-    is located by bisection; the returned gain is
+    is one eigenvalue problem (see `_min_coupling_budget`); the returned
+    gain is
 
         gamma = max((margin * max_i b_i + 2*alpha) / epsilon, 2*alpha + 1).
 
     Fully observable nodes contribute no budget constraint, but the first
-    branch still applies with the resolution-floor budget: the assembled
-    per-node certificates need gamma*epsilon > 2*alpha regardless, and the
-    floor keeps that inequality strict. The domination inequality is
+    branch still applies with the floor budget: the assembled per-node
+    certificates need gamma*epsilon > 2*alpha regardless, and the floor
+    keeps that inequality strict. The domination inequality is
     re-checked for every constrained node at the returned gain.
     """
     if not epsilon > 0:
         raise AssumptionViolationError(f"epsilon must be positive, got {epsilon}")
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    budget = BISECTION_TOL
+    budget = BUDGET_FLOOR
     for d in decomps:
         if d.v < d.n:
             budget = max(budget, _min_coupling_budget(d.A_iu, d.A_ir))
@@ -401,13 +389,41 @@ def verify_design_lmi(dec, P_io, P_iu, W, gamma, epsilon, alpha, g_i=1.0):
     return numerics.is_negative_definite(Z)
 
 
+class AssumptionCheck(NamedTuple):
+    """Per-node decompositions and the raw standing-assumption tests."""
+
+    decomps: tuple
+    strongly_connected: bool
+    joint_rank: int
+
+
+def check_assumptions(model, g_net, rtol=numerics.RANK_RTOL):
+    """Decompose every node and test both standing assumptions.
+
+    Draws no verdict: the command-line ``check`` and `synthesize` each
+    judge the result. Raises `DimensionError` only for a node-count
+    mismatch between model and graph.
+    """
+    if model.node_count != g_net.node_count:
+        raise DimensionError(
+            f"model has {model.node_count} output blocks but the graph has "
+            f"{g_net.node_count} nodes"
+        )
+    decomps = tuple(decompose_node(H, model.A, rtol) for H in model.outputs)
+    return AssumptionCheck(
+        decomps=decomps,
+        strongly_connected=is_strongly_connected(g_net),
+        joint_rank=joint_observability_rank(model, decomps, rtol),
+    )
+
+
 def synthesize(model, g_net, params):
     """Full design pipeline: from plant, graph and decay rate to gains.
 
     Checks the standing assumptions (strongly connected graph, jointly
-    observable system), runs the seven construction steps and re-verifies
-    the per-node certificate inequality for the assembled design before
-    returning it.
+    observable system) with `check_assumptions`, runs the seven
+    construction steps and re-verifies the per-node certificate inequality
+    for the assembled design before returning it.
 
     Parameters
     ----------
@@ -420,16 +436,9 @@ def synthesize(model, g_net, params):
     -------
     ObserverDesign
     """
-    if model.node_count != g_net.node_count:
-        raise DimensionError(
-            f"model has {model.node_count} output blocks but the graph has "
-            f"{g_net.node_count} nodes"
-        )
-    if not is_strongly_connected(g_net):
+    decomps, connected, joint = check_assumptions(model, g_net, params.rank_rtol)
+    if not connected:
         raise AssumptionViolationError("communication graph is not strongly connected")
-
-    decomps = [decompose_node(H, model.A, params.rank_rtol) for H in model.outputs]
-    joint = joint_observability_rank(model, decomps, params.rank_rtol)
     if joint != model.n:
         raise AssumptionViolationError(
             f"system is not jointly observable: stacked rank {joint} < n = {model.n}"

@@ -181,7 +181,8 @@ class VerificationReport:
 def verify_design(model, g_net, design, alpha=None):
     """Run both certificates and cross-check their consistency.
 
-    The global error system is built once and shared by both.
+    The global error system is built once and shared by both. A design
+    whose r is not the graph's balancing (rtol 1e-9) raises `DimensionError`.
 
     A true Lyapunov certificate implies exponential decay at the same
     rate, so (Lyapunov pass, abscissa fail) is impossible for correct
@@ -191,6 +192,8 @@ def verify_design(model, g_net, design, alpha=None):
     if alpha is None:
         alpha = design.alpha
     balanced = balance(g_net)
+    if design.r.shape != balanced.r.shape or not np.allclose(design.r, balanced.r, 1e-9, 0):
+        raise DimensionError(f"design r = {design.r} does not balance the graph")
     err_sys = build_global_error_matrix(model, balanced, design)
     spect = spectral_abscissa_certificate(err_sys.E, alpha)
     lyap = _lyapunov_certificate(err_sys, balanced.mirror, design.gamma, alpha)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import observer_kit
 from observer_kit.cli import main
 
 
@@ -23,6 +27,15 @@ def write_config(path, *, alpha=1.0, edges=None, A=None, outputs=None, sim=None,
         doc["params"]["sim"] = sim
     path.write_text(json.dumps(doc))
     return path
+
+
+def with_r(design_path, tmp_path, r):
+    """Copy of a design file with its balancing weights replaced by r."""
+    doc = json.loads(design_path.read_text())
+    doc["r"] = r
+    tampered = tmp_path / "tampered_r.json"
+    tampered.write_text(json.dumps(doc))
+    return tampered
 
 
 @pytest.fixture
@@ -136,6 +149,11 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False
 
+    @pytest.mark.parametrize("r", [[1.9, 0.1], [0.0, 0.0]], ids=["skewed", "zero"])
+    def test_r_that_does_not_balance_the_graph(self, config_path, design_path, tmp_path, r):
+        tampered = with_r(design_path, tmp_path, r)
+        assert main(["verify", str(config_path), str(tampered)]) == 3
+
     def test_design_for_other_system(self, tmp_path, design_path, capsys):
         other = write_config(
             tmp_path / "other.json",
@@ -211,3 +229,28 @@ class TestSimulate:
             capsys.readouterr()
         assert codes[0] == codes[1] == 0
         assert texts[0] == texts[1]
+
+
+class TestDesignR:
+    def test_short_r_is_an_input_error(self, config_path, design_path, tmp_path, capsys):
+        tampered = with_r(design_path, tmp_path, [1.0])
+        assert main(["verify", str(config_path), str(tampered)]) == 3
+        code = main([
+            "simulate", str(config_path), str(tampered),
+            "--t-final", "1.0", "-o", str(tmp_path / "t.csv"),
+        ])
+        assert code == 3
+
+
+def test_import_loads_no_optimize_or_sparse():
+    # scipy.optimize and scipy.sparse would add to every command's start-up
+    src = os.path.dirname(os.path.dirname(observer_kit.__file__))
+    probe = (
+        "import sys, observer_kit; print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.optimize', 'scipy.sparse'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

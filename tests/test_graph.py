@@ -83,6 +83,22 @@ class TestStrongConnectivity:
         )
         assert not is_strongly_connected(g)
 
+    @pytest.mark.parametrize("density", ["sparse", "dense"])
+    def test_matches_scipy_strong_components(self, density):
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(21)
+        verdicts = set()
+        for _ in range(300):
+            N = int(rng.integers(1, 41))
+            p = min(1.0, 4.0 / N) if density == "sparse" else 0.5
+            A = np.where(rng.random((N, N)) < p, rng.uniform(0.5, 2.0, (N, N)), 0.0)
+            np.fill_diagonal(A, 0.0)
+            expected = connected_components(A, directed=True, connection="strong")[0] == 1
+            assert is_strongly_connected(Digraph(A)) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
 
 class TestBalance:
     def test_unit_three_cycle(self):

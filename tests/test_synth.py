@@ -11,12 +11,15 @@ from conftest import (
     rotated_partial_model,
 )
 from observer_kit.decomp import NodeDecomposition, SystemModel, decompose_node
-from observer_kit.errors import AssumptionViolationError, NumericalFailureError
+from observer_kit.errors import AssumptionViolationError, DimensionError, NumericalFailureError
 from observer_kit.graph import Digraph, balance
 from observer_kit.synth import (
+    BUDGET_FLOOR,
     ObserverDesign,
     SynthesisParams,
+    _min_coupling_budget,
     assemble_gains,
+    check_assumptions,
     compute_epsilon,
     coupling_matrix,
     place_observer_poles,
@@ -173,6 +176,52 @@ class TestSelectGamma:
         decomps = [decompose_node(H, model.A) for H in model.outputs]
         gammas = [select_gamma(decomps, 0.4, a) for a in (0.5, 1.0, 2.0, 4.0)]
         assert all(g2 >= g1 for g1, g2 in zip(gammas, gammas[1:]))
+
+
+def budget_excess(A_iu, A_ir, b):
+    """lambda_max(Sym(A_iu) + A_ir A_ir.T / b) - b, the quantity the
+    coupling budget drives to zero."""
+    return np.linalg.eigvalsh(A_iu + A_iu.T + (A_ir @ A_ir.T) / b)[-1] - b
+
+
+class TestMinCouplingBudget:
+    def blocks(self):
+        """Unobservable blocks of random conftest plants, plus random
+        (A_iu, A_ir) pairs with a nonzero (often rank-deficient) A_ir."""
+        rng = np.random.default_rng(11)
+        pairs = []
+        for _ in range(40):
+            n, N = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+            model = random_model(rng, n, N)
+            pairs += [
+                (d.A_iu, d.A_ir)
+                for d in (decompose_node(H, model.A) for H in model.outputs)
+                if d.v < d.n
+            ]
+        for _ in range(100):
+            m, v = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            pairs.append((rng.normal(size=(m, m)), rng.normal(size=(m, v))))
+        return pairs
+
+    def test_budget_is_the_crossing(self):
+        checked = 0
+        for A_iu, A_ir in self.blocks():
+            b = _min_coupling_budget(A_iu, A_ir)
+            assert b >= BUDGET_FLOOR
+            if b > BUDGET_FLOOR:
+                assert budget_excess(A_iu, A_ir, b * (1 + 1e-6)) < 0
+                assert budget_excess(A_iu, A_ir, b * (1 - 1e-6)) > 0
+                checked += 1
+        assert checked >= 100
+
+    def test_scalar_closed_form(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            A_iu = rng.uniform(-2.0, 2.0, (1, 1))
+            A_ir = rng.normal(size=(1, int(rng.integers(1, 4))))
+            s, k = 2.0 * A_iu[0, 0], float(np.sum(A_ir**2))
+            expected = (s + np.sqrt(s * s + 4.0 * k)) / 2.0
+            assert _min_coupling_budget(A_iu, A_ir) == pytest.approx(expected, rel=1e-10)
 
 
 class TestPlaceObserverPoles:
@@ -364,6 +413,22 @@ class TestSynthesize:
         assert np.max(np.linalg.eigvals(E).real) <= -1.0 + 1e-6
 
 
+class TestCheckAssumptions:
+    def test_reports_without_deciding(self):
+        model = SystemModel(A=np.diag([1.0, 2.0]),
+                            outputs=([[1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]]))
+        chain = Digraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        check = check_assumptions(model, chain)
+        assert check.strongly_connected is False
+        assert check.joint_rank == 1
+        assert [d.v for d in check.decomps] == [1, 1, 1]
+
+    def test_node_count_mismatch(self):
+        model = SystemModel(A=[[0.7]], outputs=([[1.0]],))
+        with pytest.raises(DimensionError):
+            check_assumptions(model, UNIT_2CYCLE)
+
+
 class TestSynthesisParams:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
@@ -401,3 +466,11 @@ class TestDesignSerialization:
             assert np.array_equal(a.M, b.M)
             assert np.array_equal(a.P_io, b.P_io)
             assert a.v == b.v
+
+    @pytest.mark.parametrize("r", [[1.0], [1.0, 1.0, 1.0], 1.0, [[1.0, 1.0]]])
+    def test_r_must_hold_one_weight_per_node(self, r):
+        model = SystemModel(A=[[0.7]], outputs=([[1.0]], [[1.0]]))
+        doc = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0)).to_dict()
+        doc["r"] = r
+        with pytest.raises(DimensionError):
+            ObserverDesign.from_dict(doc)
