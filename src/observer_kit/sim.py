@@ -8,11 +8,13 @@ measurement noise, packet loss or sampling.
 
 The run steps the plant state x together with the estimation error
 e = xhat - 1 (x) x rather than the estimates themselves, so e keeps its
-digits while x grows. The dynamics are linear, so one RK4 step is one
-fixed step matrix P, and blocks of `_BLOCK` consecutive states advance
-together through a single product with P**_BLOCK. Replacing P with the
-exact propagator expm(dt M) would turn the same loop into an exact
-simulation.
+digits while x grows. Its field is blockdiag(A, E), E the error matrix
+`verify` certifies, from the same `verify.error_system`; `rhs` states the
+observer equations behind E. The dynamics are linear, so one RK4 step is
+one fixed step matrix P, and blocks of `_BLOCK` consecutive states
+advance together through a single product with P**_BLOCK. Replacing P
+with the exact propagator expm(dt M) would turn the same loop into an
+exact simulation.
 """
 
 import logging
@@ -24,6 +26,7 @@ import scipy.linalg
 
 from . import numerics
 from .errors import DimensionError, DivergenceError, InsufficientDataError
+from .verify import error_system
 
 logger = logging.getLogger(__name__)
 
@@ -126,20 +129,15 @@ def rhs(state, model, g_net, design):
     return out
 
 
-def closed_loop_matrix(model, g_net, design):
-    """Matrix F with rhs(z) = F z, found by applying rhs once to the identity."""
-    dim = model.n * (model.node_count + 1)
-    return rhs(np.eye(dim), model, g_net, design)
-
-
 def integrate(config, model, g_net, design):
     """Fixed-step classical 4th-order Runge-Kutta run of the coupled dynamics.
 
     The run steps y = (x, e), the plant state and the stacked estimation
     error e = xhat - 1 (x) x, so e keeps its digits while x grows; the
     recorded estimates are xhat = x + e. In these coordinates the field is
-    blockdiag(A, E) with both blocks read off the probed closed-loop
-    matrix F, and one RK4 step is the fixed matrix P of `_rk4_step_matrix`.
+    blockdiag(A, E), with E the error matrix of `verify.error_system`, so
+    a design `verify` rejects is rejected here with the same error; one
+    RK4 step is the fixed matrix P of `_rk4_step_matrix`.
     The first `_BLOCK` states are stepped one at a time; each later block
     of `_BLOCK` states is P**_BLOCK times the previous block, one
     matrix-matrix product. A block with a non-finite entry is redone one
@@ -163,8 +161,7 @@ def integrate(config, model, g_net, design):
     else:
         xhat0 = rng.uniform(-1.0, 1.0, (N, n))
 
-    F = closed_loop_matrix(model, g_net, design)
-    E = F[n:, n:]
+    E = error_system(model, g_net, design)[1].E
     step_scale = config.dt * numerics.spectral_norm(E)
     if step_scale > 0.5:
         warnings.warn(
@@ -179,7 +176,7 @@ def integrate(config, model, g_net, design):
     if rec_steps[-1] != steps:
         rec_steps = np.append(rec_steps, steps)
 
-    M = scipy.linalg.block_diag(F[:n, :n], E)
+    M = scipy.linalg.block_diag(model.A, E)
     y0 = np.concatenate([x0, (xhat0 - x0).ravel()])
     ys = _propagate(_rk4_step_matrix(M, dt), y0, rec_steps, dt)
 

@@ -309,23 +309,24 @@ def place_observer_poles(A_io, H_io, alpha):
     return L_io
 
 
-def solve_design_lyapunov(A_io, L_io, H_io, alpha, gamma):
+def solve_design_lyapunov(A_io, L_io, H_io, alpha, gamma, g_i=1.0):
     """Certificate block P_io for a stabilized observable block.
 
-    Solves Sym(P (A_io - L_io H_io + alpha I)) = -(gamma - 2*alpha) I,
+    Solves Sym(P (A_io - L_io H_io + alpha I)) = -(gamma*g_i - 2*alpha) I,
     which has a unique positive definite solution because the closed-loop
-    block sits strictly left of -alpha. Requires gamma > 2*alpha.
+    block sits strictly left of -alpha. Requires gamma*g_i > 2*alpha; the
+    right side cancels the gamma*g_i I that `verify_design_lmi` adds.
     """
-    if not gamma > 2.0 * alpha:
+    if not gamma * g_i > 2.0 * alpha:
         raise AssumptionViolationError(
-            f"gamma = {gamma:.6g} must exceed 2*alpha = {2.0 * alpha:.6g}"
+            f"gamma*g_i = {gamma * g_i:.6g} must exceed 2*alpha = {2.0 * alpha:.6g}"
         )
     A_io = numerics.as_square(A_io, "A_io")
     v = A_io.shape[0]
     if v == 0:
         return np.zeros((0, 0))
     F = A_io - L_io @ H_io + alpha * np.eye(v)
-    return numerics.solve_lyapunov(F, (gamma - 2.0 * alpha) * np.eye(v))
+    return numerics.solve_lyapunov(F, (gamma * g_i - 2.0 * alpha) * np.eye(v))
 
 
 def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
@@ -363,13 +364,13 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
     )
 
 
-def verify_design_lmi(dec, P_io, P_iu, W, gamma, epsilon, alpha, g_i=1.0):
+def verify_design_lmi(dec, P_io, W, gamma, epsilon, alpha, g_i=1.0):
     """Per-node certificate inequality for the assembled design.
 
     Builds the block matrix
 
-        [[Phi + gamma*g_i*I,            A_ir.T P_iu          ]
-         [P_iu A_ir,   Sym(P_iu A_iu) + 2*alpha*P_iu]] - gamma*epsilon*I
+        [[Phi + gamma*g_i*I,   A_ir.T                 ]
+         [A_ir,                Sym(A_iu) + 2*alpha*I  ]] - gamma*epsilon*I
 
     with Phi = Sym(P_io A_io) - Sym(W H_io) + 2*alpha*P_io and W = P_io L_io,
     and returns its negative-definiteness verdict with the largest
@@ -380,11 +381,9 @@ def verify_design_lmi(dec, P_io, P_iu, W, gamma, epsilon, alpha, g_i=1.0):
     n = dec.n
     Phi = _sym(P_io @ dec.A_io) - _sym(W @ dec.H_io) + 2.0 * alpha * P_io
     top_left = Phi + gamma * g_i * np.eye(v)
-    top_right = dec.A_ir.T @ P_iu
-    bottom_left = P_iu @ dec.A_ir
-    bottom_right = _sym(P_iu @ dec.A_iu) + 2.0 * alpha * P_iu
+    bottom_right = _sym(dec.A_iu) + 2.0 * alpha * np.eye(n - v)
     Z = np.block(
-        [[top_left, top_right], [bottom_left, bottom_right]]
+        [[top_left, dec.A_ir.T], [dec.A_ir, bottom_right]]
     ) - gamma * epsilon * np.eye(n)
     return numerics.is_negative_definite(Z)
 
@@ -452,8 +451,8 @@ def synthesize(model, g_net, params):
 
     L_blocks = [place_observer_poles(d.A_io, d.H_io, params.alpha) for d in decomps]
     P_blocks = [
-        solve_design_lyapunov(d.A_io, L_io, d.H_io, params.alpha, gamma)
-        for d, L_io in zip(decomps, L_blocks)
+        solve_design_lyapunov(d.A_io, L_io, d.H_io, params.alpha, gamma, gi)
+        for d, L_io, gi in zip(decomps, L_blocks, g)
     ]
     design = assemble_gains(
         decomps, L_blocks, P_blocks, gamma, epsilon, balanced.r, params.alpha
@@ -461,7 +460,7 @@ def synthesize(model, g_net, params):
 
     for i, (d, L_io, P_io, gi) in enumerate(zip(decomps, L_blocks, P_blocks, g)):
         verdict = verify_design_lmi(
-            d, P_io, np.eye(d.n - d.v), P_io @ L_io, gamma, epsilon, params.alpha, gi
+            d, P_io, P_io @ L_io, gamma, epsilon, params.alpha, gi
         )
         if not verdict.is_negative_definite:
             raise NumericalFailureError(

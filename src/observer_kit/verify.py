@@ -8,7 +8,8 @@ synthesis promises: a block-diagonal quadratic form whose derivative
 along the error flow is provably below -2*alpha times itself. A design
 can be stable yet uncertified at the requested rate (Lyapunov false,
 abscissa pass); the reverse disagreement would mean one of the two
-computations is wrong and is treated as a hard error.
+computations is wrong and is treated as a hard error. `error_system`
+reads and builds the error matrix for both `verify_design` and `sim`.
 """
 
 from dataclasses import dataclass
@@ -30,19 +31,17 @@ ABSCISSA_TOL = 1e-6
 class GlobalErrorSystem:
     """Stacked error dynamics e' = E e of the networked observer.
 
-    E = Lambda - gamma * Mbar @ kron(R L, I_n) where Lambda is the block
-    diagonal of the decoupled per-node error maps A - L_i H_i, Mbar the
-    block diagonal of the consensus weightings and R the balancing of the
-    graph Laplacian L. P is the block diagonal of the inverted weightings,
-    the matrix of the certificate's quadratic form. All four are dense
-    nN x nN arrays; E is assembled from its n x n blocks, so building the
-    system costs O((nN)^2) plus N small inversions.
+    E = blockdiag(Lambda_i) - gamma * blockdiag(M_i) @ kron(R L, I_n) is
+    dense nN x nN, with Lambda_i = A - L_i H_i, M_i the consensus
+    weightings and R the balancing of the graph Laplacian L. The (N, n, n)
+    stacks Lambda_blocks and P_blocks hold the Lambda_i and the inverted
+    weightings P_i, the blocks of the certificate's quadratic form.
+    Building the system costs O((nN)^2) plus N small inversions.
     """
 
     E: np.ndarray
-    Lambda: np.ndarray
-    Mbar: np.ndarray
-    P: np.ndarray
+    Lambda_blocks: np.ndarray
+    P_blocks: np.ndarray
     condition_numbers: tuple
 
 
@@ -65,32 +64,43 @@ def build_global_error_matrix(model, balanced, design):
     """Assemble the global error system for a design on a balanced graph.
 
     Block (i, j) of E is delta_ij (A - L_i H_i) - gamma (R L)_ij M_i,
-    formed directly from the blocks instead of multiplying Mbar by
-    kron(R L, I_n). The coupling term uses the balancing weights
+    formed directly from the blocks instead of multiplying blockdiag(M_i)
+    by kron(R L, I_n). The coupling term uses the balancing weights
     recomputed from the graph, which is what makes the result depend on
     the graph only through the product R L.
     """
     _check_compatible(model, design)
     if balanced.laplacian.shape[0] != design.node_count:
         raise DimensionError("graph size does not match the design")
-    Lambda = scipy.linalg.block_diag(
-        *[model.A - node.L @ H for node, H in zip(design.nodes, model.outputs)]
+    Lambda_blocks = np.stack(
+        [model.A - node.L @ H for node, H in zip(design.nodes, model.outputs)]
     )
+    E = scipy.linalg.block_diag(*Lambda_blocks)
     Ms = np.stack([node.M for node in design.nodes])
-    Mbar = scipy.linalg.block_diag(*Ms)
     RL = balanced.R @ balanced.laplacian
-    coupling = (RL[:, None, :, None] * Ms[:, :, None, :]).reshape(Lambda.shape)
-    E = Lambda - design.gamma * coupling
+    E -= design.gamma * (RL[:, None, :, None] * Ms[:, :, None, :]).reshape(E.shape)
 
-    blocks, conds = [], []
-    for node in design.nodes:
-        conds.append(float(np.linalg.cond(node.M)))
-        P_i = np.linalg.inv(node.M)
-        blocks.append(0.5 * (P_i + P_i.T))
-    P = scipy.linalg.block_diag(*blocks)
-    return GlobalErrorSystem(
-        E=E, Lambda=Lambda, Mbar=Mbar, P=P, condition_numbers=tuple(conds)
-    )
+    P = np.linalg.inv(Ms)
+    conds = tuple(np.linalg.cond(Ms).tolist())
+    return GlobalErrorSystem(E, Lambda_blocks, 0.5 * (P + P.transpose(0, 2, 1)), conds)
+
+
+def error_system(model, g_net, design):
+    """Balance the graph and build the error system of a design on it.
+
+    Returns (balanced, GlobalErrorSystem). Raises `DimensionError` for a
+    design whose r is not the graph's balancing (rtol 1e-9), whose gains
+    do not fit the model or whose M_i is not symmetric positive definite,
+    so `verify_design` and `sim.integrate` reject the same designs.
+    """
+    balanced = balance(g_net)
+    if design.r.shape != balanced.r.shape or not np.allclose(design.r, balanced.r, 1e-9, 0):
+        raise DimensionError(f"design r = {design.r} does not balance the graph")
+    _check_compatible(model, design)
+    for i, node in enumerate(design.nodes):
+        if not numerics.is_symmetric(node.M) or np.linalg.eigvalsh(node.M)[0] <= 0:
+            raise DimensionError(f"node {i}: M is not symmetric positive definite")
+    return balanced, build_global_error_matrix(model, balanced, design)
 
 
 class AbscissaCertificate(NamedTuple):
@@ -139,17 +149,14 @@ def certificate_matrix(err_sys, mirror, gamma, alpha):
     """The matrix Z of the Lyapunov certificate, assembled block by block.
 
     Z_ij = delta_ij (P_i Lambda_i + Lambda_i.T P_i + 2*alpha*P_i)
-    - gamma * mirror_ij * I_n, where P_i and Lambda_i are the diagonal
-    blocks of ``err_sys.P`` and ``err_sys.Lambda``. Only N products of
+    - gamma * mirror_ij * I_n, with P_i and Lambda_i read from
+    ``err_sys.P_blocks`` and ``err_sys.Lambda_blocks``. Only N products of
     n x n blocks are formed, never a product of nN x nN matrices.
     """
-    N = mirror.shape[0]
-    n = err_sys.P.shape[0] // N
+    n = err_sys.P_blocks.shape[1]
     Z = -gamma * np.kron(mirror, np.eye(n))
-    for i in range(N):
+    for i, (P_i, Lambda_i) in enumerate(zip(err_sys.P_blocks, err_sys.Lambda_blocks)):
         blk = slice(i * n, (i + 1) * n)
-        P_i = err_sys.P[blk, blk]
-        Lambda_i = err_sys.Lambda[blk, blk]
         Z[blk, blk] += P_i @ Lambda_i + Lambda_i.T @ P_i + 2.0 * alpha * P_i
     return Z
 
@@ -181,8 +188,8 @@ class VerificationReport:
 def verify_design(model, g_net, design, alpha=None):
     """Run both certificates and cross-check their consistency.
 
-    The global error system is built once and shared by both. A design
-    whose r is not the graph's balancing (rtol 1e-9) raises `DimensionError`.
+    The global error system is built once, by `error_system`, and shared
+    by both; the designs it rejects raise `DimensionError`.
 
     A true Lyapunov certificate implies exponential decay at the same
     rate, so (Lyapunov pass, abscissa fail) is impossible for correct
@@ -191,10 +198,7 @@ def verify_design(model, g_net, design, alpha=None):
     """
     if alpha is None:
         alpha = design.alpha
-    balanced = balance(g_net)
-    if design.r.shape != balanced.r.shape or not np.allclose(design.r, balanced.r, 1e-9, 0):
-        raise DimensionError(f"design r = {design.r} does not balance the graph")
-    err_sys = build_global_error_matrix(model, balanced, design)
+    balanced, err_sys = error_system(model, g_net, design)
     spect = spectral_abscissa_certificate(err_sys.E, alpha)
     lyap = _lyapunov_certificate(err_sys, balanced.mirror, design.gamma, alpha)
 

@@ -115,7 +115,7 @@ def test_criterion_3_lmi_certificates(battery):
             for d, node in zip(decomps, design.nodes):
                 L_io = d.T1.T @ node.L
                 verdict = verify_design_lmi(
-                    d, node.P_io, np.eye(d.n - d.v), node.P_io @ L_io,
+                    d, node.P_io, node.P_io @ L_io,
                     design.gamma, design.epsilon, design.alpha,
                 )
                 assert verdict.margin < 0

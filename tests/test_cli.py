@@ -38,6 +38,17 @@ def with_r(design_path, tmp_path, r):
     return tampered
 
 
+def verify_and_simulate(config_path, design_path, tmp_path):
+    """Exit codes of verify and of a short simulate on the same inputs."""
+    return [
+        main(["verify", str(config_path), str(design_path)]),
+        main([
+            "simulate", str(config_path), str(design_path),
+            "--t-final", "1.0", "-o", str(tmp_path / "t.csv"),
+        ]),
+    ]
+
+
 @pytest.fixture
 def config_path(tmp_path):
     return write_config(tmp_path / "config.json")
@@ -152,7 +163,7 @@ class TestVerify:
     @pytest.mark.parametrize("r", [[1.9, 0.1], [0.0, 0.0]], ids=["skewed", "zero"])
     def test_r_that_does_not_balance_the_graph(self, config_path, design_path, tmp_path, r):
         tampered = with_r(design_path, tmp_path, r)
-        assert main(["verify", str(config_path), str(tampered)]) == 3
+        assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
 
     def test_design_for_other_system(self, tmp_path, design_path, capsys):
         other = write_config(
@@ -160,7 +171,26 @@ class TestVerify:
             A=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
             outputs=[[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]],
         )
-        assert main(["verify", str(other), str(design_path)]) == 3
+        assert verify_and_simulate(other, design_path, tmp_path) == [3, 3]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("L", [[1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+         ("M", [[-1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.5], [0.0, 1.0]])],
+        ids=["L-2x2", "M-2x3", "M-indefinite", "M-asymmetric"],
+    )
+    def test_tampered_node_gains(self, config_path, design_path, tmp_path, key, value):
+        doc = json.loads(design_path.read_text())
+        doc["nodes"][0][key] = value
+        tampered = tmp_path / "tampered_node.json"
+        tampered.write_text(json.dumps(doc))
+        assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
+
+    def test_graph_not_strongly_connected(self, tmp_path, design_path):
+        chain = write_config(
+            tmp_path / "chain.json", edges=[{"from": 0, "to": 1, "weight": 1.0}]
+        )
+        assert verify_and_simulate(chain, design_path, tmp_path) == [2, 2]
 
 
 class TestSimulate:
@@ -234,12 +264,7 @@ class TestSimulate:
 class TestDesignR:
     def test_short_r_is_an_input_error(self, config_path, design_path, tmp_path, capsys):
         tampered = with_r(design_path, tmp_path, [1.0])
-        assert main(["verify", str(config_path), str(tampered)]) == 3
-        code = main([
-            "simulate", str(config_path), str(tampered),
-            "--t-final", "1.0", "-o", str(tmp_path / "t.csv"),
-        ])
-        assert code == 3
+        assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
 
 
 def test_import_loads_no_optimize_or_sparse():

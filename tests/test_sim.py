@@ -13,13 +13,13 @@ from observer_kit.numerics import spectral_norm
 from observer_kit.sim import (
     SimulationConfig,
     SimulationTrace,
-    closed_loop_matrix,
     estimate_decay_rate,
     integrate,
     rhs,
     write_csv,
 )
 from observer_kit.synth import NodeGains, ObserverDesign, SynthesisParams, synthesize
+from observer_kit import verify
 from observer_kit.verify import build_global_error_matrix
 
 UNIT_2CYCLE = Digraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
@@ -34,6 +34,11 @@ def scalar_design(l, m, gamma, alpha=1.0, n_nodes=1):
         gamma=gamma, epsilon=0.9, alpha=alpha, r=np.ones(n_nodes),
         nodes=(node,) * n_nodes,
     )
+
+
+def probed_field(model, g_net, design):
+    """Matrix F with rhs(z) = F z, found by applying rhs to the identity."""
+    return rhs(np.eye(model.n * (model.node_count + 1)), model, g_net, design)
 
 
 def trace_from_norm(times, values):
@@ -87,7 +92,7 @@ class TestRhs:
         design = ObserverDesign(
             gamma=1.7, epsilon=0.9, alpha=1.0, r=bal.r, nodes=tuple(nodes)
         )
-        F = closed_loop_matrix(model, g_net, design)
+        F = probed_field(model, g_net, design)
         E = build_global_error_matrix(model, bal, design).E
         assert np.allclose(F[n:, n:], E, atol=1e-12)
         assert np.allclose(F[n:, :n], 0.0)
@@ -112,18 +117,45 @@ class TestRhs:
         with pytest.raises(DimensionError):
             rhs(np.zeros((dim, 2, 2)), model, g_net, design)
 
-    def test_closed_loop_matrix_matches_unit_vector_probe(self):
+    def test_error_coordinates_match_unit_vector_probe(self):
+        # integrate steps y = (x, e) with the field blockdiag(A, E); in the
+        # coordinates z = (x, 1 (x) x + e) that is the field of rhs
         rng = np.random.default_rng(13)
         model = random_model(rng, 3, 3)
         g_net = random_sc_digraph(rng, 3)
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
         dim = 3 * 4
         probe = np.column_stack([rhs(e, model, g_net, design) for e in np.eye(dim)])
-        F = closed_loop_matrix(model, g_net, design)
-        assert np.allclose(F, probe, rtol=1e-12, atol=1e-12 * np.max(np.abs(probe)))
+        to_z = np.eye(dim)
+        to_z[3:, :3] = np.tile(np.eye(3), (3, 1))
+        field = np.linalg.solve(to_z, probe @ to_z)
+        E = build_global_error_matrix(model, balance(g_net), design).E
+        expected = scipy.linalg.block_diag(model.A, E)
+        assert np.allclose(field, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(probe)))
 
 
 class TestIntegrate:
+    def test_builds_error_system_once_and_never_probes_rhs(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        model = random_model(rng, 3, 3)
+        g_net = random_sc_digraph(rng, 3)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        calls = {"build": 0, "rhs": 0}
+        real_build, real_rhs = verify.build_global_error_matrix, sim.rhs
+
+        def build_spy(*args, **kwargs):
+            calls["build"] += 1
+            return real_build(*args, **kwargs)
+
+        def rhs_spy(*args, **kwargs):
+            calls["rhs"] += 1
+            return real_rhs(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "build_global_error_matrix", build_spy)
+        monkeypatch.setattr(sim, "rhs", rhs_spy)
+        integrate(SimulationConfig(t_final=0.1, seed=0), model, g_net, design)
+        assert calls == {"build": 1, "rhs": 0}
+
     def test_zero_initial_error_stays_zero(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 2, 2)
@@ -312,7 +344,7 @@ class TestIntegrate:
         g_net = random_sc_digraph(rng, n)
         model = random_partial_model(rng, n, n)
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
-        E = closed_loop_matrix(model, g_net, design)[n:, n:]
+        E = probed_field(model, g_net, design)[n:, n:]
         norm = spectral_norm(E)
         assert abs(norm - np.linalg.norm(E, 2)) <= 1e-12 * norm
         built = build_global_error_matrix(model, balance(g_net), design).E

@@ -28,6 +28,7 @@ from observer_kit.synth import (
     synthesize,
     verify_design_lmi,
 )
+from observer_kit.verify import verify_design
 from test_numerics import kron_lyapunov_oracle
 
 UNIT_2CYCLE = Digraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
@@ -281,6 +282,14 @@ class TestSolveDesignLyapunov:
                 alpha=1.0, gamma=2.0,
             )
 
+    def test_node_weight_scales_gamma(self):
+        args = (np.zeros((1, 1)), np.array([[3.0]]), np.ones((1, 1)))
+        # -4 P = -(gamma * g_i - 2 * alpha)
+        P = solve_design_lyapunov(*args, alpha=1.0, gamma=4.0, g_i=2.0)
+        assert P == pytest.approx(np.array([[1.5]]))
+        with pytest.raises(AssumptionViolationError):
+            solve_design_lyapunov(*args, alpha=1.0, gamma=4.0, g_i=0.5)
+
     def test_double_integrator_against_oracle(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         H = np.array([[1.0, 0.0]])
@@ -336,7 +345,7 @@ class TestVerifyDesignLmi:
             A_iu=np.zeros((0, 0)), H_io=np.ones((1, 1)),
         )
         verdict = verify_design_lmi(
-            dec, P_io=np.array([[0.5]]), P_iu=np.zeros((0, 0)),
+            dec, P_io=np.array([[0.5]]),
             W=np.array([[1.5]]), gamma=4.0, epsilon=0.9, alpha=1.0, g_i=1.0,
         )
         # Phi = -2*1.5 + 2*0.5 = -2; block = -2 + 4 - 3.6 = -1.6
@@ -349,7 +358,7 @@ class TestVerifyDesignLmi:
             A_iu=np.array([[0.5]]), H_io=np.zeros((1, 0)),
         )
         verdict = verify_design_lmi(
-            dec, P_io=np.zeros((0, 0)), P_iu=np.eye(1), W=np.zeros((0, 1)),
+            dec, P_io=np.zeros((0, 0)), W=np.zeros((0, 1)),
             gamma=0.0, epsilon=0.9, alpha=0.5, g_i=1.0,
         )
         assert not verdict.is_negative_definite
@@ -367,7 +376,7 @@ class TestVerifyDesignLmi:
                 # reconstruct the block gain from the assembled one
                 L_io = d.T1.T @ node.L
                 verdict = verify_design_lmi(
-                    d, node.P_io, np.eye(n - d.v), node.P_io @ L_io,
+                    d, node.P_io, node.P_io @ L_io,
                     design.gamma, design.epsilon, design.alpha,
                 )
                 assert verdict.is_negative_definite
@@ -411,6 +420,20 @@ class TestSynthesize:
 
         E = build_global_error_matrix(model, balance(UNIT_2CYCLE), design).E
         assert np.max(np.linalg.eigvals(E).real) <= -1.0 + 1e-6
+
+    @pytest.mark.parametrize("weights", ["uniform", "random"])
+    def test_nondefault_g_certifies(self, weights):
+        # each g_i > 1 + epsilon breaks a certificate solved as if g_i = 1
+        rng = np.random.default_rng(1)
+        g_net = random_sc_digraph(rng, 10)
+        model = random_partial_model(rng, 10, 10)
+        if weights == "uniform":
+            g = np.full(10, 10.0)
+        else:
+            g = np.random.default_rng(2).uniform(0.2, 20.0, 10)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0, g=g))
+        report = verify_design(model, g_net, design)
+        assert report.passed and report.lyapunov_passed
 
 
 class TestCheckAssumptions:

@@ -74,6 +74,11 @@ def dense_blocks(model, bal, design):
     return Lambda, Mbar, 0.5 * (P + P.T)
 
 
+def diagonal_blocks(D, n):
+    """The n x n diagonal blocks of D as an (N, n, n) stack."""
+    return np.stack([D[k : k + n, k : k + n] for k in range(0, D.shape[0], n)])
+
+
 def assert_rel_close(got, expected, rtol=1e-12):
     assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
 
@@ -107,7 +112,7 @@ class TestBuildGlobalErrorMatrix:
         model = scalar_pair_model(0.3)
         design = scalar_pair_design(1.2, 0.7, gamma=0.0)
         sys_ = build_global_error_matrix(model, balance(UNIT_2CYCLE), design)
-        assert np.allclose(sys_.E, sys_.Lambda)
+        assert np.allclose(sys_.E, scipy.linalg.block_diag(*sys_.Lambda_blocks))
 
     def test_depends_on_graph_only_through_balanced_product(self):
         # two different digraphs with the same product R L
@@ -131,8 +136,9 @@ class TestBuildGlobalErrorMatrix:
         bal = balance(ring)
         assert np.allclose(bal.r, 1.0, atol=1e-12)
         sys_ = build_global_error_matrix(model, bal, design)
-        coupling = sys_.Lambda - sys_.E
-        expected = design.gamma * sys_.Mbar @ np.kron(bal.laplacian, np.eye(2))
+        coupling = scipy.linalg.block_diag(*sys_.Lambda_blocks) - sys_.E
+        Mbar = dense_blocks(model, bal, design)[1]
+        expected = design.gamma * Mbar @ np.kron(bal.laplacian, np.eye(2))
         assert np.allclose(coupling, expected, atol=1e-10)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -146,8 +152,8 @@ class TestBuildGlobalErrorMatrix:
         dense = Lambda - design.gamma * Mbar @ np.kron(RL, np.eye(n))
         sys_ = build_global_error_matrix(model, bal, design)
         assert_rel_close(sys_.E, dense)
-        assert_rel_close(sys_.Lambda, Lambda)
-        assert_rel_close(sys_.Mbar, Mbar)
+        assert sys_.Lambda_blocks.shape == sys_.P_blocks.shape == (len(owned), n, n)
+        assert_rel_close(sys_.Lambda_blocks, diagonal_blocks(Lambda, n))
 
     def test_dimension_mismatch_rejected(self):
         model = scalar_pair_model(0.3)
@@ -227,7 +233,7 @@ class TestLyapunovCertificate:
             + 2.0 * alpha * P
         )
         sys_ = build_global_error_matrix(model, bal, design)
-        assert_rel_close(sys_.P, P)
+        assert_rel_close(sys_.P_blocks, diagonal_blocks(P, n))
         Z = certificate_matrix(sys_, bal.mirror, design.gamma, alpha)
         assert_rel_close(Z, dense)
         cert = lyapunov_certificate(model, bal, design, alpha=alpha)
