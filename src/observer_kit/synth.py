@@ -312,21 +312,22 @@ def place_observer_poles(A_io, H_io, alpha):
 def solve_design_lyapunov(A_io, L_io, H_io, alpha, gamma, g_i=1.0):
     """Certificate block P_io for a stabilized observable block.
 
-    Solves Sym(P (A_io - L_io H_io + alpha I)) = -(gamma*g_i - 2*alpha) I,
-    which has a unique positive definite solution because the closed-loop
-    block sits strictly left of -alpha. Requires gamma*g_i > 2*alpha; the
-    right side cancels the gamma*g_i I that `verify_design_lmi` adds.
+    Solves Sym(P (A_io - L_io H_io + alpha I)) = -q I, q = gamma*max(g_i, 1)
+    - 2*alpha; P is unique and positive definite as the closed-loop block sits
+    left of -alpha. q cancels the gamma*g_i I that `verify_design_lmi` adds,
+    or exceeds it if g_i < 1, which only helps. Requires gamma > 2*alpha.
     """
-    if not gamma * g_i > 2.0 * alpha:
+    if not gamma > 2.0 * alpha:
         raise AssumptionViolationError(
-            f"gamma*g_i = {gamma * g_i:.6g} must exceed 2*alpha = {2.0 * alpha:.6g}"
+            f"gamma = {gamma:.6g} must exceed 2*alpha = {2.0 * alpha:.6g}"
         )
     A_io = numerics.as_square(A_io, "A_io")
     v = A_io.shape[0]
     if v == 0:
         return np.zeros((0, 0))
     F = A_io - L_io @ H_io + alpha * np.eye(v)
-    return numerics.solve_lyapunov(F, (gamma * g_i - 2.0 * alpha) * np.eye(v))
+    q = gamma * max(g_i, 1.0) - 2.0 * alpha
+    return numerics.solve_lyapunov(F, q * np.eye(v))
 
 
 def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):

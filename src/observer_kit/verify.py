@@ -96,7 +96,6 @@ def error_system(model, g_net, design):
     balanced = balance(g_net)
     if design.r.shape != balanced.r.shape or not np.allclose(design.r, balanced.r, 1e-9, 0):
         raise DimensionError(f"design r = {design.r} does not balance the graph")
-    _check_compatible(model, design)
     for i, node in enumerate(design.nodes):
         if not numerics.is_symmetric(node.M) or np.linalg.eigvalsh(node.M)[0] <= 0:
             raise DimensionError(f"node {i}: M is not symmetric positive definite")

@@ -5,6 +5,7 @@ import scipy.linalg
 from conftest import (
     MIXED_OBSERVABILITY_CASES,
     graph_for,
+    random_dense_model,
     random_model,
     random_partial_model,
     random_sc_digraph,
@@ -284,11 +285,11 @@ class TestSolveDesignLyapunov:
 
     def test_node_weight_scales_gamma(self):
         args = (np.zeros((1, 1)), np.array([[3.0]]), np.ones((1, 1)))
-        # -4 P = -(gamma * g_i - 2 * alpha)
+        # -4 P = -(gamma * max(g_i, 1) - 2 * alpha)
         P = solve_design_lyapunov(*args, alpha=1.0, gamma=4.0, g_i=2.0)
         assert P == pytest.approx(np.array([[1.5]]))
-        with pytest.raises(AssumptionViolationError):
-            solve_design_lyapunov(*args, alpha=1.0, gamma=4.0, g_i=0.5)
+        P = solve_design_lyapunov(*args, alpha=1.0, gamma=4.0, g_i=0.5)
+        assert P == pytest.approx(np.array([[0.5]]))
 
     def test_double_integrator_against_oracle(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -432,6 +433,18 @@ class TestSynthesize:
         else:
             g = np.random.default_rng(2).uniform(0.2, 20.0, 10)
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0, g=g))
+        report = verify_design(model, g_net, design)
+        assert report.passed and report.lyapunov_passed
+
+    def test_small_node_weight_certifies(self):
+        # fully observable nodes keep gamma near its floor 2*alpha + 1,
+        # so gamma * g_2 is far below 2*alpha
+        rng = np.random.default_rng(1)
+        g_net = random_sc_digraph(rng, 3)
+        model = random_dense_model(rng, 3, 3)
+        g = np.array([1.0, 1.0, 0.05])
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0, g=g))
+        assert design.gamma * g[2] < 2.0
         report = verify_design(model, g_net, design)
         assert report.passed and report.lyapunov_passed
 
