@@ -3,13 +3,15 @@
 Exit codes form a contract so CI harnesses can assert outcomes without
 parsing text: 0 success, 1 a check failed (verification or simulated
 decay below target), 2 a standing assumption is violated, 3 the input
-files are unreadable or inconsistent, 4 a numerical routine failed.
+files or command-line arguments are unreadable or inconsistent, 4 a
+numerical routine failed.
 """
 
 import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -119,6 +121,17 @@ def cmd_simulate(args):
     return EXIT_CHECK_FAILED
 
 
+def _decay_rate(text):
+    """argparse type of --alpha: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="observer-kit",
@@ -134,14 +147,14 @@ def _build_parser():
 
     p = sub.add_parser("synthesize", help="design observer gains for a config")
     p.add_argument("config")
-    p.add_argument("--alpha", type=float, help="override the decay rate from the config")
+    p.add_argument("--alpha", type=_decay_rate, help="override the decay rate from the config")
     p.add_argument("-o", "--output", default="design.json", help="design file to write")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify", help="certify a design against a config")
     p.add_argument("config")
     p.add_argument("design")
-    p.add_argument("--alpha", type=float, help="certify at this rate instead of the design's")
+    p.add_argument("--alpha", type=_decay_rate, help="certify at this rate instead of the design's")
     p.add_argument("-o", "--output", help="also write the JSON report here")
     p.set_defaults(func=cmd_verify)
 
@@ -159,7 +172,14 @@ def _build_parser():
 
 def main(argv=None):
     _setup_logging()
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        # argparse has printed the usage error; its own exit code 2 would
+        # read as a violated standing assumption
+        return EXIT_INPUT
     try:
         return args.func(args)
     except (ConfigError, DimensionError, OSError) as exc:

@@ -131,6 +131,15 @@ def balance(g):
         raise AssumptionViolationError(
             "communication graph is not strongly connected"
         )
+    return _balance_connected(g)
+
+
+def _balance_connected(g):
+    """`balance` for a graph already known to be strongly connected.
+
+    For callers that test connectivity themselves, so the verdict is
+    drawn once; raises `NumericalFailureError` as `balance` does.
+    """
     N = g.node_count
     L = laplacian(g)
 

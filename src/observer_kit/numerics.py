@@ -1,16 +1,20 @@
 """Dense linear-algebra kernels shared by the rest of the toolkit.
 
-Thin, defensive wrappers around numpy/scipy dense routines: eigenvalues,
-SVD-based rank and subspace bases, definiteness tests and a small-scale
-Lyapunov solver. Everything here is a pure function sized for desk-scale
-problems (a few dozen states), where exactness and clear failure modes
-matter more than asymptotic speed.
+Thin, defensive wrappers around numpy dense routines: eigenvalues,
+SVD-based rank and subspace bases, definiteness tests, and a small-scale
+Lyapunov solver around scipy's. Everything here is a pure function sized
+for desk-scale problems (a few dozen states), where exactness and clear
+failure modes matter more than asymptotic speed.
+
+Only `solve_lyapunov` needs scipy, so it imports ``scipy.linalg`` on its
+first call. Importing scipy.linalg takes about 0.3 s, about half the
+start-up of a command-line call, and only ``synthesize`` solves a
+Lyapunov equation.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericalFailureError, SingularEquationError
 
@@ -96,15 +100,14 @@ def rank(M, rtol=RANK_RTOL):
 def spectral_norm(M):
     """2-norm of a matrix, as the square root of the largest eigenvalue of M.T M.
 
-    Only that one eigenvalue is computed, which is much cheaper than the
-    full SVD behind ``np.linalg.norm(M, 2)``.
+    numpy's symmetric eigensolver computes every eigenvalue of M.T M, which
+    is still much cheaper than the full SVD behind ``np.linalg.norm(M, 2)``.
     """
     M = as_matrix(M)
     if M.size == 0:
         return 0.0
     gram = M.T @ M
-    top = scipy.linalg.eigvalsh(gram, subset_by_index=[gram.shape[0] - 1] * 2)
-    return float(np.sqrt(max(top[0], 0.0)))
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 class Definiteness(NamedTuple):
@@ -166,6 +169,8 @@ def solve_lyapunov(F, Q, residual_rtol=1e-8):
         raise SingularEquationError(
             "Lyapunov equation is singular: two eigenvalues of F sum to (near) zero"
         )
+
+    import scipy.linalg  # deferred: see the module docstring
 
     try:
         P = scipy.linalg.solve_continuous_lyapunov(F.T, -Q)

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
 from .errors import DimensionError, DivergenceError, InsufficientDataError
@@ -176,7 +175,9 @@ def integrate(config, model, g_net, design):
     if rec_steps[-1] != steps:
         rec_steps = np.append(rec_steps, steps)
 
-    M = scipy.linalg.block_diag(model.A, E)
+    M = np.zeros((n + E.shape[0], n + E.shape[0]))
+    M[:n, :n] = model.A
+    M[n:, n:] = E
     y0 = np.concatenate([x0, (xhat0 - x0).ravel()])
     ys = _propagate(_rk4_step_matrix(M, dt), y0, rec_steps, dt)
 

@@ -23,16 +23,16 @@ and must come back strictly negative definite.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
 from .decomp import decompose_node, joint_observability_rank
 from .errors import AssumptionViolationError, DimensionError, NumericalFailureError
-from .graph import balance, is_strongly_connected
+from .graph import _balance_connected, is_strongly_connected
 
 logger = logging.getLogger(__name__)
 
@@ -141,13 +141,11 @@ class ObserverDesign:
             r = np.asarray(data["r"], dtype=float)
             if r.shape != (len(nodes),):
                 raise ValueError(f"r has shape {r.shape}, expected ({len(nodes)},)")
-            return cls(
-                gamma=float(data["gamma"]),
-                epsilon=float(data["epsilon"]),
-                alpha=float(data["alpha"]),
-                r=r,
-                nodes=nodes,
-            )
+            scalars = {key: float(data[key]) for key in ("gamma", "epsilon", "alpha")}
+            for key, value in scalars.items():
+                if not 0.0 < value < math.inf:
+                    raise ValueError(f"{key} must be finite and positive, got {value}")
+            return cls(r=r, nodes=nodes, **scalars)
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionError(f"malformed design document: {exc}") from exc
 
@@ -344,12 +342,15 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
         n, v = d.n, d.v
         p = L_io.shape[1]
         L = d.T @ np.vstack([L_io, np.zeros((n - v, p))])
-        P_inv = np.linalg.inv(P_io) if v else np.zeros((0, 0))
-        M = d.T @ scipy.linalg.block_diag(P_inv, np.eye(n - v)) @ d.T.T
+        M_local, P_local = np.eye(n), np.eye(n)
+        if v:
+            M_local[:v, :v] = np.linalg.inv(P_io)
+            P_local[:v, :v] = P_io
+        M = d.T @ M_local @ d.T.T
         M = 0.5 * (M + M.T)
         if np.linalg.eigvalsh(M)[0] <= 0:
             raise NumericalFailureError(f"node {i}: consensus weighting M is not positive definite")
-        P_full = d.T @ scipy.linalg.block_diag(P_io, np.eye(n - v)) @ d.T.T
+        P_full = d.T @ P_local @ d.T.T
         inv_residual = np.linalg.norm(M @ P_full - np.eye(n), "fro")
         if inv_residual > 1e-8 * max(1.0, np.linalg.norm(P_full, "fro")):
             raise NumericalFailureError(
@@ -444,7 +445,7 @@ def synthesize(model, g_net, params):
             f"system is not jointly observable: stacked rank {joint} < n = {model.n}"
         )
 
-    balanced = balance(g_net)
+    balanced = _balance_connected(g_net)
     g = params.g if params.g is not None else np.ones(model.node_count)
     epsilon = compute_epsilon(decomps, balanced, g, params.epsilon_margin)
     gamma = select_gamma(decomps, epsilon, params.alpha, params.gamma_margin)

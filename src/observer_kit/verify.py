@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
 from .errors import DimensionError, NumericalFailureError
@@ -75,9 +74,15 @@ def build_global_error_matrix(model, balanced, design):
     Lambda_blocks = np.stack(
         [model.A - node.L @ H for node, H in zip(design.nodes, model.outputs)]
     )
-    E = scipy.linalg.block_diag(*Lambda_blocks)
+    N, n = design.node_count, model.n
     Ms = np.stack([node.M for node in design.nodes])
     RL = balanced.R @ balanced.laplacian
+    # Lambda_i first (through a 4-d view of E), coupling subtracted after:
+    # the other order flips the sign of E's zero entries, and eig's
+    # Householder steps follow that sign into the last digits
+    E = np.zeros((N * n, N * n))
+    nodes = np.arange(N)
+    E.reshape(N, n, N, n)[nodes, :, nodes, :] = Lambda_blocks
     E -= design.gamma * (RL[:, None, :, None] * Ms[:, :, None, :]).reshape(E.shape)
 
     P = np.linalg.inv(Ms)

@@ -267,8 +267,9 @@ def test_criterion_8_negative_controls(tmp_path, capsys):
             "synthesize", str(blind_path), "-o", str(tmp_path / "d1.json")
         ]) == 2
 
-        # healthy instance, then force the coupling gain to zero: node 1
-        # cannot see the unstable second mode on its own
+        # healthy instance, then force the coupling gain to (numerically)
+        # zero, as a design's gamma must be positive: node 1 cannot see the
+        # unstable second mode on its own
         good = json.loads(chain_path.read_text())
         good["graph"]["edges"].append({"from": 1, "to": 0, "weight": 1.0})
         good["params"]["seed"] = 4
@@ -279,7 +280,7 @@ def test_criterion_8_negative_controls(tmp_path, capsys):
         capsys.readouterr()
 
         doc = json.loads(design_path.read_text())
-        doc["gamma"] = 0.0
+        doc["gamma"] = 1e-12
         gutted_path = tmp_path / "gutted.json"
         gutted_path.write_text(json.dumps(doc))
         assert main(["verify", str(good_path), str(gutted_path)]) == 1

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -153,7 +154,7 @@ class TestVerify:
 
     def test_zeroed_coupling_fails(self, config_path, design_path, tmp_path, capsys):
         doc = json.loads(design_path.read_text())
-        doc["gamma"] = 0.0
+        doc["gamma"] = 1e-12  # numerically zero; a design's gamma must be positive
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
         assert main(["verify", str(config_path), str(tampered)]) == 1
@@ -183,6 +184,20 @@ class TestVerify:
         doc = json.loads(design_path.read_text())
         doc["nodes"][0][key] = value
         tampered = tmp_path / "tampered_node.json"
+        tampered.write_text(json.dumps(doc))
+        assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
+
+    @pytest.mark.parametrize(
+        "scalars",
+        [{"alpha": -5.0, "gamma": 0.01}, {"alpha": math.nan}, {"alpha": 0.0},
+         {"gamma": 0.0}, {"gamma": math.inf}, {"epsilon": -1.0}, {"epsilon": math.nan}],
+        ids=["unstable", "alpha-nan", "alpha-zero", "gamma-zero", "gamma-inf",
+             "epsilon-negative", "epsilon-nan"],
+    )
+    def test_tampered_design_scalars(self, config_path, design_path, tmp_path, scalars):
+        doc = json.loads(design_path.read_text())
+        doc.update(scalars)
+        tampered = tmp_path / "tampered_scalars.json"
         tampered.write_text(json.dumps(doc))
         assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
 
@@ -228,7 +243,7 @@ class TestSimulate:
 
     def test_zeroed_coupling_does_not_decay(self, config_path, design_path, tmp_path, capsys):
         doc = json.loads(design_path.read_text())
-        doc["gamma"] = 0.0
+        doc["gamma"] = 1e-12  # numerically zero; a design's gamma must be positive
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
         code = main([
@@ -267,15 +282,79 @@ class TestDesignR:
         assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
 
 
-def test_import_loads_no_optimize_or_sparse():
-    # scipy.optimize and scipy.sparse would add to every command's start-up
-    src = os.path.dirname(os.path.dirname(observer_kit.__file__))
-    probe = (
-        "import sys, observer_kit; print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.optimize', 'scipy.sparse'))))"
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [["synthesize", "{config}", "--alpha", "-1"],
+         ["synthesize", "{config}", "--alpha", "nan"],
+         ["verify", "{config}", "{design}", "--alpha", "nan"],
+         ["verify", "{config}", "{design}", "--alpha", "-5"],
+         ["verify", "{config}", "{design}", "--alpha", "abc"],
+         ["simulate", "{config}"],
+         ["frobnicate"]],
+        ids=["synthesize-negative-alpha", "synthesize-nan-alpha", "verify-nan-alpha",
+             "verify-negative-alpha", "verify-unparsable-alpha", "missing-design",
+             "unknown-command"],
     )
+    def test_bad_arguments_are_input_errors(self, config_path, design_path, argv, capsys):
+        argv = [a.format(config=config_path, design=design_path) for a in argv]
+        assert main(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+
+
+# Loaded scipy modules, as a Python expression for a probe interpreter.
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+# Runs cli.main on each argv of the JSON list in sys.argv[1] and prints, per
+# command, its exit code and the scipy modules loaded so far.
+CLI_PROBE = f"""
+import contextlib, io, json, sys
+from observer_kit.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report.append([argv[0], code, {SCIPY_MODULES}])
+print(json.dumps(report))
+"""
+
+
+def run_probe(*args):
+    """stdout of a fresh interpreter run with this package on its path."""
+    src = os.path.dirname(os.path.dirname(observer_kit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", *args], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.linalg would add about 0.3 s to every command's start-up
+    assert run_probe(f"import sys, observer_kit; print({SCIPY_MODULES})").strip() == "[]"
+
+
+def test_only_synthesize_loads_scipy(tmp_path, capsys):
+    cfg = str(write_config(
+        tmp_path / "readme.json",
+        sim={"t_final": 8.0, "dt": 0.001, "fit_window": [2.0, 8.0]},
+    ))
+    design = str(tmp_path / "design.json")
+    assert main(["synthesize", cfg, "-o", design]) == 0
+    capsys.readouterr()
+    argvs = [
+        ["check", cfg],
+        ["verify", cfg, design],
+        ["simulate", cfg, design, "-o", str(tmp_path / "trace.csv")],
+        ["synthesize", cfg, "-o", str(tmp_path / "again.json")],
+    ]
+    report = json.loads(run_probe(CLI_PROBE, json.dumps(argvs)))
+    assert [entry[:2] for entry in report] == [
+        ["check", 0], ["verify", 0], ["simulate", 0], ["synthesize", 0]
+    ]
+    assert [entry[2] for entry in report[:3]] == [[], [], []]
+    assert "scipy.linalg" in report[3][2]
