@@ -1,4 +1,4 @@
-"""Per-node observability decomposition and joint observability checks.
+"""Per-node observability decomposition and the joint observability rank.
 
 Each node sees only its own output block, so the pair (H_i, A) is usually
 not observable on its own. An orthogonal change of coordinates splits the
@@ -7,9 +7,11 @@ and the part it cannot; the toolkit leans on the network to recover the
 latter. The decomposition is unique only up to orthogonal transformations
 inside each block, so everything downstream is written against the block
 invariants, never against particular entries.
+
+The network observes the span of the per-node observable bases, so joint
+observability is read off those bases (`joint_observability_rank`).
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +19,9 @@ import numpy as np
 from . import numerics
 from .errors import DimensionError, NumericalFailureError
 
-logger = logging.getLogger(__name__)
-
-# Conditioning of the stacked observability matrix degrades like norm(A)**n;
-# above this norm the rank decision is flagged rather than silently trusted.
+# Conditioning of a node's observability matrix degrades like norm(A)**n;
+# above this norm `synth.check_assumptions` flags the rank decisions rather
+# than silently trusting them.
 NORM_WARN = 1e3
 
 
@@ -109,14 +110,6 @@ def observability_matrix(H, A):
         raise DimensionError(
             f"H has {H.shape[1]} columns but A is {A.shape[0]}x{A.shape[0]}"
         )
-    norm_A = np.linalg.norm(A, 2) if A.size else 0.0
-    if norm_A > NORM_WARN:
-        logger.warning(
-            "norm(A) = %.3e; powers up to A**%d make the observability "
-            "matrix badly conditioned and the rank decision unreliable",
-            norm_A,
-            A.shape[0] - 1,
-        )
     rows = [H]
     for _ in range(A.shape[0] - 1):
         rows.append(rows[-1] @ A)
@@ -176,23 +169,19 @@ def decompose_node(H, A, rtol=numerics.RANK_RTOL):
 
 
 def joint_observability_rank(model, decomps=None, rtol=numerics.RANK_RTOL):
-    """Rank of the vertically stacked per-node observability matrices.
+    """Rank of [T_11 ... T_N1], the per-node observable bases side by side.
 
     The network can reconstruct the full state exactly when this equals
-    the state dimension. When per-node decompositions are supplied, the
-    equivalent test rank [T_11 ... T_N1] = n is evaluated as well and the
-    two are required to agree.
+    the state dimension. Without ``decomps`` each basis comes from the
+    row-space split that `decompose_node` starts with. No rank is taken of
+    all nodes' observability matrices stacked: its threshold grows like
+    norm(A)**(n-1).
     """
-    stacked = np.vstack(
-        [observability_matrix(H, model.A) for H in model.outputs]
-    )
-    r = numerics.rank(stacked, rtol)
-    if decomps is not None:
-        basis = np.hstack([d.T1 for d in decomps])
-        r_basis = numerics.rank(basis, rtol) if basis.size else 0
-        if (r == model.n) != (r_basis == model.n):
-            raise NumericalFailureError(
-                "joint observability tests disagree: stacked rank "
-                f"{r}, observable-basis rank {r_basis}, n = {model.n}"
-            )
-    return r
+    if decomps is None:
+        bases = [
+            numerics.orthonormal_row_space_basis(observability_matrix(H, model.A), rtol)[0]
+            for H in model.outputs
+        ]
+    else:
+        bases = [d.T1 for d in decomps]
+    return numerics.rank(np.hstack(bases), rtol)

@@ -18,6 +18,7 @@ exact simulation.
 """
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -52,10 +53,12 @@ class SimulationConfig:
     fit_window: tuple | None = None
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 10 * self.dt:
-            raise ValueError("t_final must cover at least 10 steps")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 10 * self.dt <= self.t_final < math.inf:
+            raise ValueError(
+                f"t_final must be finite and cover at least 10 steps, got {self.t_final}"
+            )
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
         if self.fit_window is not None:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .decomp import decompose_node, joint_observability_rank
+from .decomp import NORM_WARN, decompose_node, joint_observability_rank
 from .errors import AssumptionViolationError, DimensionError, NumericalFailureError
 from .graph import _balance_connected, is_strongly_connected
 
@@ -58,16 +58,20 @@ class SynthesisParams:
     rank_rtol: float = numerics.RANK_RTOL
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if not 0 < self.epsilon_margin < 1:
             raise ValueError("epsilon_margin must lie in (0, 1)")
-        if not self.gamma_margin > 1:
-            raise ValueError("gamma_margin must exceed 1")
+        if not 1 < self.gamma_margin < math.inf:
+            raise ValueError(
+                f"gamma_margin must be finite and exceed 1, got {self.gamma_margin}"
+            )
+        if not 0 < self.rank_rtol < 1:
+            raise ValueError(f"rank_rtol must lie in (0, 1), got {self.rank_rtol}")
         if self.g is not None:
             g = np.asarray(self.g, dtype=float)
-            if g.ndim != 1 or np.any(g <= 0):
-                raise ValueError("g must be a 1-d array of positive weights")
+            if g.ndim != 1 or not np.all((0 < g) & (g < math.inf)):
+                raise ValueError("g must be a 1-d array of finite positive weights")
             self.g = g
 
 
@@ -403,12 +407,21 @@ def check_assumptions(model, g_net, rtol=numerics.RANK_RTOL):
 
     Draws no verdict: the command-line ``check`` and `synthesize` each
     judge the result. Raises `DimensionError` only for a node-count
-    mismatch between model and graph.
+    mismatch between model and graph. Logs one warning when norm(A)
+    exceeds `decomp.NORM_WARN`.
     """
     if model.node_count != g_net.node_count:
         raise DimensionError(
             f"model has {model.node_count} output blocks but the graph has "
             f"{g_net.node_count} nodes"
+        )
+    norm_A = np.linalg.norm(model.A, 2)
+    if norm_A > NORM_WARN:
+        logger.warning(
+            "norm(A) = %.3e; powers up to A**%d make the observability "
+            "matrices badly conditioned and the rank decisions unreliable",
+            norm_A,
+            model.n - 1,
         )
     decomps = tuple(decompose_node(H, model.A, rtol) for H in model.outputs)
     return AssumptionCheck(
@@ -442,7 +455,7 @@ def synthesize(model, g_net, params):
         raise AssumptionViolationError("communication graph is not strongly connected")
     if joint != model.n:
         raise AssumptionViolationError(
-            f"system is not jointly observable: stacked rank {joint} < n = {model.n}"
+            f"system is not jointly observable: joint rank {joint} < n = {model.n}"
         )
 
     balanced = _balance_connected(g_net)

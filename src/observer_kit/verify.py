@@ -95,16 +95,33 @@ def error_system(model, g_net, design):
 
     Returns (balanced, GlobalErrorSystem). Raises `DimensionError` for a
     design whose r is not the graph's balancing (rtol 1e-9), whose gains
-    do not fit the model or whose M_i is not symmetric positive definite,
-    so `verify_design` and `sim.integrate` reject the same designs.
+    do not fit the model, whose M_i is not symmetric positive definite or
+    whose P_io contradicts M_i, so `verify_design` and `sim.integrate`
+    reject the same designs.
     """
     balanced = balance(g_net)
     if design.r.shape != balanced.r.shape or not np.allclose(design.r, balanced.r, 1e-9, 0):
         raise DimensionError(f"design r = {design.r} does not balance the graph")
     for i, node in enumerate(design.nodes):
-        if not numerics.is_symmetric(node.M) or np.linalg.eigvalsh(node.M)[0] <= 0:
-            raise DimensionError(f"node {i}: M is not symmetric positive definite")
+        _check_weighting(i, node)
     return balanced, build_global_error_matrix(model, balanced, design)
+
+
+def _check_weighting(i, node):
+    """Reject an M_i or P_io that is not SPD, and a P_io that contradicts M_i.
+
+    M_i = T diag(inv(P_io), I) T.T with T orthogonal, so the eigenvalues of
+    M_i are those of inv(P_io) together with n - v ones; they must agree
+    to 1e-9 of the largest.
+    """
+    if not (numerics.is_symmetric(node.M) and numerics.is_symmetric(node.P_io)):
+        raise DimensionError(f"node {i}: M or P_io is not symmetric")
+    w, p = np.linalg.eigvalsh(node.M), np.linalg.eigvalsh(node.P_io)
+    if w[0] <= 0 or np.any(p <= 0) or node.v > w.size:
+        raise DimensionError(f"node {i}: M or P_io is not positive definite, or v exceeds n")
+    mismatch = np.max(np.abs(w - np.sort(np.concatenate([1.0 / p, np.ones(w.size - node.v)]))))
+    if mismatch > 1e-9 * w[-1]:
+        raise DimensionError(f"node {i}: P_io contradicts M (eigenvalue mismatch {mismatch:.3e})")
 
 
 class AbscissaCertificate(NamedTuple):

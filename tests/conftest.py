@@ -11,7 +11,7 @@ observation cases instead, with perfect conditioning at any size.
 import numpy as np
 import pytest
 
-from observer_kit import Digraph, SystemModel, joint_observability_rank
+from observer_kit import Digraph, SystemModel, joint_observability_rank, observability_matrix
 
 
 def random_sc_digraph(rng, n_nodes, weight_range=(0.5, 2.0), extra_edge_prob=0.3):
@@ -58,6 +58,15 @@ def random_dense_model(rng, n, n_nodes, entry_range=(-1.0, 1.0)):
         model = SystemModel(A=A, outputs=outputs)
         if joint_observability_rank(model) == n:
             return model
+
+
+def kalman_rank(model):
+    """Oracle for the joint rank: numpy's rank of every node's
+    observability matrix stacked, fit only for small, well-scaled plants
+    (its threshold grows like norm(A)**(n-1))."""
+    return np.linalg.matrix_rank(
+        np.vstack([observability_matrix(H, model.A) for H in model.outputs])
+    )
 
 
 def random_partial_model(rng, n, n_nodes, mode_range=(-1.0, 1.5)):

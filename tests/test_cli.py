@@ -104,6 +104,34 @@ class TestCheck:
         cfg.write_text(json.dumps(doc))
         assert main(["check", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("command", ["check", "synthesize"])
+    @pytest.mark.parametrize(
+        "params",
+        [{"alpha": math.inf}, {"margins": {"gamma": math.inf}}, {"g": [math.inf, 1.0]},
+         {"g": [math.nan, 1.0]}, {"rank_rtol": math.nan}, {"rank_rtol": 10.0},
+         {"rank_rtol": -1.0}],
+        ids=["alpha-inf", "gamma-margin-inf", "g-inf", "g-nan", "rank-rtol-nan",
+             "rank-rtol-10", "rank-rtol-negative"],
+    )
+    def test_config_numbers_out_of_range(self, tmp_path, command, params, capsys):
+        cfg = tmp_path / "cfg.json"
+        doc = json.loads(write_config(tmp_path / "base.json").read_text())
+        doc["params"].update(params)
+        cfg.write_text(json.dumps(doc))
+        assert main([command, str(cfg), "-o", str(tmp_path / "out.json")]) == 3
+
+    def test_wide_mode_spread_is_jointly_observable(self, tmp_path, capsys):
+        modes = [0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0]
+        cfg = write_config(
+            tmp_path / "spread.json",
+            A=np.diag(modes).tolist(),
+            outputs=[[np.eye(8)[k].tolist()] for k in range(8)],
+            edges=[{"from": k, "to": (k + 1) % 8, "weight": 1.0} for k in range(8)],
+            n_nodes=8,
+        )
+        assert main(["check", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["joint_rank"] == 8
+
 
 class TestSynthesize:
     def test_writes_design_and_summary(self, config_path, tmp_path, capsys):
@@ -177,8 +205,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "key, value",
         [("L", [[1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-         ("M", [[-1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.5], [0.0, 1.0]])],
-        ids=["L-2x2", "M-2x3", "M-indefinite", "M-asymmetric"],
+         ("M", [[-1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.5], [0.0, 1.0]]),
+         ("P_io", [[100.0]]), ("P_io", [[-1.0]])],
+        ids=["L-2x2", "M-2x3", "M-indefinite", "M-asymmetric", "P_io-mismatch",
+             "P_io-negative"],
     )
     def test_tampered_node_gains(self, config_path, design_path, tmp_path, key, value):
         doc = json.loads(design_path.read_text())
@@ -251,6 +281,18 @@ class TestSimulate:
             "--t-final", "10.0", "--seed", "3", "-o", str(tmp_path / "t.csv"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--t-final", "inf"), ("--t-final", "nan"), ("--dt", "inf")],
+        ids=["t-final-inf", "t-final-nan", "dt-inf"],
+    )
+    def test_run_length_not_finite(self, config_path, design_path, tmp_path, flag, value):
+        code = main([
+            "simulate", str(config_path), str(design_path), flag, value,
+            "-o", str(tmp_path / "t.csv"),
+        ])
+        assert code == 3
 
     def test_state_columns_flag(self, config_path, design_path, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

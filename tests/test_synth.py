@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from conftest import (
     random_sc_digraph,
     rotated_partial_model,
 )
+from observer_kit import decomp
 from observer_kit.decomp import NodeDecomposition, SystemModel, decompose_node
 from observer_kit.errors import AssumptionViolationError, DimensionError, NumericalFailureError
 from observer_kit.graph import Digraph, balance
@@ -33,6 +36,15 @@ from observer_kit.verify import verify_design
 from test_numerics import kron_lyapunov_oracle
 
 UNIT_2CYCLE = Digraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
+
+# Modes 0.5 to 20 on a ring, node k measuring mode k: every v_i is 1, and
+# the observability matrices of all nodes stacked read rank 6 of 8 at the
+# default rank tolerance.
+SPREAD_MODEL = SystemModel(
+    A=np.diag([0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0]),
+    outputs=tuple(np.eye(8)[k : k + 1] for k in range(8)),
+)
+RING_8 = Digraph.from_edges(8, [(k, (k + 1) % 8, 1.0) for k in range(8)])
 
 
 def fully_observable_decomps(n, n_nodes, rng):
@@ -448,6 +460,24 @@ class TestSynthesize:
         report = verify_design(model, g_net, design)
         assert report.passed and report.lyapunov_passed
 
+    def test_wide_mode_spread_certifies(self):
+        design = synthesize(SPREAD_MODEL, RING_8, SynthesisParams(alpha=1.0))
+        report = verify_design(SPREAD_MODEL, RING_8, design)
+        assert report.passed and report.lyapunov_passed
+
+    def test_two_observability_matrices_per_node(self, monkeypatch):
+        # one for the decomposition, one for its rank recheck (v_i > 0);
+        # the joint rank is read off the decompositions
+        original, calls = decomp.observability_matrix, []
+
+        def counting(H, A):
+            calls.append(H.shape)
+            return original(H, A)
+
+        monkeypatch.setattr(decomp, "observability_matrix", counting)
+        synthesize(SPREAD_MODEL, RING_8, SynthesisParams(alpha=1.0))
+        assert len(calls) == 2 * SPREAD_MODEL.node_count
+
 
 class TestCheckAssumptions:
     def test_reports_without_deciding(self):
@@ -463,6 +493,13 @@ class TestCheckAssumptions:
         model = SystemModel(A=[[0.7]], outputs=([[1.0]],))
         with pytest.raises(DimensionError):
             check_assumptions(model, UNIT_2CYCLE)
+
+    def test_large_norm_warns_once(self, caplog):
+        model = SystemModel(A=2e3 * np.eye(2), outputs=([[1.0, 0.0]], [[0.0, 1.0]]))
+        with caplog.at_level(logging.WARNING, logger="observer_kit"):
+            check_assumptions(model, UNIT_2CYCLE)
+        assert len(caplog.records) == 1
+        assert "badly conditioned" in caplog.messages[0]
 
 
 class TestSynthesisParams:
