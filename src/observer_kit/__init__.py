@@ -43,7 +43,6 @@ from .synth import (
     compute_epsilon,
     place_observer_poles,
     select_gamma,
-    solve_design_lyapunov,
     synthesize,
     verify_design_lmi,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "place_observer_poles",
     "rhs",
     "select_gamma",
-    "solve_design_lyapunov",
     "spectral_abscissa_certificate",
     "synthesize",
     "verify_design",

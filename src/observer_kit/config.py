@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import SystemModel
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericalFailureError
 from .graph import Digraph
 from .sim import SimulationConfig
 from .synth import ObserverDesign, SynthesisParams
@@ -68,7 +68,7 @@ def load_config(path):
             for block in _require(system, "outputs", "system")
         ]
         model = SystemModel(A=A, outputs=tuple(outputs))
-    except (TypeError, ValueError, DimensionError) as exc:
+    except (TypeError, ValueError, NumericalFailureError) as exc:
         raise ConfigError(f"bad system section: {exc}") from exc
     if "n" in system and int(system["n"]) != model.n:
         raise ConfigError(

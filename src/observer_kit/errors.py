@@ -15,7 +15,8 @@ class AssumptionViolationError(ObserverKitError):
     Raised when the communication graph is not strongly connected, the
     system is not jointly observable, or a derived quantity that those
     assumptions guarantee (a positive coupling budget, an invertible
-    observability Gramian) fails to materialize.
+    Gramian of a shifted observable block, from which the gain and its
+    certificate are built) fails to materialize.
     """
 
 

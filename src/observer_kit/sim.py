@@ -40,8 +40,9 @@ class SimulationConfig:
 
     Initial conditions left as None are drawn uniformly from [-1, 1] per
     coordinate with the seeded generator, so runs are reproducible while
-    still exercising arbitrary initial errors. The decay-rate fit window
-    defaults to [0.2, 0.9] * t_final, skipping the initial transient.
+    still exercising arbitrary initial errors; given ones must be finite.
+    The decay-rate fit window defaults to [0.2, 0.9] * t_final, skipping
+    the initial transient.
     """
 
     t_final: float
@@ -59,6 +60,10 @@ class SimulationConfig:
             raise ValueError(
                 f"t_final must be finite and cover at least 10 steps, got {self.t_final}"
             )
+        for name in ("x0", "xhat0"):
+            state = getattr(self, name)
+            if state is not None and not np.all(np.isfinite(np.asarray(state, dtype=float))):
+                raise ValueError(f"{name} must be finite")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
         if self.fit_window is not None:

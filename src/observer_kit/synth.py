@@ -12,10 +12,9 @@ The pipeline decouples the network topology from the local gain design:
    every unobservable block at the requested decay rate; each node's
    budget is the largest eigenvalue of one quadratic eigenvalue problem,
 5. stabilize each observable block by output injection with poles pushed
-   left of ``-alpha``,
-6. solve one small Lyapunov equation per node for the certificate block
-   P_io, and
-7. assemble the full-order gains L_i and M_i.
+   left of ``-alpha``; the one small Lyapunov solution per node that
+   defines the gain, scaled, is also the certificate block P_io, and
+6. assemble the full-order gains L_i and M_i.
 
 Every step is checked after the fact: the per-node matrix inequality that
 certifies the global error decay is evaluated for the assembled design
@@ -133,11 +132,11 @@ class ObserverDesign:
         try:
             nodes = tuple(
                 NodeGains(
-                    L=np.asarray(nd["L"], dtype=float),
-                    M=np.asarray(nd["M"], dtype=float),
+                    L=numerics.as_matrix(nd["L"], "L"),
+                    M=numerics.as_matrix(nd["M"], "M"),
                     v=int(nd["v"]),
-                    P_io=np.asarray(nd["P_io"], dtype=float).reshape(
-                        (int(nd["v"]), int(nd["v"]))
+                    P_io=numerics.as_matrix(
+                        np.reshape(nd["P_io"], (int(nd["v"]), int(nd["v"]))), "P_io"
                     ),
                 )
                 for nd in data["nodes"]
@@ -150,7 +149,7 @@ class ObserverDesign:
                 if not 0.0 < value < math.inf:
                     raise ValueError(f"{key} must be finite and positive, got {value}")
             return cls(r=r, nodes=nodes, **scalars)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, NumericalFailureError) as exc:
             raise DimensionError(f"malformed design document: {exc}") from exc
 
 
@@ -266,8 +265,8 @@ def select_gamma(decomps, epsilon, alpha, margin=1.1):
     return gamma
 
 
-def place_observer_poles(A_io, H_io, alpha):
-    """Output-injection gain pushing the observable block left of -alpha.
+def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
+    """Output-injection gain and certificate block for an observable block.
 
     Shifted Lyapunov (Bass-style) construction: with At = A_io + alpha*I
     and a shift beta = 1 + ||A_io||_F + alpha that dominates the spectral
@@ -277,10 +276,19 @@ def place_observer_poles(A_io, H_io, alpha):
 
     has a positive definite solution X exactly when (H_io, A_io) is
     observable, and L_io = inv(X) H_io.T places every eigenvalue of
-    A_io - L_io H_io on the line Re = -(alpha + beta). The method handles
-    multi-output blocks uniformly and only needs the solvers already in
-    `numerics`; no pole locations are prescribed beyond the half-plane.
+    A_io - L_io H_io on the line Re = -(alpha + beta). The same X
+    certifies that closed loop: Sym(X (At - L_io H_io)) = -2 beta X, so
+
+        P_io = q / (2 beta lambda_min(X)) * X,  q = gamma*max(g_i, 1) - 2*alpha,
+
+    satisfies Sym(P_io (A_io - L_io H_io + alpha I)) <= -q I. q covers the
+    gamma*g_i I that `verify_design_lmi` adds, or exceeds it if g_i < 1,
+    which only helps. Requires gamma > 2*alpha. Returns (L_io, P_io).
     """
+    if not gamma > 2.0 * alpha:
+        raise AssumptionViolationError(
+            f"gamma = {gamma:.6g} must exceed 2*alpha = {2.0 * alpha:.6g}"
+        )
     A_io = numerics.as_square(A_io, "A_io")
     H_io = numerics.as_matrix(H_io, "H_io")
     v = A_io.shape[0]
@@ -288,7 +296,7 @@ def place_observer_poles(A_io, H_io, alpha):
     if H_io.shape[1] != v:
         raise DimensionError(f"H_io has {H_io.shape[1]} columns, expected {v}")
     if v == 0:
-        return np.zeros((0, p))
+        return np.zeros((0, p)), np.zeros((0, 0))
 
     beta = 1.0 + np.linalg.norm(A_io, "fro") + alpha
     F = A_io + (alpha + beta) * np.eye(v)
@@ -308,28 +316,8 @@ def place_observer_poles(A_io, H_io, alpha):
             f"pole placement landed at spectral abscissa {abscissa:.6g}, "
             f"not below {-alpha:.6g}"
         )
-    return L_io
-
-
-def solve_design_lyapunov(A_io, L_io, H_io, alpha, gamma, g_i=1.0):
-    """Certificate block P_io for a stabilized observable block.
-
-    Solves Sym(P (A_io - L_io H_io + alpha I)) = -q I, q = gamma*max(g_i, 1)
-    - 2*alpha; P is unique and positive definite as the closed-loop block sits
-    left of -alpha. q cancels the gamma*g_i I that `verify_design_lmi` adds,
-    or exceeds it if g_i < 1, which only helps. Requires gamma > 2*alpha.
-    """
-    if not gamma > 2.0 * alpha:
-        raise AssumptionViolationError(
-            f"gamma = {gamma:.6g} must exceed 2*alpha = {2.0 * alpha:.6g}"
-        )
-    A_io = numerics.as_square(A_io, "A_io")
-    v = A_io.shape[0]
-    if v == 0:
-        return np.zeros((0, 0))
-    F = A_io - L_io @ H_io + alpha * np.eye(v)
     q = gamma * max(g_i, 1.0) - 2.0 * alpha
-    return numerics.solve_lyapunov(F, q * np.eye(v))
+    return L_io, (q / (2.0 * beta * w[0])) * X
 
 
 def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
@@ -435,7 +423,7 @@ def synthesize(model, g_net, params):
     """Full design pipeline: from plant, graph and decay rate to gains.
 
     Checks the standing assumptions (strongly connected graph, jointly
-    observable system) with `check_assumptions`, runs the seven
+    observable system) with `check_assumptions`, runs the six
     construction steps and re-verifies the per-node certificate inequality
     for the assembled design before returning it.
 
@@ -464,11 +452,12 @@ def synthesize(model, g_net, params):
     gamma = select_gamma(decomps, epsilon, params.alpha, params.gamma_margin)
     logger.info("epsilon = %.6g, gamma = %.6g", epsilon, gamma)
 
-    L_blocks = [place_observer_poles(d.A_io, d.H_io, params.alpha) for d in decomps]
-    P_blocks = [
-        solve_design_lyapunov(d.A_io, L_io, d.H_io, params.alpha, gamma, gi)
-        for d, L_io, gi in zip(decomps, L_blocks, g)
-    ]
+    L_blocks, P_blocks = zip(
+        *(
+            place_observer_poles(d.A_io, d.H_io, params.alpha, gamma, gi)
+            for d, gi in zip(decomps, g)
+        )
+    )
     design = assemble_gains(
         decomps, L_blocks, P_blocks, gamma, epsilon, balanced.r, params.alpha
     )

@@ -95,6 +95,22 @@ def random_model(rng, n, n_nodes):
     return random_partial_model(rng, n, n_nodes)
 
 
+def battery_instances(seed, count=100):
+    """(model, graph) pairs with n in 2..6 and N in 2..5, drawn as the
+    acceptance battery draws them at its seed 20240817."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    while len(instances) < count:
+        n = int(rng.integers(2, 7))
+        n_nodes = int(rng.integers(2, 6))
+        g_net = random_sc_digraph(rng, n_nodes)
+        model = random_model(rng, n, n_nodes)
+        if joint_observability_rank(model) != n:
+            continue
+        instances.append((model, g_net))
+    return instances
+
+
 # (n, owned) instances for block-assembly oracles: owned[i] lists the
 # rotated coordinates node i measures, so v_i = len(owned[i]). They mix
 # v_i = n, 0 < v_i < n and v_i = 0 on N >= 3 nodes, plus a single node.

@@ -16,6 +16,7 @@ import pytest
 import scipy.linalg
 
 from conftest import (
+    battery_instances,
     kalman_rank,
     random_dense_model,
     random_model,
@@ -50,17 +51,7 @@ def criterion(label):
 @pytest.fixture(scope="module")
 def battery():
     """100 randomized instances, synthesized once and timed."""
-    rng = np.random.default_rng(20240817)
-    instances = []
-    while len(instances) < 100:
-        n = int(rng.integers(2, 7))
-        n_nodes = int(rng.integers(2, 6))
-        g_net = random_sc_digraph(rng, n_nodes)
-        model = random_model(rng, n, n_nodes)
-        if joint_observability_rank(model) != n:
-            continue
-        instances.append((model, g_net))
-
+    instances = battery_instances(20240817)
     start = time.perf_counter()
     results = []
     failures = []

@@ -120,6 +120,16 @@ class TestCheck:
         cfg.write_text(json.dumps(doc))
         assert main([command, str(cfg), "-o", str(tmp_path / "out.json")]) == 3
 
+    @pytest.mark.parametrize("key", ["A", "H"])
+    def test_system_matrix_not_finite(self, tmp_path, key, capsys):
+        cfg = tmp_path / "cfg.json"
+        doc = json.loads(write_config(tmp_path / "base.json").read_text())
+        system = doc["system"]
+        (system["A"] if key == "A" else system["outputs"][0]["H"])[0][0] = math.nan
+        cfg.write_text(json.dumps(doc))
+        assert main(["check", str(cfg)]) == 3
+        assert main(["synthesize", str(cfg), "-o", str(tmp_path / "d.json")]) == 3
+
     def test_wide_mode_spread_is_jointly_observable(self, tmp_path, capsys):
         modes = [0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0]
         cfg = write_config(
@@ -206,9 +216,10 @@ class TestVerify:
         "key, value",
         [("L", [[1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
          ("M", [[-1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.5], [0.0, 1.0]]),
-         ("P_io", [[100.0]]), ("P_io", [[-1.0]])],
+         ("P_io", [[100.0]]), ("P_io", [[-1.0]]), ("L", [[math.nan], [0.0]]),
+         ("M", [[math.nan, 0.0], [0.0, 1.0]]), ("P_io", [[math.nan]])],
         ids=["L-2x2", "M-2x3", "M-indefinite", "M-asymmetric", "P_io-mismatch",
-             "P_io-negative"],
+             "P_io-negative", "L-nan", "M-nan", "P_io-nan"],
     )
     def test_tampered_node_gains(self, config_path, design_path, tmp_path, key, value):
         doc = json.loads(design_path.read_text())
@@ -292,6 +303,16 @@ class TestSimulate:
             "simulate", str(config_path), str(design_path), flag, value,
             "-o", str(tmp_path / "t.csv"),
         ])
+        assert code == 3
+
+    @pytest.mark.parametrize(
+        "sim",
+        [{"x0": [math.nan, 0.0]}, {"xhat0": [[math.inf, 0.0], [0.0, 0.0]]}],
+        ids=["x0-nan", "xhat0-inf"],
+    )
+    def test_initial_state_not_finite(self, tmp_path, design_path, sim):
+        cfg = write_config(tmp_path / "cfg.json", sim=sim)
+        code = main(["simulate", str(cfg), str(design_path), "-o", str(tmp_path / "t.csv")])
         assert code == 3
 
     def test_state_columns_flag(self, config_path, design_path, tmp_path, capsys):

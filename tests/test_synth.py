@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.linalg
 
 from conftest import (
     MIXED_OBSERVABILITY_CASES,
+    battery_instances,
     graph_for,
     random_dense_model,
     random_model,
@@ -13,7 +15,7 @@ from conftest import (
     random_sc_digraph,
     rotated_partial_model,
 )
-from observer_kit import decomp
+from observer_kit import decomp, numerics, synth
 from observer_kit.decomp import NodeDecomposition, SystemModel, decompose_node
 from observer_kit.errors import AssumptionViolationError, DimensionError, NumericalFailureError
 from observer_kit.graph import Digraph, balance
@@ -28,7 +30,6 @@ from observer_kit.synth import (
     coupling_matrix,
     place_observer_poles,
     select_gamma,
-    solve_design_lyapunov,
     synthesize,
     verify_design_lmi,
 )
@@ -240,14 +241,14 @@ class TestMinCouplingBudget:
 
 class TestPlaceObserverPoles:
     def test_scalar(self):
-        L = place_observer_poles(np.zeros((1, 1)), np.ones((1, 1)), alpha=1.0)
+        L, _ = place_observer_poles(np.zeros((1, 1)), np.ones((1, 1)), alpha=1.0, gamma=4.0)
         # shift beta = 2, Gramian X = 1/3, gain 3, closed loop at -3
         assert L == pytest.approx(np.array([[3.0]]))
 
     def test_double_integrator(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         H = np.array([[1.0, 0.0]])
-        L = place_observer_poles(A, H, alpha=0.0)
+        L, _ = place_observer_poles(A, H, alpha=0.0, gamma=3.0)
         assert np.allclose(L, [[4.0], [8.0]], atol=1e-9)
         w = np.linalg.eigvals(A - L @ H)
         assert np.allclose(sorted(w.real), [-2.0, -2.0], atol=1e-9)
@@ -255,13 +256,13 @@ class TestPlaceObserverPoles:
 
     def test_already_stable_block(self):
         # the gain is rebuilt regardless; only the half-plane is promised
-        L = place_observer_poles(np.array([[-5.0]]), np.ones((1, 1)), alpha=1.0)
+        L, _ = place_observer_poles(np.array([[-5.0]]), np.ones((1, 1)), alpha=1.0, gamma=4.0)
         closed = -5.0 - L[0, 0]
         assert closed < -1.0
 
     def test_empty_block(self):
-        L = place_observer_poles(np.zeros((0, 0)), np.zeros((2, 0)), alpha=1.0)
-        assert L.shape == (0, 2)
+        L, P = place_observer_poles(np.zeros((0, 0)), np.zeros((2, 0)), alpha=1.0, gamma=4.0)
+        assert L.shape == (0, 2) and P.shape == (0, 0)
 
     def test_random_pairs_meet_margin(self):
         rng = np.random.default_rng(7)
@@ -275,43 +276,42 @@ class TestPlaceObserverPoles:
             if d.v != v:
                 continue
             alpha = rng.uniform(0.1, 2.0)
-            L = place_observer_poles(A, H, alpha)
+            L, P = place_observer_poles(A, H, alpha, gamma=2.0 * alpha + 1.0)
             absc = np.max(np.linalg.eigvals(A - L @ H).real)
             assert absc < -alpha - 1e-8
+            # the certificate inequality, Sym(P (A - L H + alpha I)) <= -q I
+            lhs = P @ (A - L @ H + alpha * np.eye(v))
+            assert np.linalg.eigvalsh(lhs + lhs.T)[-1] <= -1.0 + 1e-9
             done += 1
 
-
-class TestSolveDesignLyapunov:
-    def test_scalar(self):
-        P = solve_design_lyapunov(
-            np.zeros((1, 1)), np.array([[3.0]]), np.ones((1, 1)), alpha=1.0, gamma=4.0
-        )
+    def test_scalar_certificate(self):
+        _, P = place_observer_poles(np.zeros((1, 1)), np.ones((1, 1)), alpha=1.0, gamma=4.0)
+        # -4 P = -(gamma - 2 * alpha)
         assert P == pytest.approx(np.array([[0.5]]))
 
     def test_gamma_boundary_rejected(self):
         with pytest.raises(AssumptionViolationError):
-            solve_design_lyapunov(
-                np.zeros((1, 1)), np.array([[3.0]]), np.ones((1, 1)),
-                alpha=1.0, gamma=2.0,
-            )
+            place_observer_poles(np.zeros((1, 1)), np.ones((1, 1)), alpha=1.0, gamma=2.0)
 
     def test_node_weight_scales_gamma(self):
-        args = (np.zeros((1, 1)), np.array([[3.0]]), np.ones((1, 1)))
+        args = (np.zeros((1, 1)), np.ones((1, 1)))
         # -4 P = -(gamma * max(g_i, 1) - 2 * alpha)
-        P = solve_design_lyapunov(*args, alpha=1.0, gamma=4.0, g_i=2.0)
+        _, P = place_observer_poles(*args, alpha=1.0, gamma=4.0, g_i=2.0)
         assert P == pytest.approx(np.array([[1.5]]))
-        P = solve_design_lyapunov(*args, alpha=1.0, gamma=4.0, g_i=0.5)
+        _, P = place_observer_poles(*args, alpha=1.0, gamma=4.0, g_i=0.5)
         assert P == pytest.approx(np.array([[0.5]]))
 
-    def test_double_integrator_against_oracle(self):
+    def test_double_integrator_certificate_against_oracle(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         H = np.array([[1.0, 0.0]])
-        L = place_observer_poles(A, H, alpha=0.0)
-        P = solve_design_lyapunov(A, L, H, alpha=0.0, gamma=3.0)
-        assert np.linalg.eigvalsh(P)[0] > 0
-        F = A - L @ H
-        expected = kron_lyapunov_oracle(F, 3.0 * np.eye(2))
-        assert np.allclose(P, expected, atol=1e-9)
+        L, P = place_observer_poles(A, H, alpha=0.0, gamma=3.0)
+        # Bass equation with beta = 1 + ||A||_F = 2, solved independently
+        beta, q = 2.0, 3.0
+        X = kron_lyapunov_oracle(A + beta * np.eye(2), -2.0 * H.T @ H)
+        expected = q / (2.0 * beta * np.linalg.eigvalsh(X)[0]) * X
+        assert np.allclose(P, expected, rtol=1e-12, atol=0)
+        lhs = P @ (A - L @ H)
+        assert np.linalg.eigvalsh(lhs + lhs.T + q * np.eye(2))[-1] <= 1e-12 * q
 
 
 class TestAssembleGains:
@@ -464,6 +464,51 @@ class TestSynthesize:
         design = synthesize(SPREAD_MODEL, RING_8, SynthesisParams(alpha=1.0))
         report = verify_design(SPREAD_MODEL, RING_8, design)
         assert report.passed and report.lyapunov_passed
+
+    def test_weakly_observable_battery_instance_certifies(self):
+        # node 3's observable pair has an observability matrix of condition
+        # 4.0e3; a second Lyapunov solve on its closed loop missed its residual
+        model, g_net = battery_instances(109, count=8)[7]
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        report = verify_design(model, g_net, design)
+        assert report.passed and report.lyapunov_passed
+
+    @pytest.mark.parametrize("seed, index", [(102, 9), (107, 0)])
+    def test_rotated_observable_bases_certify(self, monkeypatch, seed, index):
+        # any orthonormal basis of each observable subspace must do
+        model, g_net = battery_instances(seed, count=index + 1)[index]
+        rng = np.random.default_rng(seed)
+
+        def rotated(H, A, rtol):
+            d = decompose_node(H, A, rtol)
+            Q = np.linalg.qr(rng.normal(size=(d.v, d.v)))[0]
+            return dataclasses.replace(
+                d, T=np.hstack([d.T1 @ Q, d.T2]), A_io=Q.T @ d.A_io @ Q,
+                A_ir=d.A_ir @ Q, H_io=d.H_io @ Q,
+            )
+
+        monkeypatch.setattr(synth, "decompose_node", rotated)
+        for _ in range(20):
+            design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+            report = verify_design(model, g_net, design)
+            assert report.passed and report.lyapunov_passed
+
+    # the multi-node cases; the single node there is not jointly observable
+    @pytest.mark.parametrize("n, owned", MIXED_OBSERVABILITY_CASES[:2])
+    def test_one_lyapunov_solve_per_observable_block(self, monkeypatch, n, owned):
+        # the Gramian that defines the gain is also its certificate
+        rng = np.random.default_rng(5)
+        model = rotated_partial_model(rng, n, owned)
+        g_net = graph_for(rng, len(owned))
+        original, calls = numerics.solve_lyapunov, []
+
+        def counting(F, Q, *args, **kwargs):
+            calls.append(F.shape)
+            return original(F, Q, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "solve_lyapunov", counting)
+        synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        assert calls == [(len(idx), len(idx)) for idx in owned if idx]
 
     def test_two_observability_matrices_per_node(self, monkeypatch):
         # one for the decomposition, one for its rank recheck (v_i > 0);
