@@ -59,14 +59,6 @@ class SystemModel:
     def node_count(self):
         return len(self.outputs)
 
-    @property
-    def output_dims(self):
-        return tuple(H.shape[0] for H in self.outputs)
-
-    @property
-    def stacked_output(self):
-        return np.vstack(self.outputs)
-
 
 @dataclass(frozen=True)
 class NodeDecomposition:

@@ -76,19 +76,19 @@ class SynthesisParams:
 
 @dataclass(frozen=True)
 class NodeGains:
-    """Gains and certificate block of a single node.
+    """Gains of a single node.
 
     L is the n x p_i output-injection gain, M the symmetric positive
-    definite n x n consensus weighting, v the observable dimension and
-    P_io the v x v Lyapunov certificate of the observable block. The
-    certificate on the unobservable block is pinned to the identity,
-    which is why M restricted to that subspace is the identity as well.
+    definite n x n consensus weighting and v the observable dimension.
+    inv(M) is the node's block of the Lyapunov certificate: the v x v
+    certificate of the observable block, P_io, in the observable
+    coordinates, and the identity on the unobservable block, which is
+    why M restricted to that subspace is the identity as well.
     """
 
     L: np.ndarray
     M: np.ndarray
     v: int
-    P_io: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -117,27 +117,21 @@ class ObserverDesign:
             "alpha": self.alpha,
             "r": self.r.tolist(),
             "nodes": [
-                {
-                    "L": node.L.tolist(),
-                    "M": node.M.tolist(),
-                    "v": node.v,
-                    "P_io": node.P_io.tolist(),
-                }
+                {"L": node.L.tolist(), "M": node.M.tolist(), "v": node.v}
                 for node in self.nodes
             ],
         }
 
     @classmethod
     def from_dict(cls, data):
+        """Read a `to_dict` document; keys it does not write are ignored,
+        among them the ``P_io`` that older design files carry per node."""
         try:
             nodes = tuple(
                 NodeGains(
                     L=numerics.as_matrix(nd["L"], "L"),
                     M=numerics.as_matrix(nd["M"], "M"),
                     v=int(nd["v"]),
-                    P_io=numerics.as_matrix(
-                        np.reshape(nd["P_io"], (int(nd["v"]), int(nd["v"]))), "P_io"
-                    ),
                 )
                 for nd in data["nodes"]
             )
@@ -348,7 +342,7 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
             raise NumericalFailureError(
                 f"node {i}: inverse certificate residual {inv_residual:.3e}"
             )
-        nodes.append(NodeGains(L=L, M=M, v=v, P_io=P_io))
+        nodes.append(NodeGains(L=L, M=M, v=v))
     return ObserverDesign(
         gamma=float(gamma),
         epsilon=float(epsilon),

@@ -105,13 +105,15 @@ def test_criterion_3_lmi_certificates(battery):
         for model, g_net, bal, design, _ in battery["results"]:
             decomps = [decompose_node(H, model.A) for H in model.outputs]
             for d, node in zip(decomps, design.nodes):
+                # the observable block of the certificate inv(M_i)
+                P_io = d.T1.T @ np.linalg.inv(node.M) @ d.T1
                 L_io = d.T1.T @ node.L
                 verdict = verify_design_lmi(
-                    d, node.P_io, node.P_io @ L_io,
-                    design.gamma, design.epsilon, design.alpha,
+                    d, P_io, P_io @ L_io, design.gamma, design.epsilon, design.alpha,
                 )
                 assert verdict.margin < 0
-            cert = lyapunov_certificate(model, bal, design)
+            sys_ = build_global_error_matrix(model, bal, design)
+            cert = lyapunov_certificate(sys_, bal.mirror, design.gamma, design.alpha)
             assert cert.passed and cert.margin < 0
 
 

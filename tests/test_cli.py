@@ -151,7 +151,7 @@ class TestSynthesize:
         assert summary["gamma"] >= 2 * 1.0 + 1.0
         design = json.loads(out.read_text())
         assert set(design) == {"gamma", "epsilon", "alpha", "r", "nodes"}
-        assert set(design["nodes"][0]) == {"L", "M", "v", "P_io"}
+        assert set(design["nodes"][0]) == {"L", "M", "v"}
 
     def test_alpha_override_monotone(self, config_path, tmp_path, capsys):
         gammas = []
@@ -216,10 +216,10 @@ class TestVerify:
         "key, value",
         [("L", [[1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
          ("M", [[-1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.5], [0.0, 1.0]]),
-         ("P_io", [[100.0]]), ("P_io", [[-1.0]]), ("L", [[math.nan], [0.0]]),
-         ("M", [[math.nan, 0.0], [0.0, 1.0]]), ("P_io", [[math.nan]])],
-        ids=["L-2x2", "M-2x3", "M-indefinite", "M-asymmetric", "P_io-mismatch",
-             "P_io-negative", "L-nan", "M-nan", "P_io-nan"],
+         ("L", [[math.nan], [0.0]]), ("M", [[math.nan, 0.0], [0.0, 1.0]]),
+         ("v", -1), ("v", 3)],
+        ids=["L-2x2", "M-2x3", "M-indefinite", "M-asymmetric", "L-nan", "M-nan",
+             "v-negative", "v-exceeds-n"],
     )
     def test_tampered_node_gains(self, config_path, design_path, tmp_path, key, value):
         doc = json.loads(design_path.read_text())
@@ -227,6 +227,27 @@ class TestVerify:
         tampered = tmp_path / "tampered_node.json"
         tampered.write_text(json.dumps(doc))
         assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
+
+    def test_p_io_of_older_design_files_is_ignored(self, config_path, design_path, tmp_path):
+        doc = json.loads(design_path.read_text())
+        doc["nodes"][0]["P_io"] = [[100.0]]
+        older = tmp_path / "older_design.json"
+        older.write_text(json.dumps(doc))
+        assert verify_and_simulate(config_path, older, tmp_path) == [0, 0]
+
+    def test_ill_conditioned_certificate_block_verifies(self, tmp_path, capsys):
+        # node 0 sees all five modes through one output, and its
+        # certificate block has condition 4.4e9; the design is sound
+        cfg = write_config(
+            tmp_path / "five.json",
+            A=np.diag([-1.0, -0.375, 0.25, 0.875, 1.5]).tolist(),
+            outputs=[[[1.0] * 5], [[1.0, 0.0, 0.0, 0.0, 0.0]]],
+        )
+        out = tmp_path / "d.json"
+        assert main(["synthesize", str(cfg), "-o", str(out)]) == 0
+        # node 0's gain has norm 1.6e5, so the step-size check warns
+        with pytest.warns(UserWarning, match="too coarse"):
+            assert verify_and_simulate(cfg, out, tmp_path) == [0, 0]
 
     @pytest.mark.parametrize(
         "scalars",

@@ -22,8 +22,6 @@ class TestSystemModel:
     def test_properties(self):
         m = SystemModel(A=np.eye(2), outputs=(np.ones((1, 2)), np.ones((2, 2))))
         assert m.n == 2 and m.node_count == 2
-        assert m.output_dims == (1, 2)
-        assert m.stacked_output.shape == (3, 2)
 
     def test_rejects_wrong_columns(self):
         with pytest.raises(DimensionError):

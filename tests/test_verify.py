@@ -17,6 +17,7 @@ from observer_kit.synth import NodeGains, ObserverDesign, SynthesisParams, synth
 from observer_kit.verify import (
     build_global_error_matrix,
     certificate_matrix,
+    error_system,
     lyapunov_certificate,
     spectral_abscissa_certificate,
     verify_design,
@@ -27,9 +28,7 @@ UNIT_2CYCLE = Digraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
 
 def scalar_pair_design(l, m, gamma, alpha=1.0):
     """Hand-built two-node scalar design with identical gains."""
-    node = NodeGains(
-        L=np.array([[l]]), M=np.array([[m]]), v=1, P_io=np.array([[1.0 / m]])
-    )
+    node = NodeGains(L=np.array([[l]]), M=np.array([[m]]), v=1)
     return ObserverDesign(
         gamma=gamma, epsilon=0.9, alpha=alpha, r=np.ones(2), nodes=(node, node)
     )
@@ -55,7 +54,6 @@ def random_gains_instance(seed, n, owned):
                 L=rng.normal(size=(n, H.shape[0])),
                 M=B @ B.T + n * np.eye(n) + 0.1 * (C - C.T),
                 v=n,
-                P_io=np.eye(n),
             )
         )
     design = ObserverDesign(
@@ -98,9 +96,7 @@ class TestBuildGlobalErrorMatrix:
 
     def test_single_node_no_coupling(self):
         model = SystemModel(A=[[0.4]], outputs=([[1.0]],))
-        node = NodeGains(
-            L=np.array([[2.0]]), M=np.array([[1.0]]), v=1, P_io=np.eye(1)
-        )
+        node = NodeGains(L=np.array([[2.0]]), M=np.array([[1.0]]), v=1)
         design = ObserverDesign(
             gamma=5.0, epsilon=0.9, alpha=1.0, r=np.ones(1), nodes=(node,)
         )
@@ -160,8 +156,8 @@ class TestBuildGlobalErrorMatrix:
         bad = ObserverDesign(
             gamma=1.0, epsilon=0.9, alpha=1.0, r=np.ones(2),
             nodes=(
-                NodeGains(L=np.ones((2, 1)), M=np.eye(2), v=2, P_io=np.eye(2)),
-                NodeGains(L=np.ones((2, 1)), M=np.eye(2), v=2, P_io=np.eye(2)),
+                NodeGains(L=np.ones((2, 1)), M=np.eye(2), v=2),
+                NodeGains(L=np.ones((2, 1)), M=np.eye(2), v=2),
             ),
         )
         with pytest.raises(DimensionError):
@@ -190,7 +186,8 @@ class TestLyapunovCertificate:
             model = random_model(rng, n, N)
             g_net = random_sc_digraph(rng, N)
             design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
-            cert = lyapunov_certificate(model, balance(g_net), design)
+            bal, sys_ = error_system(model, g_net, design)
+            cert = lyapunov_certificate(sys_, bal.mirror, design.gamma, design.alpha)
             assert cert.passed
             assert cert.margin < 0
 
@@ -203,7 +200,8 @@ class TestLyapunovCertificate:
             gamma=0.0, epsilon=design.epsilon, alpha=design.alpha,
             r=design.r, nodes=design.nodes,
         )
-        cert = lyapunov_certificate(model, balance(UNIT_2CYCLE), gutted)
+        bal, sys_ = error_system(model, UNIT_2CYCLE, gutted)
+        cert = lyapunov_certificate(sys_, bal.mirror, gutted.gamma, gutted.alpha)
         assert not cert.passed
 
     def test_certificate_is_rate_specific(self):
@@ -211,12 +209,10 @@ class TestLyapunovCertificate:
             A=np.diag([1.0, 2.0]), outputs=([[1.0, 0.0]], [[0.0, 1.0]])
         )
         design = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
-        bal = balance(UNIT_2CYCLE)
-        abscissa = spectral_abscissa_certificate(
-            build_global_error_matrix(model, bal, design).E, 1.0
-        ).abscissa
+        bal, sys_ = error_system(model, UNIT_2CYCLE, design)
+        abscissa = spectral_abscissa_certificate(sys_.E, 1.0).abscissa
         # demanding twice the achieved decay must break the certificate
-        cert = lyapunov_certificate(model, bal, design, alpha=2.0 * abs(abscissa))
+        cert = lyapunov_certificate(sys_, bal.mirror, design.gamma, 2.0 * abs(abscissa))
         assert not cert.passed
         assert cert.margin >= 0
 
@@ -236,7 +232,7 @@ class TestLyapunovCertificate:
         assert_rel_close(sys_.P_blocks, diagonal_blocks(P, n))
         Z = certificate_matrix(sys_, bal.mirror, design.gamma, alpha)
         assert_rel_close(Z, dense)
-        cert = lyapunov_certificate(model, bal, design, alpha=alpha)
+        cert = lyapunov_certificate(sys_, bal.mirror, design.gamma, alpha)
         assert cert.margin == pytest.approx(
             np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1], rel=1e-9
         )
@@ -293,9 +289,7 @@ class TestVerifyDesign:
         model = SystemModel(
             A=np.array([[-2.0, 10.0], [0.0, -2.0]]), outputs=(np.zeros((1, 2)),)
         )
-        node = NodeGains(
-            L=np.zeros((2, 1)), M=np.eye(2), v=0, P_io=np.zeros((0, 0))
-        )
+        node = NodeGains(L=np.zeros((2, 1)), M=np.eye(2), v=0)
         design = ObserverDesign(
             gamma=1.0, epsilon=0.9, alpha=1.0, r=np.ones(1), nodes=(node,)
         )
