@@ -297,9 +297,12 @@ def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
     X = numerics.solve_lyapunov(F, -2.0 * (H_io.T @ H_io))
     w = np.linalg.eigvalsh(X)
     if w[0] <= 1e-10 * max(1.0, w[-1]):
+        cond = w[-1] / w[0] if w[0] > 0 else np.inf
         raise AssumptionViolationError(
-            "observability Gramian of the stabilized block is singular; the "
-            "observable/unobservable split misclassified this block"
+            f"observability Gramian of the stabilized block is singular: "
+            f"cond(X) = {cond:.3g} with v = {v}. Its outputs see its {v} "
+            f"modes too weakly, or the observable/unobservable split "
+            f"misclassified the block"
         )
     L_io = np.linalg.solve(X, H_io.T)
 

@@ -422,23 +422,28 @@ def test_import_loads_no_scipy():
     assert run_probe(f"import sys, observer_kit; print({SCIPY_MODULES})").strip() == "[]"
 
 
-def test_only_synthesize_loads_scipy(tmp_path, capsys):
+# Makes every later `import scipy` in a probe interpreter raise ImportError.
+BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
+
+
+@pytest.mark.parametrize("prelude", ["", BLOCK_SCIPY], ids=["scipy-present", "scipy-blocked"])
+def test_no_command_loads_scipy(tmp_path, prelude):
+    # the runtime needs numpy only; importing scipy.linalg would add about
+    # 0.3 s to a command's start-up
     cfg = str(write_config(
         tmp_path / "readme.json",
         sim={"t_final": 8.0, "dt": 0.001, "fit_window": [2.0, 8.0]},
     ))
     design = str(tmp_path / "design.json")
-    assert main(["synthesize", cfg, "-o", design]) == 0
-    capsys.readouterr()
     argvs = [
         ["check", cfg],
+        ["synthesize", cfg, "-o", design],
         ["verify", cfg, design],
         ["simulate", cfg, design, "-o", str(tmp_path / "trace.csv")],
-        ["synthesize", cfg, "-o", str(tmp_path / "again.json")],
     ]
-    report = json.loads(run_probe(CLI_PROBE, json.dumps(argvs)))
+    report = json.loads(run_probe(prelude + CLI_PROBE, json.dumps(argvs)))
     assert [entry[:2] for entry in report] == [
-        ["check", 0], ["verify", 0], ["simulate", 0], ["synthesize", 0]
+        ["check", 0], ["synthesize", 0], ["verify", 0], ["simulate", 0]
     ]
-    assert [entry[2] for entry in report[:3]] == [[], [], []]
-    assert "scipy.linalg" in report[3][2]
+    if not prelude:
+        assert [entry[2] for entry in report] == [[], [], [], []]

@@ -189,6 +189,40 @@ class TestSolveLyapunov:
         with pytest.raises(SingularEquationError):
             solve_lyapunov(np.diag([-1.0, 1.0]), np.eye(2))
 
+    def test_mixed_sign_spectrum_rejected(self):
+        # non-resonant (no two eigenvalues sum to zero), but not in one half-plane
+        with pytest.raises(SingularEquationError):
+            solve_lyapunov(np.diag([-1.0, 2.0]), np.eye(2))
+
+    @staticmethod
+    def bass_equation(A, H, alpha=1.0):
+        """F and Q as `place_observer_poles` builds them: anti-Hurwitz F."""
+        shift = 1.0 + np.linalg.norm(A, "fro") + 2.0 * alpha
+        return A + shift * np.eye(A.shape[0]), -2.0 * H.T @ H
+
+    def test_anti_hurwitz_matches_kronecker_oracle(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            A = rng.normal(size=(n, n))
+            H = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+            F, Q = self.bass_equation(A, H)
+            P = solve_lyapunov(F, Q)
+            expected = kron_lyapunov_oracle(F, Q)
+            assert np.linalg.norm(P - expected) <= 1e-8 * max(
+                1.0, np.linalg.norm(expected)
+            )
+
+    def test_ill_conditioned_non_normal_anti_hurwitz(self):
+        # Jordan-like coupling on diag(1..4), observed through the first state
+        A = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag(np.ones(3), 1)
+        F, Q = self.bass_equation(A, np.array([[1.0, 0.0, 0.0, 0.0]]))
+        P = solve_lyapunov(F, Q)
+        expected = kron_lyapunov_oracle(F, Q)
+        assert np.linalg.cond(expected) >= 1e6
+        assert np.linalg.norm(P - expected) <= 1e-8 * np.linalg.norm(expected)
+        assert np.linalg.eigvalsh(P)[0] > 0
+
     def test_matches_kronecker_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(100):

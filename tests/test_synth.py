@@ -460,6 +460,15 @@ class TestSynthesize:
         report = verify_design(model, g_net, design)
         assert report.passed and report.lyapunov_passed
 
+    def test_singular_gramian_reports_condition_and_v(self):
+        # one output summing diag(1..5) is observable, but its Bass Gramian
+        # is too ill-conditioned to invert
+        model = SystemModel(A=np.diag([1.0, 2.0, 3.0, 4.0, 5.0]),
+                            outputs=(np.ones((1, 5)), np.zeros((1, 5))))
+        with pytest.raises(AssumptionViolationError,
+                           match=r"singular: cond\(X\) = \d.*e\+\d+ with v = 5\."):
+            synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
+
     def test_wide_mode_spread_certifies(self):
         design = synthesize(SPREAD_MODEL, RING_8, SynthesisParams(alpha=1.0))
         report = verify_design(SPREAD_MODEL, RING_8, design)
