@@ -45,6 +45,14 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _typed(value, kind, name):
+    """value, if it has the JSON type kind: dict (an object) or int (an integer)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an object" if kind is dict else "an integer"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
 def load_config(path):
     """Parse and validate a config file into model, graph and parameters."""
     try:
@@ -57,9 +65,9 @@ def load_config(path):
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
 
-    system = _require(doc, "system", "config")
-    graph_sec = _require(doc, "graph", "config")
-    params_sec = _require(doc, "params", "config")
+    system = _typed(_require(doc, "system", "config"), dict, "system")
+    graph_sec = _typed(_require(doc, "graph", "config"), dict, "graph")
+    params_sec = _typed(_require(doc, "params", "config"), dict, "params")
 
     try:
         A = np.asarray(_require(system, "A", "system"), dtype=float)
@@ -70,12 +78,12 @@ def load_config(path):
         model = SystemModel(A=A, outputs=tuple(outputs))
     except (TypeError, ValueError, NumericalFailureError) as exc:
         raise ConfigError(f"bad system section: {exc}") from exc
-    if "n" in system and int(system["n"]) != model.n:
+    if "n" in system and _typed(system["n"], int, "system.n") != model.n:
         raise ConfigError(
             f"system.n = {system['n']} disagrees with A, which is {model.n}x{model.n}"
         )
 
-    node_count = int(_require(graph_sec, "N", "graph"))
+    node_count = _typed(_require(graph_sec, "N", "graph"), int, "graph.N")
     if node_count != model.node_count:
         raise ConfigError(
             f"graph.N = {node_count} but the system has {model.node_count} output blocks"
@@ -89,7 +97,7 @@ def load_config(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad graph section: {exc}") from exc
 
-    margins = params_sec.get("margins") or {}
+    margins = _typed(params_sec.get("margins") or {}, dict, "params.margins")
     try:
         params = SynthesisParams(
             alpha=float(_require(params_sec, "alpha", "params")),
@@ -103,10 +111,8 @@ def load_config(path):
     if params.g is not None and params.g.shape != (node_count,):
         raise ConfigError(f"params.g must hold {node_count} weights")
 
-    sim_settings = params_sec.get("sim") or {}
-    if not isinstance(sim_settings, dict):
-        raise ConfigError("params.sim must be an object")
-    seed = int(params_sec.get("seed", 0))
+    sim_settings = _typed(params_sec.get("sim") or {}, dict, "params.sim")
+    seed = _typed(params_sec.get("seed", 0), int, "params.seed")
     return LoadedConfig(
         model=model, graph=g_net, params=params,
         sim_settings=sim_settings, seed=seed,
@@ -129,8 +135,8 @@ def build_sim_config(loaded, t_final=None, dt=None, seed=None):
             dt=float(settings["dt"]),
             x0=settings.get("x0"),
             xhat0=settings.get("xhat0"),
-            seed=int(seed if seed is not None else settings.get("seed", loaded.seed)),
-            record_stride=int(settings.get("record_stride", 1)),
+            seed=seed if seed is not None else settings.get("seed", loaded.seed),
+            record_stride=settings.get("record_stride", 1),
             fit_window=tuple(fit_window) if fit_window is not None else None,
         )
     except (TypeError, ValueError) as exc:

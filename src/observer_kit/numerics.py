@@ -11,6 +11,7 @@ Only numpy is used. Importing scipy.linalg would take about 0.3 s, about
 half the start-up of a command-line call.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -96,19 +97,6 @@ def rank(M, rtol=RANK_RTOL):
     return int(np.sum(s > s[0] * max(M.shape) * rtol))
 
 
-def spectral_norm(M):
-    """2-norm of a matrix, as the square root of the largest eigenvalue of M.T M.
-
-    numpy's symmetric eigensolver computes every eigenvalue of M.T M, which
-    is still much cheaper than the full SVD behind ``np.linalg.norm(M, 2)``.
-    """
-    M = as_matrix(M)
-    if M.size == 0:
-        return 0.0
-    gram = M.T @ M
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
-
-
 class Definiteness(NamedTuple):
     """Verdict of a negative-definiteness test plus its eigenvalue margin."""
 
@@ -142,19 +130,21 @@ _SIGN_MAX_STEPS = 50
 _SIGN_STEP_RTOL = 1e-8
 
 
-def _sign_steps(G):
+def _sign_steps(G, lam):
     """Scaled Newton iteration G <- (G/c + c inv(G))/2 towards sign(G).
 
-    Returns the (c_k, inv(G_k)) pairs of every step, with the determinant
-    scaling c_k = |det G_k|^(1/m) (Byers, 1987).
+    Returns the (c_k, inv(G_k)) pairs of every step. The determinant
+    scaling c_k = |det G_k|^(1/m) (Byers, 1987) is the geometric mean of
+    |lam|, the eigenvalues of G_k, which each step maps as it maps G. lam
+    is a list: at a few states numpy's per-call cost would exceed slogdet's.
     """
-    m = G.shape[0]
     steps = []
     for _ in range(_SIGN_MAX_STEPS):
         G_inv = np.linalg.inv(G)
-        c = np.exp(np.linalg.slogdet(G)[1] / m)
+        c = math.exp(sum(math.log(abs(z)) for z in lam) / len(lam))
         steps.append((c, G_inv))
         G_next = (0.5 / c) * G + (0.5 * c) * G_inv
+        lam = [0.5 * (z / c + c / z) for z in lam]
         change = np.linalg.norm(G_next - G)
         G = G_next
         if change <= _SIGN_STEP_RTOL * np.linalg.norm(G):
@@ -215,11 +205,11 @@ def solve_lyapunov(F, Q, residual_rtol=1e-8):
 
     # 2 Re(lam) is the sum of lam and its conjugate; max(1, norm) so that
     # F = 0 is rejected too
-    re = eigenvalues(F).real
+    lam = eigenvalues(F)
     tol = 1e-9 * max(1.0, np.linalg.norm(F, "fro"))
-    if np.all(2.0 * re < -tol):
+    if np.all(2.0 * lam.real < -tol):
         sign = 1.0
-    elif np.all(2.0 * re > tol):
+    elif np.all(2.0 * lam.real > tol):
         sign = -1.0
     else:
         raise SingularEquationError(
@@ -230,7 +220,7 @@ def solve_lyapunov(F, Q, residual_rtol=1e-8):
 
     # G = sign*F is Hurwitz and G.T P + P G = -sign*Q
     try:
-        steps = _sign_steps(sign * F)
+        steps = _sign_steps(sign * F, (sign * lam).tolist())
         P = _sign_solve(steps, sign * Q)
         # one step of iterative refinement; cheap at this scale and shaves
         # an order of magnitude off the residual of hard problems

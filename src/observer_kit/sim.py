@@ -1,30 +1,27 @@
 """Time-domain simulation of the plant coupled with its observer network.
 
-Fixed-step classical Runge-Kutta keeps runs bit-reproducible for a given
-configuration and seed, and makes the comparison against the
-matrix-exponential closed form of the linear error system clean. Ideal
-continuous communication links are assumed throughout; there is no
-measurement noise, packet loss or sampling.
+The dynamics are linear, so each fixed step is exact: the state advances
+by the matrix exponential of dt times the field, whatever dt is, and runs
+are bit-reproducible for a given configuration and seed. Ideal continuous
+communication links are assumed throughout; there is no measurement
+noise, packet loss or sampling.
 
 The run steps the plant state x together with the estimation error
 e = xhat - 1 (x) x rather than the estimates themselves, so e keeps its
 digits while x grows. Its field is blockdiag(A, E), E the error matrix
 `verify` certifies, from the same `verify.error_system`; `rhs` states the
-observer equations behind E. The dynamics are linear, so one RK4 step is
-one fixed step matrix P, and blocks of `_BLOCK` consecutive states
-advance together through a single product with P**_BLOCK. Replacing P
-with the exact propagator expm(dt M) would turn the same loop into an
-exact simulation.
+observer equations behind E. x advances by exp(dt A) and e by exp(dt E),
+`_BLOCK` consecutive states per matrix-matrix product.
 """
 
 import logging
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numerics
 from .errors import DimensionError, DivergenceError, InsufficientDataError
 from .verify import error_system
 
@@ -64,8 +61,11 @@ class SimulationConfig:
             state = getattr(self, name)
             if state is not None and not np.all(np.isfinite(np.asarray(state, dtype=float))):
                 raise ValueError(f"{name} must be finite")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
+        for name, least in (("seed", 0), ("record_stride", 1)):
+            value = getattr(self, name)
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not integral or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if self.fit_window is not None:
             lo, hi = self.fit_window
             if not (0 <= lo < hi <= self.t_final):
@@ -137,18 +137,17 @@ def rhs(state, model, g_net, design):
 
 
 def integrate(config, model, g_net, design):
-    """Fixed-step classical 4th-order Runge-Kutta run of the coupled dynamics.
+    """Exact fixed-step run of the coupled dynamics.
 
-    The run steps y = (x, e), the plant state and the stacked estimation
-    error e = xhat - 1 (x) x, so e keeps its digits while x grows; the
-    recorded estimates are xhat = x + e. In these coordinates the field is
+    The run steps the plant state x and the stacked estimation error
+    e = xhat - 1 (x) x, so e keeps its digits while x grows; the recorded
+    estimates are xhat = x + e. In these coordinates the field is
     blockdiag(A, E), with E the error matrix of `verify.error_system`, so
-    a design `verify` rejects is rejected here with the same error; one
-    RK4 step is the fixed matrix P of `_rk4_step_matrix`.
-    The first `_BLOCK` states are stepped one at a time; each later block
-    of `_BLOCK` states is P**_BLOCK times the previous block, one
-    matrix-matrix product. A block with a non-finite entry is redone one
-    step at a time from the last finite state.
+    a design `verify` rejects is rejected here with the same error. One
+    step multiplies x by exp(dt A) and e by exp(dt E), exact to rounding.
+    The first `_BLOCK` states are stepped one at a time, each later block
+    in one product with the `_BLOCK`-th power of the step; a block with a
+    non-finite entry is redone one step at a time from the last finite one.
 
     Deterministic for fixed inputs and seed. Divergence aborts with
     `DivergenceError` naming the first step whose x or e is non-finite;
@@ -169,34 +168,28 @@ def integrate(config, model, g_net, design):
         xhat0 = rng.uniform(-1.0, 1.0, (N, n))
 
     E = error_system(model, g_net, design)[1].E
-    step_scale = config.dt * numerics.spectral_norm(E)
-    if step_scale > 0.5:
-        warnings.warn(
-            f"dt * ||E|| = {step_scale:.3g} > 0.5; the fixed step may be too "
-            "coarse for this error system",
-            stacklevel=2,
-        )
-
     dt = config.dt
     steps = int(round(config.t_final / dt))
     rec_steps = np.arange(0, steps + 1, config.record_stride)
     if rec_steps[-1] != steps:
         rec_steps = np.append(rec_steps, steps)
 
-    M = np.zeros((n + E.shape[0], n + E.shape[0]))
-    M[:n, :n] = model.A
-    M[n:, n:] = E
     y0 = np.concatenate([x0, (xhat0 - x0).ravel()])
-    ys = _propagate(_rk4_step_matrix(M, dt), y0, rec_steps, dt)
+    # states are rows, so one step is y @ blockdiag(exp(dt A), exp(dt E)).T;
+    # overflow is detected explicitly, so numpy stays quiet on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = [(slice(0, n), _expm(dt * model.A).T), (slice(n, None), _expm(dt * E).T)]
+        ys = _propagate(step, y0, rec_steps, dt)
 
     xs = ys[:, :n].copy()  # a view would keep all of ys alive in the trace
     errors = ys[:, n:].reshape(len(rec_steps), N, n)
+    e_norms = np.linalg.norm(errors, axis=2)
     trace = SimulationTrace(
         times=rec_steps * dt,
         x=xs,
         xhat=xs[:, None, :] + errors,
-        e_norms=np.linalg.norm(errors, axis=2),
-        e_global=np.linalg.norm(ys[:, n:], axis=1),
+        e_norms=e_norms,
+        e_global=np.linalg.norm(e_norms, axis=1),
         fitted_rate=None,
     )
     try:
@@ -207,61 +200,71 @@ def integrate(config, model, g_net, design):
     return replace(trace, fitted_rate=rate)
 
 
-def _rk4_step_matrix(M, h):
-    """P with y_{k+1} = P y_k for one classical RK4 step of y' = M y.
+def _expm(M):
+    """exp(M) by scaling and squaring of its degree-12 Taylor polynomial
+    (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
 
-    P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, in Horner form.
+    M is halved s times, to a 1-norm of at most 0.5. The polynomial in
+    Y = M / 2^s is evaluated from Y^2, Y^3 and Y^4 with Horner steps in
+    Y^4 (Paterson-Stockmeyer), then squared s times.
     """
-    hM = h * M
-    eye = np.eye(M.shape[0])
-    P = eye + hM / 4.0
-    for divisor in (3.0, 2.0, 1.0):
-        P = eye + (hM @ P) / divisor
+    s = max(0, math.frexp(np.linalg.norm(M, 1))[1] + 1)
+    Y = M / 2.0**s
+    Y2 = Y @ Y
+    Y4 = Y2 @ Y2
+    powers = (np.eye(len(M)), Y, Y2, Y2 @ Y)
+    # P = B_0 + Y^4 (B_1 + Y^4 (B_2 + Y^4 / 12!)) with B_j = sum_i Y^i / (4j + i)!
+    B = [sum(Yi / math.factorial(4 * j + i) for i, Yi in enumerate(powers)) for j in range(3)]
+    P = B[0] + Y4 @ (B[1] + Y4 @ (B[2] + Y4 / math.factorial(12)))
+    for _ in range(s):
+        P = P @ P
     return P
 
 
-def _propagate(P, y0, rec_steps, dt):
-    """States y_k = P^k y0 at the ascending steps rec_steps, one per row."""
+def _propagate(step, y0, rec_steps, dt):
+    """States y_k at the ascending steps rec_steps, one per row, where
+    y_{k+1} = _times(y_k, step)."""
     steps = int(rec_steps[-1])
     out = np.empty((len(rec_steps), y0.size))
     width = min(_BLOCK, steps + 1)
-    jump = None
-    start = 0  # step of the first column of block
-    # overflow is detected explicitly; keep numpy quiet on the way there
-    with np.errstate(over="ignore", invalid="ignore"):
-        block = np.column_stack([y0, _step_one_at_a_time(P, y0, 1, width - 1, dt)])
-        while True:
-            lo, hi = np.searchsorted(rec_steps, [start, start + width])
-            out[lo:hi] = block[:, rec_steps[lo:hi] - start].T
-            start += width
-            if start > steps:
-                return out
-            if jump is None:
-                jump = np.linalg.matrix_power(P, width)
-            cols = min(width, steps + 1 - start)
-            following = jump @ block[:, :cols]
-            if not np.isfinite(following).all():
-                following = _step_one_at_a_time(P, block[:, -1], start, cols, dt)
-            block = following
+    start = 0  # step of the first row of block
+    block = np.vstack([y0, _step_one_at_a_time(step, y0, 1, width - 1, dt)])
+    jump = [(cols, np.linalg.matrix_power(T, width)) for cols, T in step]
+    while True:
+        lo, hi = np.searchsorted(rec_steps, [start, start + width])
+        out[lo:hi] = block[rec_steps[lo:hi] - start]
+        start += width
+        if start > steps:
+            return out
+        rows = min(width, steps + 1 - start)
+        following = _times(block[:rows], jump)
+        if not np.isfinite(following).all():
+            following = _step_one_at_a_time(step, block[-1], start, rows, dt)
+        block = following
 
 
-def _step_one_at_a_time(P, y, start, count, dt):
-    """States start, ..., start + count - 1 as columns, stepped one at a
-    time from y, the state at step start - 1.
+def _times(y, parts):
+    """y, one state per row, times the block-diagonal matrix of (columns, block) parts."""
+    return np.concatenate([y[..., cols] @ T for cols, T in parts], axis=-1)
+
+
+def _step_one_at_a_time(step, y, start, count, dt):
+    """States start, ..., start + count - 1 as rows, stepped one at a time
+    from y, the state at step start - 1.
 
     Raises `DivergenceError` at the first step with a non-finite entry.
     """
-    block = np.empty((y.size, count))
-    for col in range(count):
-        y = P @ y
+    block = np.empty((count, y.size))
+    for row in range(count):
+        y = _times(y, step)
         if not np.isfinite(y).all():
-            k = start + col
+            k = start + row
             raise DivergenceError(
                 f"state became non-finite at step {k} (t = {k * dt:.6g})",
                 step=k,
                 time=k * dt,
             )
-        block[:, col] = y
+        block[row] = y
     return block
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import observer_kit
+from conftest import random_partial_model, random_sc_digraph
 from observer_kit.cli import main
 
 
@@ -103,6 +104,25 @@ class TestCheck:
         doc["system"]["n"] = 5
         cfg.write_text(json.dumps(doc))
         assert main(["check", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("params", "seed", "abc"), ("params", "seed", None), ("params", "seed", True),
+         ("graph", "N", "two"), ("graph", "N", [2]), ("system", "n", "two"),
+         (None, "params", [1]), ("params", "margins", [1])],
+        ids=["seed-string", "seed-null", "seed-bool", "N-string", "N-list", "n-string",
+             "params-list", "margins-list"],
+    )
+    def test_config_of_wrong_type(self, tmp_path, design_path, command, section, key, value):
+        doc = json.loads(write_config(tmp_path / "base.json").read_text())
+        (doc if section is None else doc[section])[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [command, str(cfg)]
+        if command == "simulate":
+            argv += [str(design_path), "-o", str(tmp_path / "t.csv")]
+        assert main(argv) == 3
 
     @pytest.mark.parametrize("command", ["check", "synthesize"])
     @pytest.mark.parametrize(
@@ -245,9 +265,7 @@ class TestVerify:
         )
         out = tmp_path / "d.json"
         assert main(["synthesize", str(cfg), "-o", str(out)]) == 0
-        # node 0's gain has norm 1.6e5, so the step-size check warns
-        with pytest.warns(UserWarning, match="too coarse"):
-            assert verify_and_simulate(cfg, out, tmp_path) == [0, 0]
+        assert verify_and_simulate(cfg, out, tmp_path) == [0, 0]
 
     @pytest.mark.parametrize(
         "scalars",
@@ -335,6 +353,45 @@ class TestSimulate:
         cfg = write_config(tmp_path / "cfg.json", sim=sim)
         code = main(["simulate", str(cfg), str(design_path), "-o", str(tmp_path / "t.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv, sim, seed",
+        [(["--seed", "-1"], None, 7), ([], None, -1), ([], {"record_stride": 2.5}, 7),
+         ([], {"seed": 1.5}, 7)],
+        ids=["seed-flag-negative", "config-seed-negative", "record-stride-2.5",
+             "sim-seed-1.5"],
+    )
+    def test_bad_seed_or_stride(self, tmp_path, design_path, argv, sim, seed):
+        cfg = write_config(tmp_path / "cfg.json", sim=sim, seed=seed)
+        code = main([
+            "simulate", str(cfg), str(design_path), "-o", str(tmp_path / "t.csv"), *argv
+        ])
+        assert code == 3
+
+    def test_certified_ladder_rung_past_runge_kutta_limit(self, tmp_path, capsys):
+        # the seed-1 n = N = 30 partial instance certifies with
+        # dt * rho(E) = 3.19 at the default dt, where classical RK4 diverged
+        rng = np.random.default_rng(1)
+        g_net = random_sc_digraph(rng, 30)
+        model = random_partial_model(rng, 30, 30)
+        cfg = write_config(
+            tmp_path / "rung30.json",
+            A=model.A.tolist(),
+            outputs=[H.tolist() for H in model.outputs],
+            edges=[
+                {"from": int(src), "to": int(dst), "weight": float(g_net.adjacency[dst, src])}
+                for dst, src in zip(*np.nonzero(g_net.adjacency))
+            ],
+            n_nodes=30,
+            seed=1,
+        )
+        design = tmp_path / "d.json"
+        assert main(["synthesize", str(cfg), "-o", str(design)]) == 0
+        assert main(["verify", str(cfg), str(design)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", str(cfg), str(design), "-o", str(tmp_path / "t.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["fitted_rate"] >= 0.95 * summary["alpha"]
 
     def test_state_columns_flag(self, config_path, design_path, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

@@ -6,6 +6,7 @@ from observer_kit.errors import (
     NumericalFailureError,
     SingularEquationError,
 )
+from observer_kit import numerics
 from observer_kit.numerics import (
     eigenvalues,
     is_negative_definite,
@@ -13,7 +14,6 @@ from observer_kit.numerics import (
     orthonormal_row_space_basis,
     rank,
     solve_lyapunov,
-    spectral_norm,
     svd,
 )
 
@@ -137,16 +137,6 @@ class TestSvdAndRank:
         assert rank(np.eye(3)) == 3
         assert rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
 
-    def test_spectral_norm_matches_largest_singular_value(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            m, n = rng.integers(1, 8, 2)
-            M = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3, 3)
-            expected = np.linalg.norm(M, 2)
-            assert abs(spectral_norm(M) - expected) <= 1e-12 * expected
-        assert spectral_norm(np.zeros((3, 3))) == 0.0
-        assert spectral_norm(np.zeros((0, 0))) == 0.0
-
 
 class TestDefiniteness:
     def test_negative_identity(self):
@@ -222,6 +212,24 @@ class TestSolveLyapunov:
         assert np.linalg.cond(expected) >= 1e6
         assert np.linalg.norm(P - expected) <= 1e-8 * np.linalg.norm(expected)
         assert np.linalg.eigvalsh(P)[0] > 0
+
+    def test_scaling_keeps_wide_spectra_to_few_steps(self, monkeypatch):
+        # eigenvalues over six decades: unscaled Newton needs 25 steps here,
+        # the determinant-scaled iteration 8
+        counts = []
+        real_steps = numerics._sign_steps
+
+        def spy(*args):
+            steps = real_steps(*args)
+            counts.append(len(steps))
+            return steps
+
+        monkeypatch.setattr(numerics, "_sign_steps", spy)
+        F = -np.diag([1.0, 1e3, 1e6]) + np.triu(np.ones((3, 3)), 1)
+        P = solve_lyapunov(F, np.eye(3))
+        expected = kron_lyapunov_oracle(F, np.eye(3))
+        assert np.linalg.norm(P - expected) <= 1e-8 * np.linalg.norm(expected)
+        assert counts == [8]
 
     def test_matches_kronecker_oracle(self):
         rng = np.random.default_rng(4)
