@@ -90,7 +90,11 @@ def load_config(path):
         )
     try:
         edges = [
-            (int(e["from"]), int(e["to"]), float(e["weight"]))
+            (
+                _typed(e["from"], int, "edge 'from'"),
+                _typed(e["to"], int, "edge 'to'"),
+                float(e["weight"]),
+            )
             for e in _require(graph_sec, "edges", "graph")
         ]
         g_net = Digraph.from_edges(node_count, edges)

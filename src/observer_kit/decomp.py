@@ -118,6 +118,15 @@ def decompose_node(H, A, rtol=numerics.RANK_RTOL):
     the kernel and the observable sub-pair actually observable by a rank
     recheck.
 
+    A plant coordinate whose column of the observability matrix is exactly
+    zero, one the node never sees, is a unit column of T2, and the SVD
+    covers the other columns only (`numerics.orthonormal_row_space_basis`).
+    No column of T then mixes it with the seen coordinates, which keeps the
+    gains free of the 1e-17 entries that would couple it to them and lets
+    `verify` and `compute_epsilon` split the network along coordinate
+    groups. A pair with no zero column keeps the SVD basis of the whole
+    matrix.
+
     The fully observable (v = n) and fully unobservable (v = 0, i.e. H = 0)
     cases are both admitted; the corresponding blocks come back empty.
     """

@@ -54,23 +54,35 @@ def is_symmetric(M, rtol=SYMMETRY_RTOL):
     return np.linalg.norm(M - M.T, "fro") <= rtol * scale
 
 
-def eigenvalues(M):
-    """Eigenvalues of a square matrix, with algebraic multiplicity.
+def _as_squares(M, name="matrix"):
+    """Coerce to a finite float square matrix or (k, m, m) stack of them."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise DimensionError(f"{name} must be square or a stack of squares, got shape {M.shape}")
+    if M.size and not np.isfinite(M).all():
+        raise NumericalFailureError(f"{name} contains non-finite entries")
+    return M
 
-    Symmetric input (relative asymmetry below ``SYMMETRY_RTOL``) is routed
-    to the symmetric solver and yields a real array in ascending order.
-    General input yields a complex array in no particular order.
+
+def eigenvalues(M):
+    """Eigenvalues of a square matrix, or of each matrix of a (k, m, m)
+    stack, with algebraic multiplicity.
+
+    Input whose every matrix is symmetric (relative asymmetry below
+    ``SYMMETRY_RTOL``) is routed to the symmetric solver and yields real
+    values in ascending order. General input yields complex values in no
+    particular order.
     """
-    M = as_square(M)
+    M = _as_squares(M)
     if M.size == 0:
-        return np.zeros(0)
+        return np.zeros(M.shape[:-1])
     try:
-        if is_symmetric(M):
-            return np.linalg.eigvalsh(0.5 * (M + M.T))
+        if all(map(is_symmetric, M if M.ndim == 3 else [M])):
+            return np.linalg.eigvalsh(0.5 * (M + M.swapaxes(-1, -2)))
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
-            f"eigenvalue iteration failed on {M.shape[0]}x{M.shape[1]} input: {exc}"
+            f"eigenvalue iteration failed on input of shape {M.shape}: {exc}"
         ) from exc
 
 
@@ -107,15 +119,17 @@ class Definiteness(NamedTuple):
 def is_negative_definite(M):
     """Test whether the symmetric part of M is negative definite.
 
-    The input is symmetrized as (M + M.T)/2 before testing, which removes
-    spurious asymmetry from accumulated rounding. Returns a `Definiteness`
-    with the verdict and the largest eigenvalue as certificate margin.
+    M is a square matrix or a (k, m, m) stack, negative definite when
+    every matrix of it is. The input is symmetrized as (M + M.T)/2 before
+    testing, which removes spurious asymmetry from accumulated rounding.
+    Returns a `Definiteness` with the verdict and the largest eigenvalue
+    as certificate margin.
     """
-    M = as_square(M)
+    M = _as_squares(M)
     if M.size == 0:
         return Definiteness(True, -np.inf)
-    w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    margin = float(w[-1])
+    w = np.linalg.eigvalsh(0.5 * (M + M.swapaxes(-1, -2)))
+    margin = float(w[..., -1].max())
     return Definiteness(margin < 0.0, margin)
 
 
@@ -247,16 +261,28 @@ def orthonormal_row_space_basis(M, rtol=RANK_RTOL):
 
     Returns (B1, B2) where the columns of B1 span im M.T, the columns of
     B2 span ker M, and [B1 B2] is square orthogonal. B1 has rank(M)
-    columns; either block may be empty.
+    columns; either block may be empty. A coordinate whose column of M is
+    exactly zero lies in the kernel: it becomes a unit column at the end
+    of B2, and the SVD is taken of the other columns only, so no basis
+    vector mixes it with the coordinates M sees. Without such columns
+    [B1 B2] is the right singular basis of M itself.
     """
     M = as_matrix(M)
-    U, s, Vt = svd(M)
+    seen = M.any(axis=0)
+    every = seen.all()
+    U, s, Vt = svd(M if every else M[:, seen])
     if s.size == 0 or s[0] == 0.0:
         r, thresh = 0, 0.0
     else:
         thresh = s[0] * max(M.shape) * rtol
         r = int(np.sum(s > thresh))
-    V = Vt.T
+    if every:
+        V = Vt.T
+    else:
+        n, k = M.shape[1], len(Vt)
+        V = np.zeros((n, n))
+        V[np.flatnonzero(seen), :k] = Vt.T
+        V[np.flatnonzero(~seen), k:] = np.eye(n - k)
     B1, B2 = V[:, :r], V[:, r:]
     if B2.size:
         kernel_residual = np.linalg.norm(M @ B2, "fro")
@@ -265,3 +291,60 @@ def orthonormal_row_space_basis(M, rtol=RANK_RTOL):
                 f"kernel basis residual {kernel_residual:.3e} above tolerance"
             )
     return B1, B2
+
+
+def coordinate_groups(*stacks):
+    """Coordinates 0..n-1 split into the groups that the (N, n, n) stacks
+    never couple.
+
+    Coordinates j and k are linked when some matrix of some stack has a
+    nonzero entry at (j, k) or (k, j); the groups are the connected
+    components of that relation, found by squaring the boolean
+    reachability matrix until it stops changing. After one permutation of
+    its rows and columns every matrix of the stacks is block diagonal,
+    one block per group, exactly.
+
+    Returns one (k, m) integer array per group size m, ascending in m,
+    whose k rows are the groups of that size, each in ascending order. A
+    single group comes back as [arange(n)[None]].
+    """
+    n = stacks[0].shape[-1]
+    reach = np.concatenate(stacks).any(axis=0)
+    if reach.all():
+        return [np.arange(n)[None]]
+    reach |= reach.T | np.eye(n, dtype=bool)
+    # reach @ reach holds reach, so an equal count means no new link
+    while np.count_nonzero(wider := reach @ reach) > np.count_nonzero(reach):
+        reach = wider
+    # one row per group: the row of its first coordinate
+    members = reach[reach.argmax(axis=1) == np.arange(n)]
+    sizes = members.sum(axis=1)
+    return [np.nonzero(members[sizes == m])[1].reshape(-1, m) for m in sorted(set(sizes.tolist()))]
+
+
+def restrict(stack, idx):
+    """Each matrix of the (N, n, n) stack restricted to each group, a row
+    of the (k, m) array idx, as an (N, k, m, m) array. A single group is a
+    view of the whole stack."""
+    if idx.shape[1] == stack.shape[-1]:
+        return stack[:, None]
+    return stack[:, idx[:, :, None], idx[:, None, :]]
+
+
+def coupled_blocks(diagonal, W, C, scale):
+    """Stack of k block matrices of N x N blocks of size m: block (i, j)
+    of matrix c is delta_ij diagonal[i, c] - scale * W_ij C[i, c].
+
+    diagonal is (N, k, m, m), W is N x N and C broadcasts to
+    (N, k, m, m). Returns a (k, Nm, Nm) array.
+
+    The diagonal blocks are placed first and the coupling subtracted
+    after: the other order flips the sign of the zero entries, and eig's
+    Householder steps follow that sign into the last digits.
+    """
+    N, k, m = diagonal.shape[:3]
+    out = np.zeros((k, N, m, N, m))
+    nodes = np.arange(N)
+    out[:, nodes, :, nodes, :] = diagonal
+    out -= scale * (W[:, None, :, None] * np.swapaxes(C, 0, 1)[:, :, :, None, :])
+    return out.reshape(k, N * m, N * m)

@@ -10,8 +10,10 @@ The run steps the plant state x together with the estimation error
 e = xhat - 1 (x) x rather than the estimates themselves, so e keeps its
 digits while x grows. Its field is blockdiag(A, E), E the error matrix
 `verify` certifies, from the same `verify.error_system`; `rhs` states the
-observer equations behind E. x advances by exp(dt A) and e by exp(dt E),
-`_BLOCK` consecutive states per matrix-matrix product.
+observer equations behind E. x advances by exp(dt A) and e, one
+coordinate group of the error system at a time, by exp(dt E_g), E_g the
+group's block of E, `_BLOCK` consecutive states per matrix-matrix
+product. A dense plant is a single group, stepped by exp(dt E).
 """
 
 import logging
@@ -83,18 +85,24 @@ class SimulationConfig:
 class SimulationTrace:
     """Recorded samples of one run.
 
-    e_norms[k, i] is the estimation error norm of node i at times[k];
-    e_global stacks all nodes. fitted_rate is the negated least-squares
-    slope of log ||e|| over the fit window, or None when the error was
-    identically (numerically) zero there.
+    x[k] is the plant state and e[k, i] the estimation error of node i at
+    times[k]; the estimates xhat = x + e are formed only when read.
+    e_norms[k, i] is the norm of e[k, i]; e_global stacks all nodes.
+    fitted_rate is the negated least-squares slope of log ||e|| over the
+    fit window, or None when the error was identically (numerically) zero
+    there.
     """
 
     times: np.ndarray
     x: np.ndarray
-    xhat: np.ndarray
+    e: np.ndarray
     e_norms: np.ndarray
     e_global: np.ndarray
     fitted_rate: float | None
+
+    @property
+    def xhat(self):
+        return self.x[:, None, :] + self.e
 
 
 def rhs(state, model, g_net, design):
@@ -140,14 +148,16 @@ def integrate(config, model, g_net, design):
     """Exact fixed-step run of the coupled dynamics.
 
     The run steps the plant state x and the stacked estimation error
-    e = xhat - 1 (x) x, so e keeps its digits while x grows; the recorded
-    estimates are xhat = x + e. In these coordinates the field is
-    blockdiag(A, E), with E the error matrix of `verify.error_system`, so
-    a design `verify` rejects is rejected here with the same error. One
-    step multiplies x by exp(dt A) and e by exp(dt E), exact to rounding.
-    The first `_BLOCK` states are stepped one at a time, each later block
-    in one product with the `_BLOCK`-th power of the step; a block with a
-    non-finite entry is redone one step at a time from the last finite one.
+    e = xhat - 1 (x) x, so e keeps its digits while x grows; the trace
+    keeps e and forms the estimates xhat = x + e only when they are read.
+    In these coordinates the field is blockdiag(A, E), with E the error
+    matrix of `verify.error_system`, so a design `verify` rejects is
+    rejected here with the same error. One step multiplies x by exp(dt A)
+    and the error rows of each coordinate group by exp(dt E_g), E_g its
+    block of E, exact to rounding. The first `_BLOCK` states are stepped
+    one at a time, each later block in one product with the `_BLOCK`-th
+    power of the step; a block with a non-finite entry is redone one step
+    at a time from the last finite one.
 
     Deterministic for fixed inputs and seed. Divergence aborts with
     `DivergenceError` naming the first step whose x or e is non-finite;
@@ -167,7 +177,7 @@ def integrate(config, model, g_net, design):
     else:
         xhat0 = rng.uniform(-1.0, 1.0, (N, n))
 
-    E = error_system(model, g_net, design)[1].E
+    err_sys = error_system(model, g_net, design)[1]
     dt = config.dt
     steps = int(round(config.t_final / dt))
     rec_steps = np.arange(0, steps + 1, config.record_stride)
@@ -175,19 +185,24 @@ def integrate(config, model, g_net, design):
         rec_steps = np.append(rec_steps, steps)
 
     y0 = np.concatenate([x0, (xhat0 - x0).ravel()])
-    # states are rows, so one step is y @ blockdiag(exp(dt A), exp(dt E)).T;
+    # states are rows, so one step is y @ blockdiag(exp(dt A), exp(dt E_g), ...).T;
     # overflow is detected explicitly, so numpy stays quiet on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        step = [(slice(0, n), _expm(dt * model.A).T), (slice(n, None), _expm(dt * E).T)]
+        step = [(np.arange(n)[None], _expm(dt * model.A[None]).transpose(0, 2, 1))]
+        step += [
+            (n + rows, _expm(dt * blocks).transpose(0, 2, 1))
+            for rows, blocks in zip(err_sys.group_rows(), err_sys.E_blocks)
+        ]
         ys = _propagate(step, y0, rec_steps, dt)
 
     xs = ys[:, :n].copy()  # a view would keep all of ys alive in the trace
     errors = ys[:, n:].reshape(len(rec_steps), N, n)
-    e_norms = np.linalg.norm(errors, axis=2)
+    # einsum sums the squares without the full-size temporary of np.linalg.norm
+    e_norms = np.sqrt(np.einsum("kij,kij->ki", errors, errors))
     trace = SimulationTrace(
         times=rec_steps * dt,
         x=xs,
-        xhat=xs[:, None, :] + errors,
+        e=errors,
         e_norms=e_norms,
         e_global=np.linalg.norm(e_norms, axis=1),
         fitted_rate=None,
@@ -202,17 +217,18 @@ def integrate(config, model, g_net, design):
 
 def _expm(M):
     """exp(M) by scaling and squaring of its degree-12 Taylor polynomial
-    (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+    (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), for a square matrix
+    or each matrix of a (k, m, m) stack.
 
-    M is halved s times, to a 1-norm of at most 0.5. The polynomial in
-    Y = M / 2^s is evaluated from Y^2, Y^3 and Y^4 with Horner steps in
-    Y^4 (Paterson-Stockmeyer), then squared s times.
+    M is halved s times, to a 1-norm of at most 0.5 for every matrix of
+    it. The polynomial in Y = M / 2^s is evaluated from Y^2, Y^3 and Y^4
+    with Horner steps in Y^4 (Paterson-Stockmeyer), then squared s times.
     """
-    s = max(0, math.frexp(np.linalg.norm(M, 1))[1] + 1)
+    s = max(0, math.frexp(np.max(np.sum(np.abs(M), axis=-2)))[1] + 1)
     Y = M / 2.0**s
     Y2 = Y @ Y
     Y4 = Y2 @ Y2
-    powers = (np.eye(len(M)), Y, Y2, Y2 @ Y)
+    powers = (np.eye(M.shape[-1]), Y, Y2, Y2 @ Y)
     # P = B_0 + Y^4 (B_1 + Y^4 (B_2 + Y^4 / 12!)) with B_j = sum_i Y^i / (4j + i)!
     B = [sum(Yi / math.factorial(4 * j + i) for i, Yi in enumerate(powers)) for j in range(3)]
     P = B[0] + Y4 @ (B[1] + Y4 @ (B[2] + Y4 / math.factorial(12)))
@@ -244,8 +260,16 @@ def _propagate(step, y0, rec_steps, dt):
 
 
 def _times(y, parts):
-    """y, one state per row, times the block-diagonal matrix of (columns, block) parts."""
-    return np.concatenate([y[..., cols] @ T for cols, T in parts], axis=-1)
+    """States y, one per row, times the block-diagonal matrix of the parts.
+
+    Each part is (cols, T): cols is a (k, m) array of state indices and T
+    a (k, m, m) stack, and row r of the result holds y[r, cols[c]] @ T[c]
+    at the indices cols[c]. The parts' indices cover every column once.
+    """
+    out = np.empty_like(y)
+    for cols, T in parts:
+        out[:, cols] = np.swapaxes(np.swapaxes(y[:, cols], 0, 1) @ T, 0, 1)
+    return out
 
 
 def _step_one_at_a_time(step, y, start, count, dt):
@@ -255,6 +279,7 @@ def _step_one_at_a_time(step, y, start, count, dt):
     Raises `DivergenceError` at the first step with a non-finite entry.
     """
     block = np.empty((count, y.size))
+    y = y[None]
     for row in range(count):
         y = _times(y, step)
         if not np.isfinite(y).all():
@@ -264,7 +289,7 @@ def _step_one_at_a_time(step, y, start, count, dt):
                 step=k,
                 time=k * dt,
             )
-        block[row] = y
+        block[row] = y[0]
     return block
 
 

@@ -154,11 +154,17 @@ def _sym(M):
 def compute_epsilon(decomps, balanced, g=None, margin=0.9):
     """Positive lower bound for the coordinate-rotated mirror coupling.
 
-    Forms S = T.T (mirror x I_n) T + G with T the block diagonal of the
-    per-node orthogonal transforms and G the block diagonal of
-    diag(g_i I_{v_i}, 0), see `coupling_matrix`. Joint observability
-    together with strong connectivity makes S positive definite; the
-    returned bound is ``margin * lambda_min(S)``.
+    The bound is ``margin * lambda_min(S)`` for S = T.T (mirror x I_n) T
+    + G, with T the block diagonal of the per-node orthogonal transforms
+    and G the block diagonal of diag(g_i I_{v_i}, 0). T is orthogonal, so
+    S has the eigenvalues of T S T.T = mirror x I_n + blockdiag(g_i Pi_i),
+    Pi_i = T_i1 T_i1.T the projector onto node i's observable subspace.
+    That matrix couples coordinate k of one node only to coordinate k of
+    the others and, through the Pi_i, only inside the coordinate groups of
+    `numerics.coordinate_groups`; lambda_min is the smallest over one
+    eigenvalue problem of size N |g| per group g, and a dense plant is a
+    single group of size n. Joint observability together with strong
+    connectivity makes S positive definite.
 
     Raises `AssumptionViolationError` when lambda_min(S) is not safely
     positive, which signals that one of the two standing assumptions
@@ -173,31 +179,22 @@ def compute_epsilon(decomps, balanced, g=None, margin=0.9):
     # zero weights are admitted here so the lambda_min check below can
     # report the degenerate case; the pipeline itself requires g > 0
 
-    S = coupling_matrix(decomps, balanced.mirror, g)
-    lam_min = float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+    projectors = np.stack([d.T1 @ d.T1.T for d in decomps])
+    weighted = g[:, None, None] * projectors
+    lam_min = math.inf
+    for idx in numerics.coordinate_groups(projectors):
+        unit = np.eye(idx.shape[1])[None, None]
+        S = numerics.coupled_blocks(
+            numerics.restrict(weighted, idx), balanced.mirror, unit, -1.0
+        )
+        S = 0.5 * (S + np.swapaxes(S, -1, -2))
+        lam_min = min(lam_min, float(np.min(np.linalg.eigvalsh(S)[:, 0])))
     if lam_min <= 1e-12:
         raise AssumptionViolationError(
             f"coupling bound failed: lambda_min = {lam_min:.3e}; joint "
             "observability or strong connectivity does not hold numerically"
         )
     return margin * lam_min
-
-
-def coupling_matrix(decomps, mirror, g):
-    """The matrix S = T.T (mirror x I_n) T + G of `compute_epsilon`.
-
-    Assembled block by block: S_ij = mirror_ij * T_i.T T_j, plus g_i on
-    the first v_i diagonal entries of block i. All the products T_i.T T_j
-    come from one (nN x n)(n x nN) product, so the cost is O(n (nN)^2)
-    rather than the (nN)^3 of multiplying out the block-diagonal and
-    Kronecker factors.
-    """
-    n = decomps[0].n
-    T_row = np.hstack([d.T for d in decomps])
-    S = (T_row.T @ T_row) * np.kron(mirror, np.ones((n, n)))
-    observable = np.concatenate([np.arange(n) < d.v for d in decomps])
-    S[np.diag_indices_from(S)] += np.repeat(g, n) * observable
-    return S
 
 
 def _min_coupling_budget(A_iu, A_ir, floor=BUDGET_FLOOR):

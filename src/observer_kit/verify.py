@@ -13,6 +13,16 @@ false, abscissa pass); the reverse disagreement would mean one of the
 two computations is wrong and is treated as a hard error.
 `error_system` reads and builds the error matrix for both
 `verify_design` and `sim`.
+
+Neither certificate forms a dense nN x nN matrix. The graph couples each
+plant coordinate only to the same coordinate of the other nodes, so the
+error matrix and the quadratic form split exactly into one block per
+group of coordinates that no Lambda_i, M_i or inv(M_i) couples; the
+groups are read off the design's own gains, so a design file cannot buy
+itself a split. The abscissa is the largest over the blocks and the
+Lyapunov margin the largest eigenvalue over them, one eigenvalue problem
+of size N |g| per group g, in one stacked call per group size. A dense
+plant is a single group.
 """
 
 from dataclasses import dataclass
@@ -34,17 +44,49 @@ class GlobalErrorSystem:
     """Stacked error dynamics e' = E e of the networked observer.
 
     E = blockdiag(Lambda_i) - gamma * blockdiag(M_i) @ kron(R L, I_n) is
-    dense nN x nN, with Lambda_i = A - L_i H_i, M_i the consensus
-    weightings and R the balancing of the graph Laplacian L. The (N, n, n)
-    stacks Lambda_blocks and P_blocks hold the Lambda_i and the inverted
-    weightings P_i, the blocks of the certificate's quadratic form.
-    Building the system costs O((nN)^2) plus N small inversions.
+    nN x nN, with Lambda_i = A - L_i H_i, M_i the consensus weightings
+    and R the balancing of the graph Laplacian L. The graph couples
+    coordinate k of one node only to coordinate k of the others, so E
+    splits exactly along the coordinate groups that no Lambda_i, M_i or
+    P_i = inv(M_i) couples (`numerics.coordinate_groups`): group g owns
+    the N |g| rows (i, k), k in g, node-major, and E has no entry between
+    two groups. groups[c] is a (k, m) array of the k groups of size m and
+    E_blocks[c] the (k, Nm, Nm) stack of their diagonal blocks of E. A
+    dense plant is one group, whose block is E itself.
+
+    The (N, n, n) stacks Lambda_blocks and P_blocks hold the Lambda_i and
+    the symmetrized P_i, the blocks of the certificate's quadratic form.
+    Building the system costs O(sum_g (N |g|)^2) plus N small inversions.
     """
 
-    E: np.ndarray
+    E_blocks: tuple
+    groups: tuple
     Lambda_blocks: np.ndarray
     P_blocks: np.ndarray
     condition_numbers: tuple
+
+    def group_rows(self):
+        """One (k, Nm) array per entry of groups: the rows of E that each
+        group owns, in the order of its block."""
+        N, n = self.Lambda_blocks.shape[:2]
+        return [
+            (n * np.arange(N)[:, None] + idx[:, None, :]).reshape(len(idx), -1)
+            for idx in self.groups
+        ]
+
+    def dense(self, blocks):
+        """The nN x nN matrix with the given group blocks, one stack per
+        entry of groups as in E_blocks, and zeros between groups."""
+        N, n = self.Lambda_blocks.shape[:2]
+        out = np.zeros((N * n, N * n))
+        for rows, stack in zip(self.group_rows(), blocks):
+            out[rows[:, :, None], rows[:, None, :]] = stack
+        return out
+
+    @property
+    def E(self):
+        """The dense nN x nN error matrix."""
+        return self.dense(self.E_blocks)
 
 
 def _check_compatible(model, design):
@@ -67,9 +109,10 @@ def build_global_error_matrix(model, balanced, design):
 
     Block (i, j) of E is delta_ij (A - L_i H_i) - gamma (R L)_ij M_i,
     formed directly from the blocks instead of multiplying blockdiag(M_i)
-    by kron(R L, I_n). The coupling term uses the balancing weights
-    recomputed from the graph, which is what makes the result depend on
-    the graph only through the product R L.
+    by kron(R L, I_n), and only inside each coordinate group of Lambda_i,
+    M_i and P_i. The coupling term uses the balancing weights recomputed
+    from the graph, which is what makes the result depend on the graph
+    only through the product R L.
     """
     _check_compatible(model, design)
     if balanced.laplacian.shape[0] != design.node_count:
@@ -77,20 +120,20 @@ def build_global_error_matrix(model, balanced, design):
     Lambda_blocks = np.stack(
         [model.A - node.L @ H for node, H in zip(design.nodes, model.outputs)]
     )
-    N, n = design.node_count, model.n
     Ms = np.stack([node.M for node in design.nodes])
-    RL = balanced.R @ balanced.laplacian
-    # Lambda_i first (through a 4-d view of E), coupling subtracted after:
-    # the other order flips the sign of E's zero entries, and eig's
-    # Householder steps follow that sign into the last digits
-    E = np.zeros((N * n, N * n))
-    nodes = np.arange(N)
-    E.reshape(N, n, N, n)[nodes, :, nodes, :] = Lambda_blocks
-    E -= design.gamma * (RL[:, None, :, None] * Ms[:, :, None, :]).reshape(E.shape)
-
     P = np.linalg.inv(Ms)
+    P = 0.5 * (P + P.transpose(0, 2, 1))
+    groups = numerics.coordinate_groups(Lambda_blocks, Ms, P)
+    RL = balanced.R @ balanced.laplacian
+    E_blocks = tuple(
+        numerics.coupled_blocks(
+            numerics.restrict(Lambda_blocks, idx), RL, numerics.restrict(Ms, idx),
+            design.gamma,
+        )
+        for idx in groups
+    )
     conds = tuple(np.linalg.cond(Ms).tolist())
-    return GlobalErrorSystem(E, Lambda_blocks, 0.5 * (P + P.transpose(0, 2, 1)), conds)
+    return GlobalErrorSystem(E_blocks, tuple(groups), Lambda_blocks, P, conds)
 
 
 def error_system(model, g_net, design):
@@ -125,9 +168,15 @@ class AbscissaCertificate(NamedTuple):
 
 
 def spectral_abscissa_certificate(E, alpha, tol=ABSCISSA_TOL):
-    """Ground-truth decay check: max Re eig(E) <= -alpha + tol."""
-    E = numerics.as_square(E, "E")
-    abscissa = float(np.max(numerics.eigenvalues(E).real))
+    """Ground-truth decay check: max Re eig(E) <= -alpha + tol.
+
+    E is the error matrix or, as `verify_design` passes it, the sequence
+    `GlobalErrorSystem.E_blocks` of the group blocks that E is
+    permutation-similar to the block diagonal of; the abscissa is then
+    the largest over all blocks.
+    """
+    blocks = [E] if isinstance(E, np.ndarray) else E
+    abscissa = max(float(np.max(numerics.eigenvalues(B).real)) for B in blocks)
     return AbscissaCertificate(abscissa <= -alpha + tol, abscissa)
 
 
@@ -141,34 +190,42 @@ def lyapunov_certificate(err_sys, mirror, gamma, alpha):
     """Quadratic-form certificate of decay rate alpha for an error system.
 
     Builds Z = P Lambda + Lambda.T P - gamma * kron(mirror, I_n) + 2*alpha*P
-    (see `certificate_matrix`) from the blocks of ``err_sys``, as built by
+    (see `certificate_blocks`) from the blocks of ``err_sys``, as built by
     `error_system`: P is the block diagonal of the inverted consensus
     weightings inv(M_i), and mirror is the mirror of the balanced graph.
-    Z is tested for negative definiteness. The per-node condition numbers
-    of the weightings are reported so a near-singular inversion is visible.
+    Z is tested for negative definiteness, one block per coordinate group
+    of ``err_sys``; its margin is the largest eigenvalue over all blocks.
+    The per-node condition numbers of the weightings are reported so a
+    near-singular inversion is visible.
     """
-    verdict = numerics.is_negative_definite(
-        certificate_matrix(err_sys, mirror, gamma, alpha)
-    )
-    return LyapunovCertificate(
-        verdict.is_negative_definite, verdict.margin, err_sys.condition_numbers
-    )
+    verdicts = [
+        numerics.is_negative_definite(Z)
+        for Z in certificate_blocks(err_sys, mirror, gamma, alpha)
+    ]
+    margin = max(v.margin for v in verdicts)
+    return LyapunovCertificate(margin < 0.0, margin, err_sys.condition_numbers)
 
 
-def certificate_matrix(err_sys, mirror, gamma, alpha):
-    """The matrix Z of the Lyapunov certificate, assembled block by block.
+def certificate_blocks(err_sys, mirror, gamma, alpha):
+    """The matrix Z of the Lyapunov certificate, one block per coordinate group.
 
     Z_ij = delta_ij (P_i Lambda_i + Lambda_i.T P_i + 2*alpha*P_i)
     - gamma * mirror_ij * I_n, with P_i and Lambda_i read from
-    ``err_sys.P_blocks`` and ``err_sys.Lambda_blocks``. Only N products of
-    n x n blocks are formed, never a product of nN x nN matrices.
+    ``err_sys.P_blocks`` and ``err_sys.Lambda_blocks``. The mirror couples
+    equal coordinates only and P_i Lambda_i stays inside the groups of
+    ``err_sys``, so Z is permutation-similar to the block diagonal of the
+    returned blocks: one (k, Nm, Nm) stack per entry of ``err_sys.groups``,
+    rows ordered as in `GlobalErrorSystem.group_rows`. Only products of
+    blocks of at most n x n are formed.
     """
-    n = err_sys.P_blocks.shape[1]
-    Z = -gamma * np.kron(mirror, np.eye(n))
-    for i, (P_i, Lambda_i) in enumerate(zip(err_sys.P_blocks, err_sys.Lambda_blocks)):
-        blk = slice(i * n, (i + 1) * n)
-        Z[blk, blk] += P_i @ Lambda_i + Lambda_i.T @ P_i + 2.0 * alpha * P_i
-    return Z
+    blocks = []
+    for idx in err_sys.groups:
+        P = numerics.restrict(err_sys.P_blocks, idx)
+        Lam = numerics.restrict(err_sys.Lambda_blocks, idx)
+        local = P @ Lam + np.swapaxes(Lam, -1, -2) @ P + 2.0 * alpha * P
+        unit = np.eye(idx.shape[1])[None, None]
+        blocks.append(numerics.coupled_blocks(local, mirror, unit, gamma))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -209,7 +266,7 @@ def verify_design(model, g_net, design, alpha=None):
     if alpha is None:
         alpha = design.alpha
     balanced, err_sys = error_system(model, g_net, design)
-    spect = spectral_abscissa_certificate(err_sys.E, alpha)
+    spect = spectral_abscissa_certificate(err_sys.E_blocks, alpha)
     lyap = lyapunov_certificate(err_sys, balanced.mirror, design.gamma, alpha)
 
     if lyap.passed and not spect.passed:

@@ -88,6 +88,14 @@ def random_partial_model(rng, n, n_nodes, mode_range=(-1.0, 1.5)):
     return SystemModel(A=A, outputs=tuple(outputs))
 
 
+def partial_instance(n, seed=1):
+    """(model, graph): the n = N partial plant on a random strongly
+    connected digraph, drawn as the benchmark ladder draws its rungs."""
+    rng = np.random.default_rng(seed)
+    g_net = random_sc_digraph(rng, n)
+    return random_partial_model(rng, n, n), g_net
+
+
 def random_model(rng, n, n_nodes):
     """Fifty-fifty mix of the dense and structured families."""
     if rng.random() < 0.5:

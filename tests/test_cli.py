@@ -124,6 +124,20 @@ class TestCheck:
             argv += [str(design_path), "-o", str(tmp_path / "t.csv")]
         assert main(argv) == 3
 
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("end", ["from", "to"])
+    @pytest.mark.parametrize("value", [0.9, 1.7, 1.0, "1", True, None])
+    def test_edge_end_of_wrong_type(self, tmp_path, design_path, command, end, value):
+        # a fractional node index was once truncated to a node silently
+        doc = json.loads(write_config(tmp_path / "base.json").read_text())
+        doc["graph"]["edges"][0][end] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [command, str(cfg)]
+        if command == "simulate":
+            argv += [str(design_path), "-o", str(tmp_path / "t.csv")]
+        assert main(argv) == 3
+
     @pytest.mark.parametrize("command", ["check", "synthesize"])
     @pytest.mark.parametrize(
         "params",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import kalman_rank, random_dense_model, random_partial_model
+from conftest import battery_instances, kalman_rank, random_dense_model, random_partial_model
 from observer_kit.decomp import (
     SystemModel,
     decompose_node,
@@ -83,6 +83,28 @@ class TestDecomposeNode:
             sorted_complex(np.linalg.eigvals(A)),
             atol=1e-10,
         )
+
+    def test_unseen_coordinates_are_exact_unit_kernel_columns(self):
+        # the seed-1 n = N = 10 partial plant: each node measures the
+        # coordinates it owns and never sees the others
+        rng = np.random.default_rng(1)
+        model = random_partial_model(rng, 10, 10)
+        for H in model.outputs:
+            d = decompose_node(H, model.A)
+            unseen = np.flatnonzero(~H.any(axis=0))
+            k = 10 - len(unseen)
+            assert np.array_equal(d.T[:, k:], np.eye(10)[:, unseen])
+            assert not d.T[unseen, :k].any()
+            assert d.v == k
+
+    def test_dense_pair_keeps_its_singular_basis(self):
+        model = next(
+            m for m, _ in battery_instances(20240817) if np.count_nonzero(m.A) == m.n**2
+        )
+        for H in model.outputs:
+            d = decompose_node(H, model.A)
+            Vt = np.linalg.svd(observability_matrix(H, model.A))[2]
+            assert np.array_equal(d.T, Vt.T)
 
     def test_invariants_on_random_instances(self):
         rng = np.random.default_rng(0)

@@ -8,6 +8,7 @@ from observer_kit.errors import (
 )
 from observer_kit import numerics
 from observer_kit.numerics import (
+    coordinate_groups,
     eigenvalues,
     is_negative_definite,
     is_symmetric,
@@ -273,6 +274,23 @@ class TestRowSpaceBasis:
         B1, B2 = orthonormal_row_space_basis(np.zeros((0, 3)))
         assert B1.shape == (3, 0) and B2.shape == (3, 3)
 
+    def test_unseen_coordinates_become_unit_kernel_columns(self):
+        # columns 1 and 3 are exactly zero; rank 1 among the other three
+        rng = np.random.default_rng(7)
+        M = np.zeros((4, 5))
+        M[:, [0, 2, 4]] = np.outer(rng.normal(size=4), rng.normal(size=3))
+        B1, B2 = orthonormal_row_space_basis(M)
+        assert B1.shape == (5, 1) and B2.shape == (5, 4)
+        assert np.array_equal(B2[:, 2:], np.eye(5)[:, [1, 3]])
+        assert not np.hstack([B1, B2[:, :2]])[[1, 3]].any()
+        Q = np.hstack([B1, B2])
+        assert np.linalg.norm(Q.T @ Q - np.eye(5), "fro") <= 1e-12
+
+    def test_dense_input_keeps_its_singular_basis(self):
+        M = np.random.default_rng(8).normal(size=(6, 4))
+        B1, B2 = orthonormal_row_space_basis(M)
+        assert np.array_equal(np.hstack([B1, B2]), np.linalg.svd(M)[2].T)
+
     def test_random_orthogonality_and_kernel(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
@@ -285,6 +303,60 @@ class TestRowSpaceBasis:
             assert B1.shape[1] == rank(M)
             if B2.size:
                 assert np.linalg.norm(M @ B2) <= 1e-10 * max(1.0, np.linalg.norm(M))
+
+
+class TestStacks:
+    def test_eigenvalues_of_a_stack(self):
+        rng = np.random.default_rng(9)
+        stack = rng.normal(size=(3, 4, 4))
+        got = eigenvalues(stack)
+        assert got.shape == (3, 4)
+        for w, X in zip(got, stack):
+            assert np.allclose(sorted_complex(w), sorted_complex(np.linalg.eigvals(X)))
+
+    def test_negative_definite_only_when_every_matrix_is(self):
+        stack = np.stack([-np.eye(2), np.diag([-3.0, 0.5])])
+        verdict = is_negative_definite(stack)
+        assert not verdict.is_negative_definite and verdict.margin == pytest.approx(0.5)
+        assert is_negative_definite(stack[:1]).margin == pytest.approx(-1.0)
+
+
+class TestCoordinateGroups:
+    def test_dense_stack_is_one_group(self):
+        groups = coordinate_groups(np.ones((2, 3, 3)))
+        assert len(groups) == 1 and np.array_equal(groups[0], [[0, 1, 2]])
+
+    def test_diagonal_stacks_split_into_single_coordinates(self):
+        groups = coordinate_groups(np.stack([np.diag([1.0, 2.0, 3.0])]), np.zeros((1, 3, 3)))
+        assert len(groups) == 1 and np.array_equal(groups[0], [[0], [1], [2]])
+
+    def test_chain_across_stacks_closes(self):
+        # 0-3 in one stack, 3-5 and 5-1 in another: one group {0, 1, 3, 5},
+        # reached only through two links; 2 and 4 are linked to each other
+        # by an entry on one side of the diagonal only
+        n = 6
+        first, second = np.zeros((2, n, n)), np.zeros((1, n, n))
+        first[1, 0, 3] = 1.0
+        second[0, 5, 3] = second[0, 1, 5] = -2.0
+        first[0, 4, 2] = 1e-30
+        groups = coordinate_groups(first, second)
+        assert [g.tolist() for g in groups] == [[[2, 4]], [[0, 1, 3, 5]]]
+
+    def test_every_matrix_is_block_diagonal_in_its_groups(self):
+        rng = np.random.default_rng(10)
+        n = 7
+        labels = rng.integers(0, 3, n)
+        mask = labels[:, None] == labels[None, :]
+        stacks = [rng.normal(size=(2, n, n)) * mask, rng.normal(size=(3, n, n)) * mask]
+        groups = coordinate_groups(*stacks)
+        members = [g for idx in groups for g in idx]
+        assert sorted(np.concatenate(members).tolist()) == list(range(n))
+        for g in members:
+            outside = np.setdiff1d(np.arange(n), g)
+            for stack in stacks:
+                assert not stack[:, g][:, :, outside].any()
+        # groups are the label classes, no finer: each one is linked
+        assert len(members) == len(set(labels.tolist()))
 
 
 def test_is_symmetric_tolerance():

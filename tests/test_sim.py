@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_model, random_partial_model, random_sc_digraph
+from conftest import partial_instance, random_model, random_partial_model, random_sc_digraph
 from observer_kit import sim
 from observer_kit.decomp import SystemModel
 from observer_kit.errors import DimensionError, DivergenceError, InsufficientDataError
@@ -44,7 +45,7 @@ def trace_from_norm(times, values):
     return SimulationTrace(
         times=np.asarray(times, dtype=float),
         x=np.zeros((len(times), 1)),
-        xhat=np.zeros((len(times), 1, 1)),
+        e=np.zeros((len(times), 1, 1)),
         e_norms=e[:, None],
         e_global=e,
         fitted_rate=None,
@@ -222,10 +223,12 @@ class TestIntegrate:
         simulated = (trace.xhat[-1] - trace.x[-1]).ravel()
         assert np.linalg.norm(simulated - e) <= 1e-8 * np.linalg.norm(e)
 
-    @pytest.mark.parametrize("n", [2, 10, 20, 30])
+    @pytest.mark.parametrize("n", [2, 10, 20, 30, 40])
     def test_every_sample_matches_matrix_exponential(self, n):
         # seed-1 n = N partial instances; at n = 30, dt * rho(E) = 3.19 lies
-        # past the stability limit of explicit Runge-Kutta steps
+        # past the stability limit of explicit Runge-Kutta steps. Each is
+        # stepped one coordinate group at a time, checked against the
+        # exponential of the whole E
         rng = np.random.default_rng(1)
         g_net = random_sc_digraph(rng, n)
         model = random_partial_model(rng, n, n)
@@ -247,6 +250,26 @@ class TestIntegrate:
             assert np.all(np.abs(trace.e_norms[k] - node_norms) <= 1e-9 * scale)
             assert np.linalg.norm(trace.x[k] - x) <= 1e-9 * np.linalg.norm(x)
             e, x = e_step @ e, x_step @ x
+
+    def test_estimates_are_formed_when_read(self):
+        model, g_net = partial_instance(3)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        config = SimulationConfig(t_final=0.1, dt=1e-3, seed=2, record_stride=10)
+        trace = integrate(config, model, g_net, design)
+        assert "xhat" not in {f.name for f in dataclasses.fields(trace)}
+        assert trace.e.shape == (11, 3, 3)
+        assert np.array_equal(trace.xhat, trace.x[:, None, :] + trace.e)
+        assert np.allclose(trace.e_norms, np.linalg.norm(trace.e, axis=2), rtol=1e-15, atol=0)
+
+    def test_stacked_expm_matches_each_matrix(self):
+        # one scaling for the whole stack: the matrix of smaller norm is
+        # squared more often than alone, and still exact to 1e-14
+        rng = np.random.default_rng(3)
+        stack = np.stack([rng.normal(size=(5, 5)), 1e-3 * rng.normal(size=(5, 5))])
+        got = sim._expm(stack)
+        for M, P in zip(stack, got):
+            want = scipy.linalg.expm(M)
+            assert np.linalg.norm(P - want, 1) <= 1e-14 * np.linalg.norm(want, 1)
 
     @pytest.mark.parametrize("n", [0, 10, 30])
     def test_step_matrix_matches_scipy_expm(self, n):
@@ -451,7 +474,7 @@ class TestWriteCsv:
         trace = SimulationTrace(
             times=t,
             x=np.zeros((2, 2)),
-            xhat=np.zeros((2, 2, 2)),
+            e=np.zeros((2, 2, 2)),
             e_norms=np.ones((2, 2)),
             e_global=np.ones(2),
             fitted_rate=None,
@@ -468,7 +491,7 @@ class TestWriteCsv:
         trace = SimulationTrace(
             times=times,
             x=np.zeros((2, 1)),
-            xhat=np.zeros((2, 1, 1)),
+            e=np.zeros((2, 1, 1)),
             e_norms=e[:, None],
             e_global=e,
             fitted_rate=None,
@@ -487,7 +510,7 @@ class TestWriteCsv:
         trace = SimulationTrace(
             times=np.array([0.0, 1.0 / 3.0, 2.0]),
             x=np.resize(np.roll(values, 1), (rows, n)),
-            xhat=np.resize(np.roll(values, 2), (rows, N, n)),
+            e=np.resize(np.roll(values, 2), (rows, N, n)),
             e_norms=np.resize(np.roll(values, 3), (rows, N)),
             e_global=np.resize(values, rows),
             fitted_rate=None,
@@ -507,7 +530,7 @@ class TestWriteCsv:
         trace = SimulationTrace(
             times=np.zeros(1),
             x=np.zeros((1, 2)),
-            xhat=np.zeros((1, 3, 2)),
+            e=np.zeros((1, 3, 2)),
             e_norms=np.zeros((1, 3)),
             e_global=np.zeros(1),
             fitted_rate=None,

@@ -9,6 +9,7 @@ from conftest import (
     MIXED_OBSERVABILITY_CASES,
     battery_instances,
     graph_for,
+    partial_instance,
     random_dense_model,
     random_model,
     random_partial_model,
@@ -27,7 +28,6 @@ from observer_kit.synth import (
     assemble_gains,
     check_assumptions,
     compute_epsilon,
-    coupling_matrix,
     place_observer_poles,
     select_gamma,
     synthesize,
@@ -108,6 +108,27 @@ class TestComputeEpsilon:
             eps_high = compute_epsilon(decomps, bal, bumped, margin=1.0 - 1e-12)
             assert eps_high >= eps_low - 1e-10
 
+    @staticmethod
+    def dense_lambda_min(decomps, bal, g):
+        """lambda_min of S = T.T (mirror x I_n) T + G, built densely."""
+        n = decomps[0].n
+        T = scipy.linalg.block_diag(*[d.T for d in decomps])
+        G = scipy.linalg.block_diag(
+            *[np.diag(np.r_[np.full(d.v, gi), np.zeros(n - d.v)]) for d, gi in zip(decomps, g)]
+        )
+        S = T.T @ np.kron(bal.mirror, np.eye(n)) @ T + G
+        return np.linalg.eigvalsh(0.5 * (S + S.T))[0]
+
+    def test_battery_and_ladder_match_dense_lambda_min(self):
+        instances = battery_instances(20240817) + [partial_instance(n) for n in (2, 10, 20, 30)]
+        for model, g_net in instances:
+            decomps = [decompose_node(H, model.A) for H in model.outputs]
+            bal = balance(g_net)
+            g = np.ones(model.node_count)
+            lam_min = self.dense_lambda_min(decomps, bal, g)
+            eps = compute_epsilon(decomps, bal, g, margin=0.9)
+            assert abs(eps - 0.9 * lam_min) <= 1e-10 * 0.9 * lam_min
+
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("n, owned", MIXED_OBSERVABILITY_CASES)
     def test_block_assembly_matches_kronecker_definition(self, n, owned, seed):
@@ -120,19 +141,12 @@ class TestComputeEpsilon:
         if N > 1:
             assert not np.allclose(bal.r, 1.0)
         g = rng.uniform(0.5, 2.0, N)
-        T = scipy.linalg.block_diag(*[d.T for d in decomps])
-        G = scipy.linalg.block_diag(
-            *[np.diag(np.r_[np.full(d.v, gi), np.zeros(n - d.v)]) for d, gi in zip(decomps, g)]
-        )
-        dense = T.T @ np.kron(bal.mirror, np.eye(n)) @ T + G
-        S = coupling_matrix(decomps, bal.mirror, g)
-        assert np.max(np.abs(S - dense)) <= 1e-12 * np.max(np.abs(dense))
         if N == 1:
             # a lone node with v < n is not observable: S is singular
             with pytest.raises(AssumptionViolationError):
                 compute_epsilon(decomps, bal, g)
         else:
-            lam_min = np.linalg.eigvalsh(0.5 * (dense + dense.T))[0]
+            lam_min = self.dense_lambda_min(decomps, bal, g)
             assert compute_epsilon(decomps, bal, g, margin=0.9) == pytest.approx(
                 0.9 * lam_min, rel=1e-9
             )

@@ -4,7 +4,9 @@ import scipy.linalg
 
 from conftest import (
     MIXED_OBSERVABILITY_CASES,
+    battery_instances,
     graph_for,
+    partial_instance,
     random_model,
     random_sc_digraph,
     rotated_partial_model,
@@ -16,7 +18,7 @@ from observer_kit.graph import Digraph, balance
 from observer_kit.synth import NodeGains, ObserverDesign, SynthesisParams, synthesize
 from observer_kit.verify import (
     build_global_error_matrix,
-    certificate_matrix,
+    certificate_blocks,
     error_system,
     lyapunov_certificate,
     spectral_abscissa_certificate,
@@ -75,6 +77,21 @@ def dense_blocks(model, bal, design):
 def diagonal_blocks(D, n):
     """The n x n diagonal blocks of D as an (N, n, n) stack."""
     return np.stack([D[k : k + n, k : k + n] for k in range(0, D.shape[0], n)])
+
+
+def dense_certificates(model, bal, design):
+    """E, abscissa and Lyapunov margin of a design from the dense nN x nN
+    E and Z, built from explicit Kronecker products."""
+    n = model.n
+    Lambda, Mbar, P = dense_blocks(model, bal, design)
+    E = Lambda - design.gamma * Mbar @ np.kron(bal.R @ bal.laplacian, np.eye(n))
+    Z = (
+        P @ Lambda
+        + Lambda.T @ P
+        - design.gamma * np.kron(bal.mirror, np.eye(n))
+        + 2.0 * design.alpha * P
+    )
+    return E, np.max(np.linalg.eigvals(E).real), np.linalg.eigvalsh(0.5 * (Z + Z.T))[-1]
 
 
 def assert_rel_close(got, expected, rtol=1e-12):
@@ -230,7 +247,7 @@ class TestLyapunovCertificate:
         )
         sys_ = build_global_error_matrix(model, bal, design)
         assert_rel_close(sys_.P_blocks, diagonal_blocks(P, n))
-        Z = certificate_matrix(sys_, bal.mirror, design.gamma, alpha)
+        Z = sys_.dense(certificate_blocks(sys_, bal.mirror, design.gamma, alpha))
         assert_rel_close(Z, dense)
         cert = lyapunov_certificate(sys_, bal.mirror, design.gamma, alpha)
         assert cert.margin == pytest.approx(
@@ -297,3 +314,66 @@ class TestVerifyDesign:
         report = verify_design(model, g_single, design, alpha=1.0)
         assert report.passed and not report.lyapunov_passed
         assert "uncertified" in report.note
+
+
+class TestCoordinateGroups:
+    """E and Z split along the coordinate groups; the split is exact."""
+
+    @staticmethod
+    def assert_matches_dense(model, g_net, design):
+        bal, sys_ = error_system(model, g_net, design)
+        E, abscissa, margin = dense_certificates(model, bal, design)
+        # no entry of E falls between two groups
+        assert_rel_close(sys_.E, E)
+        report = verify_design(model, g_net, design)
+        assert abs(report.abscissa - abscissa) <= 1e-10 * abs(abscissa)
+        assert abs(report.lyapunov_margin - margin) <= 1e-10 * abs(margin)
+
+    def test_battery_matches_dense_certificates(self):
+        for model, g_net in battery_instances(20240817):
+            design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+            self.assert_matches_dense(model, g_net, design)
+
+    @pytest.mark.parametrize("n", [2, 10, 20, 30])
+    def test_ladder_matches_dense_certificates(self, n):
+        model, g_net = partial_instance(n)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        self.assert_matches_dense(model, g_net, design)
+
+    def test_ladder_splits_into_one_group_per_coordinate(self):
+        model, g_net = partial_instance(40)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        bal, sys_ = error_system(model, g_net, design)
+        assert [idx.tolist() for idx in sys_.groups] == [[[k] for k in range(40)]]
+        assert [B.shape for B in sys_.E_blocks] == [(40, 40, 40)]
+        Z_blocks = certificate_blocks(sys_, bal.mirror, design.gamma, design.alpha)
+        assert [Z.shape for Z in Z_blocks] == [(40, 40, 40)]
+
+    def test_dense_plant_is_one_group(self):
+        model, g_net = next(
+            (m, g) for m, g in battery_instances(20240817) if np.count_nonzero(m.A) == m.n**2
+        )
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        sys_ = build_global_error_matrix(model, balance(g_net), design)
+        assert [idx.tolist() for idx in sys_.groups] == [[list(range(model.n))]]
+        nN = model.n * model.node_count
+        assert [B.shape for B in sys_.E_blocks] == [(1, nN, nN)]
+
+    def test_weighting_that_couples_two_groups_merges_them(self):
+        # a design file cannot buy itself a split: an entry of M_0 between
+        # coordinates 1 and 4, kept symmetric positive definite, puts the
+        # two in one group, and the certificates still match the dense ones
+        model, g_net = partial_instance(6)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        bal, sys_ = error_system(model, g_net, design)
+        assert [idx.shape for idx in sys_.groups] == [(6, 1)]
+        M = design.nodes[0].M.copy()
+        M[1, 4] = M[4, 1] = 0.5 * np.sqrt(M[1, 1] * M[4, 4])
+        tampered = ObserverDesign(
+            gamma=design.gamma, epsilon=design.epsilon, alpha=design.alpha, r=design.r,
+            nodes=(NodeGains(L=design.nodes[0].L, M=M, v=design.nodes[0].v),)
+            + design.nodes[1:],
+        )
+        _, sys_ = error_system(model, g_net, tampered)
+        assert [idx.tolist() for idx in sys_.groups] == [[[0], [2], [3], [5]], [[1, 4]]]
+        self.assert_matches_dense(model, g_net, tampered)
