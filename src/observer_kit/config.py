@@ -45,12 +45,32 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+_NOUNS = {
+    dict: "an object", list: "an array", int: "an integer",
+    float: "a number or an array of numbers",
+}
+
+
 def _typed(value, kind, name):
-    """value, if it has the JSON type kind: dict (an object) or int (an integer)."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an object" if kind is dict else "an integer"
-        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    """value, if it has the JSON type kind: dict (an object), list (an
+    array), int (an integer) or float (a number, or an array of them
+    nested to any depth, as a vector or a matrix is). A JSON boolean is
+    neither an integer nor a number."""
+    if kind is float and isinstance(value, list):
+        for item in value:
+            _typed(item, float, name)
+        return value
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name} must be {_NOUNS[kind]}, got {value!r}")
     return value
+
+
+def _typed_fields(section, keys, kind, where):
+    """Check with `_typed` each of the keys that section holds."""
+    for key in keys:
+        if key in section:
+            _typed(section[key], kind, f"{where}.{key}")
 
 
 def load_config(path):
@@ -70,9 +90,12 @@ def load_config(path):
     params_sec = _typed(_require(doc, "params", "config"), dict, "params")
 
     try:
-        A = np.asarray(_require(system, "A", "system"), dtype=float)
+        A = np.asarray(_typed(_require(system, "A", "system"), float, "system.A"), dtype=float)
         outputs = [
-            np.asarray(_require(block, "H", "system.outputs"), dtype=float)
+            np.asarray(
+                _typed(_require(block, "H", "system.outputs"), float, "system.outputs.H"),
+                dtype=float,
+            )
             for block in _require(system, "outputs", "system")
         ]
         model = SystemModel(A=A, outputs=tuple(outputs))
@@ -93,7 +116,7 @@ def load_config(path):
             (
                 _typed(e["from"], int, "edge 'from'"),
                 _typed(e["to"], int, "edge 'to'"),
-                float(e["weight"]),
+                float(_typed(e["weight"], float, "edge weight")),
             )
             for e in _require(graph_sec, "edges", "graph")
         ]
@@ -101,10 +124,13 @@ def load_config(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad graph section: {exc}") from exc
 
-    margins = _typed(params_sec.get("margins") or {}, dict, "params.margins")
+    margins = _typed(params_sec.get("margins", {}), dict, "params.margins")
+    _require(params_sec, "alpha", "params")
+    _typed_fields(params_sec, ("alpha", "g", "rank_rtol"), float, "params")
+    _typed_fields(margins, ("epsilon", "gamma"), float, "params.margins")
     try:
         params = SynthesisParams(
-            alpha=float(_require(params_sec, "alpha", "params")),
+            alpha=float(params_sec["alpha"]),
             g=params_sec.get("g"),
             epsilon_margin=float(margins.get("epsilon", 0.9)),
             gamma_margin=float(margins.get("gamma", 1.1)),
@@ -115,7 +141,11 @@ def load_config(path):
     if params.g is not None and params.g.shape != (node_count,):
         raise ConfigError(f"params.g must hold {node_count} weights")
 
-    sim_settings = _typed(params_sec.get("sim") or {}, dict, "params.sim")
+    sim_settings = _typed(params_sec.get("sim", {}), dict, "params.sim")
+    _typed_fields(
+        sim_settings, ("t_final", "dt", "x0", "xhat0", "fit_window"), float, "params.sim"
+    )
+    _typed_fields(sim_settings, ("seed", "record_stride"), int, "params.sim")
     seed = _typed(params_sec.get("seed", 0), int, "params.seed")
     return LoadedConfig(
         model=model, graph=g_net, params=params,
@@ -161,4 +191,12 @@ def load_design(path):
         raise ConfigError(f"cannot read design {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"design {path} is not valid JSON: {exc}") from exc
+    doc = _typed(doc, dict, "design")
+    for key in ("gamma", "epsilon", "alpha", "r"):
+        _typed(_require(doc, key, "design"), float, f"design {key}")
+    for i, node in enumerate(_typed(_require(doc, "nodes", "design"), list, "design nodes")):
+        node = _typed(node, dict, f"design node {i}")
+        for key in ("L", "M"):
+            _typed(_require(node, key, f"design node {i}"), float, f"node {i} {key}")
+        _typed(_require(node, "v", f"design node {i}"), int, f"node {i} v")
     return ObserverDesign.from_dict(doc)

@@ -66,17 +66,10 @@ def laplacian(g):
 
 
 def is_strongly_connected(g):
-    """True when every ordered node pair is joined by a directed path.
-
-    Boolean reachability by repeated squaring: starting from the edges
-    plus the self pairs, each squaring doubles the longest path covered,
-    so (N - 1).bit_length() squarings reach every node within N - 1 hops.
-    The graph is strongly connected when every pair ends up reachable.
-    """
-    reach = (g.adjacency > 0) | np.eye(g.node_count, dtype=bool)
-    for _ in range((g.node_count - 1).bit_length()):
-        reach = (reach.astype(float) @ reach) > 0
-    return bool(reach.all())
+    """True when every ordered node pair is joined by a directed path,
+    that is when the closure `numerics._reachability` of the edges holds
+    every pair."""
+    return bool(numerics._reachability(g.adjacency > 0).all())
 
 
 @dataclass(frozen=True)

@@ -299,10 +299,9 @@ def coordinate_groups(*stacks):
 
     Coordinates j and k are linked when some matrix of some stack has a
     nonzero entry at (j, k) or (k, j); the groups are the connected
-    components of that relation, found by squaring the boolean
-    reachability matrix until it stops changing. After one permutation of
-    its rows and columns every matrix of the stacks is block diagonal,
-    one block per group, exactly.
+    components of that relation, read off its `_reachability`. After one
+    permutation of its rows and columns every matrix of the stacks is
+    block diagonal, one block per group, exactly.
 
     Returns one (k, m) integer array per group size m, ascending in m,
     whose k rows are the groups of that size, each in ascending order. A
@@ -312,14 +311,26 @@ def coordinate_groups(*stacks):
     reach = np.concatenate(stacks).any(axis=0)
     if reach.all():
         return [np.arange(n)[None]]
-    reach |= reach.T | np.eye(n, dtype=bool)
-    # reach @ reach holds reach, so an equal count means no new link
-    while np.count_nonzero(wider := reach @ reach) > np.count_nonzero(reach):
-        reach = wider
+    reach = _reachability(reach | reach.T)
     # one row per group: the row of its first coordinate
     members = reach[reach.argmax(axis=1) == np.arange(n)]
     sizes = members.sum(axis=1)
     return [np.nonzero(members[sizes == m])[1].reshape(-1, m) for m in sorted(set(sizes.tolist()))]
+
+
+def _reachability(links):
+    """Reflexive transitive closure of the relation of a boolean square
+    matrix: entry (j, k) is True when a chain of links leads from j to k.
+
+    The boolean matrix is squared, self pairs included, until its count
+    of True entries stops growing; each squaring doubles the longest chain
+    covered, so at most (n - 1).bit_length() + 1 squarings are made.
+    """
+    reach = links | np.eye(links.shape[0], dtype=bool)
+    # reach @ reach holds reach, so an equal count means no new pair
+    while np.count_nonzero(wider := reach @ reach) > np.count_nonzero(reach):
+        reach = wider
+    return reach
 
 
 def restrict(stack, idx):

@@ -17,8 +17,8 @@ The pipeline decouples the network topology from the local gain design:
 6. assemble the full-order gains L_i and M_i.
 
 Every step is checked after the fact: the per-node matrix inequality that
-certifies the global error decay is evaluated for the assembled design
-and must come back strictly negative definite.
+certifies the global error decay is evaluated on the assembled L_i and M_i
+and must come back strictly negative definite at every node.
 """
 
 import logging
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import numerics
+from . import numerics, verify
 from .decomp import NORM_WARN, decompose_node, joint_observability_rank
 from .errors import AssumptionViolationError, DimensionError, NumericalFailureError
 from .graph import _balance_connected, is_strongly_connected
@@ -80,10 +80,11 @@ class NodeGains:
 
     L is the n x p_i output-injection gain, M the symmetric positive
     definite n x n consensus weighting and v the observable dimension.
-    inv(M) is the node's block of the Lyapunov certificate: the v x v
-    certificate of the observable block, P_io, in the observable
-    coordinates, and the identity on the unobservable block, which is
-    why M restricted to that subspace is the identity as well.
+    inv(M) is the node's block of the Lyapunov certificate, the block that
+    `verify` and `verify_design_lmi` read: the v x v certificate of the
+    observable block, P_io, in the observable coordinates, and the
+    identity on the unobservable block, which is why M restricted to that
+    subspace is the identity as well.
     """
 
     L: np.ndarray
@@ -273,8 +274,8 @@ def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
         P_io = q / (2 beta lambda_min(X)) * X,  q = gamma*max(g_i, 1) - 2*alpha,
 
     satisfies Sym(P_io (A_io - L_io H_io + alpha I)) <= -q I. q covers the
-    gamma*g_i I that `verify_design_lmi` adds, or exceeds it if g_i < 1,
-    which only helps. Requires gamma > 2*alpha. Returns (L_io, P_io).
+    gamma*g_i*Pi_i that `verify_design_lmi` adds (gamma*g_i I on this block)
+    or exceeds it if g_i < 1. Requires gamma > 2*alpha. Returns (L_io, P_io).
     """
     if not gamma > 2.0 * alpha:
         raise AssumptionViolationError(
@@ -352,28 +353,22 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
     )
 
 
-def verify_design_lmi(dec, P_io, W, gamma, epsilon, alpha, g_i=1.0):
-    """Per-node certificate inequality for the assembled design.
+def verify_design_lmi(model, design, decomps, g):
+    """Largest eigenvalue of each node's certificate matrix
 
-    Builds the block matrix
+        Sym(P_i Lambda_i) + 2*alpha*P_i + gamma*(g_i*Pi_i - epsilon*I),
 
-        [[Phi + gamma*g_i*I,   A_ir.T                 ]
-         [A_ir,                Sym(A_iu) + 2*alpha*I  ]] - gamma*epsilon*I
-
-    with Phi = Sym(P_io A_io) - Sym(W H_io) + 2*alpha*P_io and W = P_io L_io,
-    and returns its negative-definiteness verdict with the largest
-    eigenvalue as margin. A sound design makes this strictly negative for
-    every node.
+    Lambda_i = A - L_i H_i and P_i = inv(M_i) read from the design as
+    `verify` reads them, Pi_i = T_i1 T_i1.T. A sound design makes every
+    margin negative. At epsilon <= lambda_min(S) the N inequalities imply
+    the global certificate, but not the other way round.
     """
-    v = dec.v
-    n = dec.n
-    Phi = _sym(P_io @ dec.A_io) - _sym(W @ dec.H_io) + 2.0 * alpha * P_io
-    top_left = Phi + gamma * g_i * np.eye(v)
-    bottom_right = _sym(dec.A_iu) + 2.0 * alpha * np.eye(n - v)
-    Z = np.block(
-        [[top_left, dec.A_ir.T], [dec.A_ir, bottom_right]]
-    ) - gamma * epsilon * np.eye(n)
-    return numerics.is_negative_definite(Z)
+    Lam, _, P = verify._node_blocks(model, design)
+    projectors = np.stack([d.T1 @ d.T1.T for d in decomps])
+    C = verify._lyapunov_blocks(P, Lam, design.alpha) + design.gamma * (
+        np.asarray(g, dtype=float)[:, None, None] * projectors - design.epsilon * np.eye(design.n)
+    )
+    return np.linalg.eigvalsh(C)[:, -1]
 
 
 class AssumptionCheck(NamedTuple):
@@ -456,14 +451,11 @@ def synthesize(model, g_net, params):
         decomps, L_blocks, P_blocks, gamma, epsilon, balanced.r, params.alpha
     )
 
-    for i, (d, L_io, P_io, gi) in enumerate(zip(decomps, L_blocks, P_blocks, g)):
-        verdict = verify_design_lmi(
-            d, P_io, P_io @ L_io, gamma, epsilon, params.alpha, gi
-        )
-        if not verdict.is_negative_definite:
+    margins = verify_design_lmi(model, design, decomps, g)
+    logger.debug("node certificate margins %s", margins)
+    for i, margin in enumerate(margins):
+        if not margin < 0.0:
             raise NumericalFailureError(
-                f"assembled design fails its certificate at node {i} "
-                f"(margin {verdict.margin:.3e})"
+                f"assembled design fails its certificate at node {i} (margin {margin:.3e})"
             )
-        logger.debug("node %d certificate margin %.3e", i, verdict.margin)
     return design

@@ -110,9 +110,11 @@ class TestCheck:
         "section, key, value",
         [("params", "seed", "abc"), ("params", "seed", None), ("params", "seed", True),
          ("graph", "N", "two"), ("graph", "N", [2]), ("system", "n", "two"),
-         (None, "params", [1]), ("params", "margins", [1])],
+         (None, "params", [1]), ("params", "margins", [1]), ("params", "margins", None),
+         ("params", "margins", []), ("params", "sim", None), ("params", "sim", False)],
         ids=["seed-string", "seed-null", "seed-bool", "N-string", "N-list", "n-string",
-             "params-list", "margins-list"],
+             "params-list", "margins-list", "margins-null", "margins-empty-list", "sim-null",
+             "sim-false"],
     )
     def test_config_of_wrong_type(self, tmp_path, design_path, command, section, key, value):
         doc = json.loads(write_config(tmp_path / "base.json").read_text())
@@ -136,6 +138,38 @@ class TestCheck:
         argv = [command, str(cfg)]
         if command == "simulate":
             argv += [str(design_path), "-o", str(tmp_path / "t.csv")]
+        assert main(argv) == 3
+
+    @pytest.mark.parametrize("command", ["check", "synthesize", "verify", "simulate"])
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("params", "alpha"), True), (("params", "alpha"), "1.0"),
+         (("params", "margins"), {"gamma": "1.5"}), (("params", "rank_rtol"), "1e-10"),
+         (("params", "g"), [True, True]), (("graph", "edges", 0, "weight"), "1.0"),
+         (("system", "A"), [[True, False], [False, True]]),
+         (("system", "outputs", 0, "H"), [["1.0", "0.0"]]),
+         (("params", "sim"), {"x0": ["0.5", "0.5"]}), (("params", "sim"), {"t_final": "8.0"}),
+         (("params", "sim"), {"dt": True})],
+        ids=["alpha-bool", "alpha-string", "gamma-margin-string", "rank-rtol-string",
+             "g-bools", "weight-string", "A-bools", "H-strings", "x0-strings",
+             "t-final-string", "dt-bool"],
+    )
+    def test_config_number_of_wrong_type(self, tmp_path, design_path, command, path, value):
+        # numbers were once read through float(), which takes true and "1.0"
+        doc = json.loads(write_config(tmp_path / "base.json").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        argv = {
+            "check": ["check", str(cfg)],
+            "synthesize": ["synthesize", str(cfg), "-o", out],
+            "verify": ["verify", str(cfg), str(design_path)],
+            "simulate": ["simulate", str(cfg), str(design_path), "-o", out],
+        }[command]
         assert main(argv) == 3
 
     @pytest.mark.parametrize("command", ["check", "synthesize"])
@@ -259,6 +293,22 @@ class TestVerify:
         doc = json.loads(design_path.read_text())
         doc["nodes"][0][key] = value
         tampered = tmp_path / "tampered_node.json"
+        tampered.write_text(json.dumps(doc))
+        assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
+
+    @pytest.mark.parametrize(
+        "node, key, value",
+        [(True, "v", 0.9), (True, "v", True), (True, "v", "1"), (True, "L", [["1.0"], ["0.0"]]),
+         (False, "gamma", "20.0"), (False, "epsilon", True), (False, "r", [True, True])],
+        ids=["v-0.9", "v-bool", "v-string", "L-strings", "gamma-string", "epsilon-bool",
+             "r-bools"],
+    )
+    def test_design_number_of_wrong_type(self, config_path, design_path, tmp_path, node, key,
+                                         value):
+        # v = 0.9 was once truncated to 0 by int() without a word
+        doc = json.loads(design_path.read_text())
+        (doc["nodes"][0] if node else doc)[key] = value
+        tampered = tmp_path / "tampered_type.json"
         tampered.write_text(json.dumps(doc))
         assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
 

@@ -22,6 +22,7 @@ from observer_kit.errors import AssumptionViolationError, DimensionError, Numeri
 from observer_kit.graph import Digraph, balance
 from observer_kit.synth import (
     BUDGET_FLOOR,
+    NodeGains,
     ObserverDesign,
     SynthesisParams,
     _min_coupling_budget,
@@ -37,6 +38,8 @@ from observer_kit.verify import verify_design
 from test_numerics import kron_lyapunov_oracle
 
 UNIT_2CYCLE = Digraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
+# the README plant: two unstable modes, each seen by one node
+TWO_MODES = SystemModel(A=np.diag([1.0, 2.0]), outputs=(np.eye(2)[:1], np.eye(2)[1:]))
 
 # Modes 0.5 to 20 on a ring, node k measuring mode k: every v_i is 1, and
 # the observability matrices of all nodes stacked read rank 6 of 8 at the
@@ -365,30 +368,64 @@ class TestAssembleGains:
         assert np.allclose(w, [0.25, 1.0], atol=1e-12)
 
 
+def t_coordinate_lmi_margins(model, design, decomps, g):
+    """Oracle: each node's certificate inequality in its own coordinates T_i,
+
+        [[Phi + gamma*g_i*I, A_ir.T], [A_ir, Sym(A_iu) + 2*alpha*I]] - gamma*epsilon*I,
+
+    Phi = Sym(P_io A_io) - Sym(W H_io) + 2*alpha*P_io and W = P_io L_io,
+    with P_io and L_io the observable blocks of inv(M_i) and L_i."""
+    margins = []
+    for d, node, gi in zip(decomps, design.nodes, g):
+        P_io = d.T1.T @ np.linalg.inv(node.M) @ d.T1
+        W = P_io @ (d.T1.T @ node.L)
+        Phi = synth._sym(P_io @ d.A_io) - synth._sym(W @ d.H_io) + 2.0 * design.alpha * P_io
+        Z = np.block([
+            [Phi + design.gamma * gi * np.eye(d.v), d.A_ir.T],
+            [d.A_ir, synth._sym(d.A_iu) + 2.0 * design.alpha * np.eye(d.n - d.v)],
+        ]) - design.gamma * design.epsilon * np.eye(d.n)
+        margins.append(np.linalg.eigvalsh(0.5 * (Z + Z.T))[-1])
+    return np.array(margins)
+
+
+def scaled_first_weighting(design, factor=1e6):
+    """The design with M_0 scaled by factor: still symmetric positive
+    definite, but its inverse is no certificate."""
+    first, *rest = design.nodes
+    return dataclasses.replace(
+        design, nodes=(dataclasses.replace(first, M=factor * first.M), *rest)
+    )
+
+
+def one_node_design(L, M, v, gamma, epsilon, alpha):
+    return ObserverDesign(
+        gamma=gamma, epsilon=epsilon, alpha=alpha, r=np.ones(1),
+        nodes=(NodeGains(L=np.array(L), M=np.array(M), v=v),),
+    )
+
+
 class TestVerifyDesignLmi:
     def test_scalar_arithmetic(self):
         dec = NodeDecomposition(
             v=1, T=np.eye(1), A_io=np.zeros((1, 1)), A_ir=np.zeros((0, 1)),
             A_iu=np.zeros((0, 0)), H_io=np.ones((1, 1)),
         )
-        verdict = verify_design_lmi(
-            dec, P_io=np.array([[0.5]]),
-            W=np.array([[1.5]]), gamma=4.0, epsilon=0.9, alpha=1.0, g_i=1.0,
-        )
-        # Phi = -2*1.5 + 2*0.5 = -2; block = -2 + 4 - 3.6 = -1.6
-        assert verdict.is_negative_definite
-        assert verdict.margin == pytest.approx(-1.6)
+        model = SystemModel(A=[[0.0]], outputs=([[1.0]],))
+        design = one_node_design([[3.0]], [[2.0]], 1, gamma=4.0, epsilon=0.9, alpha=1.0)
+        margins = verify_design_lmi(model, design, [dec], np.ones(1))
+        # P = 1/2 and Lambda = -3: Sym(P Lambda) + 2*alpha*P = -3 + 1 = -2;
+        # gamma*(g - epsilon) = 4*(1 - 0.9) = 0.4; margin -1.6
+        assert margins == pytest.approx([-1.6])
 
     def test_no_coupling_unstable_block_fails(self):
         dec = NodeDecomposition(
             v=0, T=np.eye(1), A_io=np.zeros((0, 0)), A_ir=np.zeros((1, 0)),
             A_iu=np.array([[0.5]]), H_io=np.zeros((1, 0)),
         )
-        verdict = verify_design_lmi(
-            dec, P_io=np.zeros((0, 0)), W=np.zeros((0, 1)),
-            gamma=0.0, epsilon=0.9, alpha=0.5, g_i=1.0,
-        )
-        assert not verdict.is_negative_definite
+        model = SystemModel(A=[[0.5]], outputs=([[0.0]],))
+        design = one_node_design([[0.0]], [[1.0]], 0, gamma=0.0, epsilon=0.9, alpha=0.5)
+        margins = verify_design_lmi(model, design, [dec], np.ones(1))
+        assert not margins[0] < 0
 
     def test_holds_for_synthesized_designs(self):
         rng = np.random.default_rng(8)
@@ -396,17 +433,27 @@ class TestVerifyDesignLmi:
             n, N = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             model = random_model(rng, n, N)
             g_net = random_sc_digraph(rng, N)
-            params = SynthesisParams(alpha=1.0)
-            design = synthesize(model, g_net, params)
+            design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
             decomps = [decompose_node(H, model.A) for H in model.outputs]
-            for d, node in zip(decomps, design.nodes):
-                # reconstruct the block gain and certificate from the assembled ones
-                P_io = d.T1.T @ np.linalg.inv(node.M) @ d.T1
-                L_io = d.T1.T @ node.L
-                verdict = verify_design_lmi(
-                    d, P_io, P_io @ L_io, design.gamma, design.epsilon, design.alpha,
-                )
-                assert verdict.is_negative_definite
+            assert np.all(verify_design_lmi(model, design, decomps, np.ones(N)) < 0)
+
+    def test_matches_t_coordinate_block_matrix(self):
+        instances = battery_instances(20240817) + [partial_instance(n) for n in (2, 10, 20, 30)]
+        for model, g_net in instances:
+            design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+            decomps = [decompose_node(H, model.A) for H in model.outputs]
+            g = np.ones(model.node_count)
+            oracle = t_coordinate_lmi_margins(model, design, decomps, g)
+            margins = verify_design_lmi(model, design, decomps, g)
+            assert np.all(np.abs(margins - oracle) <= 1e-4 * np.abs(oracle))
+
+    def test_reads_the_weighting_from_the_design(self):
+        design = synthesize(TWO_MODES, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
+        decomps = [decompose_node(H, TWO_MODES.A) for H in TWO_MODES.outputs]
+        before = verify_design_lmi(TWO_MODES, design, decomps, np.ones(2))
+        after = verify_design_lmi(TWO_MODES, scaled_first_weighting(design), decomps, np.ones(2))
+        assert before[0] < 0 and after[0] >= 0
+        assert after[1] == before[1]
 
 
 class TestSynthesize:
@@ -473,6 +520,15 @@ class TestSynthesize:
         assert design.gamma * g[2] < 2.0
         report = verify_design(model, g_net, design)
         assert report.passed and report.lyapunov_passed
+
+    def test_weighting_that_is_no_certificate_fails(self, monkeypatch):
+        # the final gate reads M_i from the assembled design
+        assemble = synth.assemble_gains
+        monkeypatch.setattr(
+            synth, "assemble_gains", lambda *a: scaled_first_weighting(assemble(*a))
+        )
+        with pytest.raises(NumericalFailureError, match="fails its certificate at node 0"):
+            synthesize(TWO_MODES, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
 
     def test_singular_gramian_reports_condition_and_v(self):
         # one output summing diag(1..5) is observable, but its Bass Gramian
