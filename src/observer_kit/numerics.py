@@ -87,13 +87,15 @@ def eigenvalues(M):
 
 
 def svd(M):
-    """Full singular value decomposition M = U @ diag(s) @ Vt.
+    """Singular value decomposition M = U @ diag(s) @ Vt of an m x k matrix.
 
-    Returns (U, s, Vt) with singular values descending and U, V orthogonal.
+    Returns (U, s, Vt) with the min(m, k) singular values descending, U
+    with orthonormal columns, one per singular value, and V square
+    orthogonal: the rows of Vt past the singular values span ker M.
     """
     M = as_matrix(M)
     try:
-        return np.linalg.svd(M, full_matrices=True)
+        return np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
 

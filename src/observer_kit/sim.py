@@ -14,6 +14,13 @@ observer equations behind E. x advances by exp(dt A) and e, one
 coordinate group of the error system at a time, by exp(dt E_g), E_g the
 group's block of E, `_BLOCK` consecutive states per matrix-matrix
 product. A dense plant is a single group, stepped by exp(dt E).
+
+The state is stepped and recorded in the propagator's own column order:
+the plant's n columns, then each group size of the error system as one
+contiguous run, one sub-run of N |g| columns per group g. A step is one
+batched product per group size on strided views of that layout, and the
+trace forms x, e and the estimates from the recorded states only when
+they are read.
 """
 
 import logging
@@ -85,8 +92,12 @@ class SimulationConfig:
 class SimulationTrace:
     """Recorded samples of one run.
 
-    x[k] is the plant state and e[k, i] the estimation error of node i at
-    times[k]; the estimates xhat = x + e are formed only when read.
+    states[k] is the state stepped at times[k], in the propagator's
+    column order: columns[j] is the column of states that holds
+    coordinate j of (x, e), the plant state followed by the stacked
+    estimation errors e = xhat - 1 (x) x. The plant state x[k], the node
+    errors e[k, i] and the estimates xhat[k, i] = x[k] + e[k, i] are
+    gathered from states only when read, each time they are read.
     e_norms[k, i] is the norm of e[k, i]; e_global stacks all nodes.
     fitted_rate is the negated least-squares slope of log ||e|| over the
     fit window, or None when the error was identically (numerically) zero
@@ -94,15 +105,30 @@ class SimulationTrace:
     """
 
     times: np.ndarray
-    x: np.ndarray
-    e: np.ndarray
+    states: np.ndarray
+    columns: np.ndarray
     e_norms: np.ndarray
     e_global: np.ndarray
     fitted_rate: float | None
 
     @property
+    def x(self):
+        return np.take(self.states, self.columns[: self._n], axis=1)
+
+    @property
+    def e(self):
+        rows, N = self.e_norms.shape
+        return np.take(self.states, self.columns[self._n :], axis=1).reshape(rows, N, -1)
+
+    @property
     def xhat(self):
-        return self.x[:, None, :] + self.e
+        xhat = self.e
+        xhat += self.x[:, None, :]
+        return xhat
+
+    @property
+    def _n(self):
+        return len(self.columns) // (self.e_norms.shape[1] + 1)
 
 
 def rhs(state, model, g_net, design):
@@ -148,16 +174,19 @@ def integrate(config, model, g_net, design):
     """Exact fixed-step run of the coupled dynamics.
 
     The run steps the plant state x and the stacked estimation error
-    e = xhat - 1 (x) x, so e keeps its digits while x grows; the trace
-    keeps e and forms the estimates xhat = x + e only when they are read.
-    In these coordinates the field is blockdiag(A, E), with E the error
-    matrix of `verify.error_system`, so a design `verify` rejects is
-    rejected here with the same error. One step multiplies x by exp(dt A)
-    and the error rows of each coordinate group by exp(dt E_g), E_g its
-    block of E, exact to rounding. The first `_BLOCK` states are stepped
-    one at a time, each later block in one product with the `_BLOCK`-th
-    power of the step; a block with a non-finite entry is redone one step
-    at a time from the last finite one.
+    e = xhat - 1 (x) x, so e keeps its digits while x grows. In these
+    coordinates the field is blockdiag(A, E), with E the error matrix of
+    `verify.error_system`, so a design `verify` rejects is rejected here
+    with the same error. One step multiplies x by exp(dt A) and the error
+    rows of each coordinate group by exp(dt E_g), E_g its block of E,
+    exact to rounding. The state is held with the rows of the groups of
+    one size side by side, so a step is one batched product per group
+    size. The first `_BLOCK` states are stepped one at a time, each later
+    block in one product with the `_BLOCK`-th power of the step, written
+    straight into the record when every step is recorded; a block with a
+    non-finite entry is redone one step at a time from the last finite
+    one. The trace keeps the states in that layout and the per-node error
+    norms; x, e and xhat are gathered from the states only when read.
 
     Deterministic for fixed inputs and seed. Divergence aborts with
     `DivergenceError` naming the first step whose x or e is non-finite;
@@ -184,25 +213,31 @@ def integrate(config, model, g_net, design):
     if rec_steps[-1] != steps:
         rec_steps = np.append(rec_steps, steps)
 
-    y0 = np.concatenate([x0, (xhat0 - x0).ravel()])
+    # stepped column j holds coordinate layout[j] of y = (x, e): the plant
+    # first, then each size class of groups, one contiguous run per group
+    layout = np.concatenate([np.arange(n), *(n + rows.ravel() for rows in err_sys.group_rows())])
+    y0 = np.concatenate([x0, (xhat0 - x0).ravel()])[layout]
     # states are rows, so one step is y @ blockdiag(exp(dt A), exp(dt E_g), ...).T;
     # overflow is detected explicitly, so numpy stays quiet on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        step = [(np.arange(n)[None], _expm(dt * model.A[None]).transpose(0, 2, 1))]
-        step += [
-            (n + rows, _expm(dt * blocks).transpose(0, 2, 1))
-            for rows, blocks in zip(err_sys.group_rows(), err_sys.E_blocks)
-        ]
-        ys = _propagate(step, y0, rec_steps, dt)
+        step = [_expm(dt * model.A[None]).transpose(0, 2, 1)]
+        step += [_expm(dt * blocks).transpose(0, 2, 1) for blocks in err_sys.E_blocks]
+        states = _propagate(step, y0, rec_steps, dt)
 
-    xs = ys[:, :n].copy()  # a view would keep all of ys alive in the trace
-    errors = ys[:, n:].reshape(len(rec_steps), N, n)
-    # einsum sums the squares without the full-size temporary of np.linalg.norm
-    e_norms = np.sqrt(np.einsum("kij,kij->ki", errors, errors))
+    # squared node norms, summed inside each size class: its run of group
+    # g holds the N |g| rows (i, k), k in g, node-major
+    squares = np.zeros((len(rec_steps), N))
+    lo = n
+    for groups in err_sys.groups:
+        k, m = groups.shape
+        part = states[:, lo : lo + k * N * m].reshape(len(rec_steps), k, N, m)
+        squares += np.einsum("rkim,rkim->ri", part, part)
+        lo += k * N * m
+    e_norms = np.sqrt(squares)
     trace = SimulationTrace(
         times=rec_steps * dt,
-        x=xs,
-        e=errors,
+        states=states,
+        columns=np.argsort(layout),
         e_norms=e_norms,
         e_global=np.linalg.norm(e_norms, axis=1),
         fitted_rate=None,
@@ -239,58 +274,76 @@ def _expm(M):
 
 def _propagate(step, y0, rec_steps, dt):
     """States y_k at the ascending steps rec_steps, one per row, where
-    y_{k+1} = _times(y_k, step)."""
+    y_{k+1} = _times(y_k, step).
+
+    When every step is recorded, each block is computed straight into its
+    rows of the result; otherwise blocks alternate between two scratch
+    arrays and only the recorded rows are copied out.
+    """
     steps = int(rec_steps[-1])
     out = np.empty((len(rec_steps), y0.size))
     width = min(_BLOCK, steps + 1)
+    direct = len(rec_steps) == steps + 1
+    scratch = None if direct else np.empty((2, width, y0.size))
+    block = out[:width] if direct else scratch[0]
+    block[0] = y0
+    _step_one_at_a_time(step, y0, 1, block[1:], dt)
+    jump = [np.linalg.matrix_power(T, width) for T in step]
     start = 0  # step of the first row of block
-    block = np.vstack([y0, _step_one_at_a_time(step, y0, 1, width - 1, dt)])
-    jump = [(cols, np.linalg.matrix_power(T, width)) for cols, T in step]
     while True:
-        lo, hi = np.searchsorted(rec_steps, [start, start + width])
-        out[lo:hi] = block[rec_steps[lo:hi] - start]
+        if not direct:
+            lo, hi = np.searchsorted(rec_steps, [start, start + width])
+            out[lo:hi] = block[rec_steps[lo:hi] - start]
         start += width
         if start > steps:
             return out
         rows = min(width, steps + 1 - start)
-        following = _times(block[:rows], jump)
+        following = out[start : start + rows] if direct else scratch[start // width % 2, :rows]
+        _times(block[:rows], jump, following)
         if not np.isfinite(following).all():
-            following = _step_one_at_a_time(step, block[-1], start, rows, dt)
+            _step_one_at_a_time(step, block[-1], start, following, dt)
         block = following
 
 
-def _times(y, parts):
-    """States y, one per row, times the block-diagonal matrix of the parts.
+def _times(y, parts, out):
+    """Write to out the states y, one per row, times the block-diagonal
+    matrix of the parts.
 
-    Each part is (cols, T): cols is a (k, m) array of state indices and T
-    a (k, m, m) stack, and row r of the result holds y[r, cols[c]] @ T[c]
-    at the indices cols[c]. The parts' indices cover every column once.
+    Each part is a (k, m, m) stack T that owns the next k m columns, k
+    consecutive runs of m: row r of out holds y[r, run c] @ T[c] in run c.
+    One batched product per part, on strided views of y and out.
     """
-    out = np.empty_like(y)
-    for cols, T in parts:
-        out[:, cols] = np.swapaxes(np.swapaxes(y[:, cols], 0, 1) @ T, 0, 1)
-    return out
+    lo = 0
+    for T in parts:
+        k, m = T.shape[:2]
+        hi = lo + k * m
+        np.matmul(_runs(y[:, lo:hi], k), T, out=_runs(out[:, lo:hi], k))
+        lo = hi
 
 
-def _step_one_at_a_time(step, y, start, count, dt):
-    """States start, ..., start + count - 1 as rows, stepped one at a time
-    from y, the state at step start - 1.
+def _runs(y, k):
+    """The (rows, k m) array y as a (k, rows, m) view, run c at [c]."""
+    return y.reshape(len(y), k, -1).swapaxes(0, 1)
+
+
+def _step_one_at_a_time(step, y, start, out, dt):
+    """Fill the rows of out with the states start, start + 1, ..., stepped
+    one at a time from y, the state at step start - 1.
 
     Raises `DivergenceError` at the first step with a non-finite entry.
     """
-    block = np.empty((count, y.size))
-    y = y[None]
-    for row in range(count):
-        y = _times(y, step)
-        if not np.isfinite(y).all():
+    previous = y[None]
+    for row in range(len(out)):
+        current = out[row : row + 1]
+        _times(previous, step, current)
+        if not np.isfinite(current).all():
             k = start + row
             raise DivergenceError(
                 f"state became non-finite at step {k} (t = {k * dt:.6g})",
                 step=k,
                 time=k * dt,
             )
-        block[row] = y[0]
-    return block
+        previous = current
 
 
 def estimate_decay_rate(trace, fit_window):
@@ -328,15 +381,15 @@ def write_csv(trace, stream, include_states=False):
     include_states is set, the plant state and every observer state.
     """
     N = trace.e_norms.shape[1]
-    n = trace.x.shape[1]
     header = ["t", "e_global"] + [f"e_{i + 1}" for i in range(N)]
-    if include_states:
-        header += [f"x_{j + 1}" for j in range(n)]
-        header += [f"xhat_{i + 1}_{j + 1}" for i in range(N) for j in range(n)]
-    stream.write(",".join(header) + "\n")
     columns = [trace.times, trace.e_global, trace.e_norms]
     if include_states:
-        columns += [trace.x, trace.xhat.reshape(trace.times.size, N * n)]
+        x = trace.x
+        n = x.shape[1]
+        header += [f"x_{j + 1}" for j in range(n)]
+        header += [f"xhat_{i + 1}_{j + 1}" for i in range(N) for j in range(n)]
+        columns += [x, trace.xhat.reshape(trace.times.size, N * n)]
+    stream.write(",".join(header) + "\n")
     table = np.column_stack(columns)
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
     stream.write(row_format * table.shape[0] % tuple(table.ravel().tolist()))

@@ -23,6 +23,7 @@ and must come back strictly negative definite at every node.
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -130,22 +131,46 @@ class ObserverDesign:
         try:
             nodes = tuple(
                 NodeGains(
-                    L=numerics.as_matrix(nd["L"], "L"),
-                    M=numerics.as_matrix(nd["M"], "M"),
-                    v=int(nd["v"]),
+                    L=numerics.as_matrix(_numbers(nd["L"], "L"), "L"),
+                    M=numerics.as_matrix(_numbers(nd["M"], "M"), "M"),
+                    v=_integer(nd["v"], "v"),
                 )
                 for nd in data["nodes"]
             )
-            r = np.asarray(data["r"], dtype=float)
+            r = np.asarray(_numbers(data["r"], "r"), dtype=float)
             if r.shape != (len(nodes),):
                 raise ValueError(f"r has shape {r.shape}, expected ({len(nodes)},)")
-            scalars = {key: float(data[key]) for key in ("gamma", "epsilon", "alpha")}
+            scalars = {
+                key: float(_numbers(data[key], key)) for key in ("gamma", "epsilon", "alpha")
+            }
             for key, value in scalars.items():
                 if not 0.0 < value < math.inf:
                     raise ValueError(f"{key} must be finite and positive, got {value}")
             return cls(r=r, nodes=nodes, **scalars)
         except (KeyError, TypeError, ValueError, NumericalFailureError) as exc:
             raise DimensionError(f"malformed design document: {exc}") from exc
+
+
+def _numbers(value, name):
+    """value, if it is a number or nested sequences of numbers; a boolean,
+    string or null anywhere in it raises TypeError, as it fails
+    `config.load_design`."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":
+            raise TypeError(f"{name} must hold numbers, got dtype {value.dtype}")
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _numbers(item, name)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must hold numbers, got {value!r}")
+    return value
+
+
+def _integer(value, name):
+    """value as an int, if it is an integer and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _sym(M):
@@ -321,25 +346,24 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
     For each node, L_i = T_i @ [L_io; 0] and
     M_i = T_i @ diag(inv(P_io), I) @ T_i.T; the identity on the
     unobservable subspace reflects the pinned unit certificate there.
-    M_i is verified positive definite and its inverse verified against
-    T_i @ diag(P_io, I) @ T_i.T before the design is returned.
+    M_i is verified positive definite, and inv(P_io) verified as the
+    inverse of P_io: T_i is orthogonal, so that residual is the one of M_i
+    against T_i @ diag(P_io, I) @ T_i.T, whose Frobenius norm squared is
+    ||P_io||_F^2 + n - v.
     """
     nodes = []
     for i, (d, L_io, P_io) in enumerate(zip(decomps, L_blocks, P_blocks)):
         n, v = d.n, d.v
         p = L_io.shape[1]
         L = d.T @ np.vstack([L_io, np.zeros((n - v, p))])
-        M_local, P_local = np.eye(n), np.eye(n)
-        if v:
-            M_local[:v, :v] = np.linalg.inv(P_io)
-            P_local[:v, :v] = P_io
+        M_local = np.eye(n)
+        M_local[:v, :v] = inv_P_io = np.linalg.inv(P_io)
         M = d.T @ M_local @ d.T.T
         M = 0.5 * (M + M.T)
         if np.linalg.eigvalsh(M)[0] <= 0:
             raise NumericalFailureError(f"node {i}: consensus weighting M is not positive definite")
-        P_full = d.T @ P_local @ d.T.T
-        inv_residual = np.linalg.norm(M @ P_full - np.eye(n), "fro")
-        if inv_residual > 1e-8 * max(1.0, np.linalg.norm(P_full, "fro")):
+        inv_residual = np.linalg.norm(inv_P_io @ P_io - np.eye(v), "fro")
+        if inv_residual > 1e-8 * max(1.0, math.sqrt(np.linalg.norm(P_io, "fro") ** 2 + n - v)):
             raise NumericalFailureError(
                 f"node {i}: inverse certificate residual {inv_residual:.3e}"
             )

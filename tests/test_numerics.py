@@ -126,11 +126,12 @@ class TestSvdAndRank:
             m, n = rng.integers(1, 6, 2)
             M = rng.normal(size=(m, n))
             U, s, Vt = svd(M)
-            assert np.linalg.norm(U.T @ U - np.eye(m)) <= 1e-10 * max(1, m)
+            r = min(m, n)
+            assert U.shape == (m, r) and s.shape == (r,) and Vt.shape == (n, n)
+            assert np.linalg.norm(U.T @ U - np.eye(r)) <= 1e-10 * max(1, r)
             assert np.linalg.norm(Vt @ Vt.T - np.eye(n)) <= 1e-10 * max(1, n)
-            S = np.zeros((m, n))
-            S[: s.size, : s.size] = np.diag(s)
-            assert np.allclose(U @ S @ Vt, M, atol=1e-12)
+            assert np.allclose((U * s) @ Vt[:r], M, atol=1e-12)
+            assert np.linalg.norm(M @ Vt[r:].T) <= 1e-12 * max(1.0, s[0])
             assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
 
     def test_rank_examples(self):

@@ -44,8 +44,8 @@ def trace_from_norm(times, values):
     e = np.asarray(values, dtype=float)
     return SimulationTrace(
         times=np.asarray(times, dtype=float),
-        x=np.zeros((len(times), 1)),
-        e=np.zeros((len(times), 1, 1)),
+        states=np.zeros((len(times), 2)),
+        columns=np.arange(2),
         e_norms=e[:, None],
         e_global=e,
         fitted_rate=None,
@@ -261,6 +261,53 @@ class TestIntegrate:
         assert np.array_equal(trace.xhat, trace.x[:, None, :] + trace.e)
         assert np.allclose(trace.e_norms, np.linalg.norm(trace.e, axis=2), rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize(
+        "record_stride, block",
+        [(1, sim._BLOCK), (7, sim._BLOCK), (1, 1), (7, 1)],
+        ids=["stride-1", "stride-7", "stride-1-single-steps", "stride-7-single-steps"],
+    )
+    def test_mixed_group_sizes_match_single_expm_steps(self, monkeypatch, record_stride, block):
+        # a coupled pair of modes and three lone modes: the error system has
+        # one group of size 2 and three of size 1, stepped as two size
+        # classes whose columns interleave those of (x, e)
+        A = np.zeros((5, 5))
+        A[:2, :2] = [[0.5, 1.0], [-1.0, 0.2]]
+        A[2:, 2:] = np.diag([0.3, -0.4, 0.8])
+        eye = np.eye(5)
+        model = SystemModel(A=A, outputs=(eye[[0]], eye[[2, 3]], eye[[4]]))
+        g_net = random_sc_digraph(np.random.default_rng(21), 3)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        err_sys = verify.error_system(model, g_net, design)[1]
+        assert len(err_sys.groups) >= 2
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        dt, steps = 1e-3, 300
+        config = SimulationConfig(t_final=steps * dt, dt=dt, seed=4, record_stride=record_stride)
+        trace = integrate(config, model, g_net, design)
+
+        rng = np.random.default_rng(4)  # the draws integrate makes for x0 and xhat0
+        x, xhat0 = rng.uniform(-1.0, 1.0, 5), rng.uniform(-1.0, 1.0, (3, 5))
+        e = (xhat0 - x).ravel()
+        x_step, e_step = scipy.linalg.expm(dt * A), scipy.linalg.expm(dt * err_sys.E)
+        recorded = [*range(0, steps + 1, record_stride)]
+        if recorded[-1] != steps:
+            recorded.append(steps)
+        want = {}
+        for k in range(steps + 1):
+            if k in recorded:
+                want[k] = (x.copy(), e.reshape(3, 5).copy())
+            x, e = x_step @ x, e_step @ e
+        assert np.allclose(trace.times, np.array(recorded) * dt, rtol=0, atol=1e-15)
+        got = zip(trace.x, trace.e, trace.xhat, trace.e_norms, trace.e_global)
+        for k, (x_k, e_k, xhat_k, norms_k, global_k) in zip(recorded, got):
+            x_want, e_want = want[k]
+            scale = np.linalg.norm(e_want)
+            assert np.linalg.norm(x_k - x_want) <= 1e-12 * np.linalg.norm(x_want)
+            assert np.linalg.norm(e_k - e_want) <= 1e-12 * scale
+            xhat_want = x_want + e_want
+            assert np.linalg.norm(xhat_k - xhat_want) <= 1e-12 * np.linalg.norm(xhat_want)
+            assert np.all(np.abs(norms_k - np.linalg.norm(e_want, axis=1)) <= 1e-12 * scale)
+            assert abs(global_k - scale) <= 1e-12 * scale
+
     def test_stacked_expm_matches_each_matrix(self):
         # one scaling for the whole stack: the matrix of smaller norm is
         # squared more often than alone, and still exact to 1e-14
@@ -473,8 +520,8 @@ class TestWriteCsv:
         t = np.array([0.0, 0.5])
         trace = SimulationTrace(
             times=t,
-            x=np.zeros((2, 2)),
-            e=np.zeros((2, 2, 2)),
+            states=np.zeros((2, 6)),
+            columns=np.arange(6),
             e_norms=np.ones((2, 2)),
             e_global=np.ones(2),
             fitted_rate=None,
@@ -490,8 +537,8 @@ class TestWriteCsv:
         e = np.array([np.pi, np.e * 1e-7])
         trace = SimulationTrace(
             times=times,
-            x=np.zeros((2, 1)),
-            e=np.zeros((2, 1, 1)),
+            states=np.zeros((2, 2)),
+            columns=np.arange(2),
             e_norms=e[:, None],
             e_global=e,
             fitted_rate=None,
@@ -507,14 +554,21 @@ class TestWriteCsv:
         # inexact, signed zero, tiny, integral, large and irrational values
         values = np.array([1.0 / 3.0, -0.0, 1e-300, 2.0, -7.5e12, np.pi])
         rows, N, n = 3, 2, 2
+        x = np.resize(np.roll(values, 1), (rows, n))
+        e = np.resize(np.roll(values, 2), (rows, N * n))
+        # the states are held in a shuffled column order, as integrate may
+        columns = np.random.default_rng(0).permutation(n + N * n)
+        states = np.empty((rows, n + N * n))
+        states[:, columns] = np.hstack([x, e])
         trace = SimulationTrace(
             times=np.array([0.0, 1.0 / 3.0, 2.0]),
-            x=np.resize(np.roll(values, 1), (rows, n)),
-            e=np.resize(np.roll(values, 2), (rows, N, n)),
+            states=states,
+            columns=columns,
             e_norms=np.resize(np.roll(values, 3), (rows, N)),
             e_global=np.resize(values, rows),
             fitted_rate=None,
         )
+        assert np.array_equal(trace.x, x) and np.array_equal(trace.e.reshape(rows, -1), e)
         buf = io.StringIO()
         write_csv(trace, buf, include_states=True)
         header, body = buf.getvalue().split("\n", 1)
@@ -529,8 +583,8 @@ class TestWriteCsv:
     def test_state_columns(self):
         trace = SimulationTrace(
             times=np.zeros(1),
-            x=np.zeros((1, 2)),
-            e=np.zeros((1, 3, 2)),
+            states=np.zeros((1, 8)),
+            columns=np.arange(8),
             e_norms=np.zeros((1, 3)),
             e_global=np.zeros(1),
             fitted_rate=None,

@@ -368,6 +368,20 @@ class TestAssembleGains:
         assert np.allclose(w, [0.25, 1.0], atol=1e-12)
 
 
+    def test_rejects_certificate_without_an_accurate_inverse(self):
+        # cond(P_io) = 1e16: inv(P_io) @ P_io misses the identity by far
+        # more than the 1e-8 residual bound
+        dec = NodeDecomposition(
+            v=2, T=np.eye(2), A_io=np.zeros((2, 2)), A_ir=np.zeros((0, 2)),
+            A_iu=np.zeros((0, 0)), H_io=np.eye(2),
+        )
+        Q = np.linalg.qr(np.random.default_rng(5).normal(size=(2, 2)))[0]
+        P_io = Q @ np.diag([1.0, 1e-16]) @ Q.T
+        with pytest.raises(NumericalFailureError, match="inverse certificate residual"):
+            assemble_gains(
+                [dec], [np.eye(2)], [P_io], gamma=3.0, epsilon=0.9, r=np.ones(1), alpha=1.0
+            )
+
 def t_coordinate_lmi_margins(model, design, decomps, g):
     """Oracle: each node's certificate inequality in its own coordinates T_i,
 
@@ -662,6 +676,30 @@ class TestDesignSerialization:
             assert np.array_equal(a.L, b.L)
             assert np.array_equal(a.M, b.M)
             assert a.v == b.v
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None], ids=["bool", "string", "null"])
+    @pytest.mark.parametrize("field", ["gamma", "epsilon", "alpha", "r", "L", "M"])
+    def test_rejects_non_number_entries(self, field, bad):
+        # as load_design rejects them: a number field holding a JSON
+        # boolean, string or null, whole or as one entry of an array
+        model = SystemModel(A=[[0.7, 0.0], [0.0, -0.3]], outputs=([[1.0, 0.0]], [[0.0, 1.0]]))
+        doc = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0)).to_dict()
+        if field in ("gamma", "epsilon", "alpha"):
+            doc[field] = bad
+        elif field == "r":
+            doc["r"][1] = bad
+        else:
+            doc["nodes"][0][field][0][-1] = bad
+        with pytest.raises(DimensionError, match="malformed design document"):
+            ObserverDesign.from_dict(doc)
+
+    @pytest.mark.parametrize("v", [0.9, True, "1", 1.0, None])
+    def test_rejects_non_integer_v(self, v):
+        model = SystemModel(A=[[0.7]], outputs=([[1.0]], [[1.0]]))
+        doc = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0)).to_dict()
+        doc["nodes"][0]["v"] = v
+        with pytest.raises(DimensionError, match="malformed design document"):
+            ObserverDesign.from_dict(doc)
 
     @pytest.mark.parametrize("r", [[1.0], [1.0, 1.0, 1.0], 1.0, [[1.0, 1.0]]])
     def test_r_must_hold_one_weight_per_node(self, r):
