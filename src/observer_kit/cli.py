@@ -104,6 +104,9 @@ def cmd_simulate(args):
     design = load_design(args.design)
     sim_config = build_sim_config(loaded, t_final=args.t_final, dt=args.dt, seed=args.seed)
     trace = integrate(sim_config, loaded.model, loaded.graph, design)
+    if args.states:
+        # step the plant now: one that overflows exits before the CSV is opened
+        trace.states
     with open(args.output, "w") as fh:
         write_csv(trace, fh, include_states=args.states)
     final_error = float(trace.e_global[-1])

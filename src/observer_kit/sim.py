@@ -6,28 +6,30 @@ are bit-reproducible for a given configuration and seed. Ideal continuous
 communication links are assumed throughout; there is no measurement
 noise, packet loss or sampling.
 
-The run steps the plant state x together with the estimation error
-e = xhat - 1 (x) x rather than the estimates themselves, so e keeps its
-digits while x grows. Its field is blockdiag(A, E), E the error matrix
-`verify` certifies, from the same `verify.error_system`; `rhs` states the
-observer equations behind E. x advances by exp(dt A) and e, one
-coordinate group of the error system at a time, by exp(dt E_g), E_g the
-group's block of E, `_BLOCK` consecutive states per matrix-matrix
-product. A dense plant is a single group, stepped by exp(dt E).
+The run steps the estimation error e = xhat - 1 (x) x alone. Its field
+is E, the error matrix `verify` certifies, from the same
+`verify.error_system`, and it never reads the plant state x; `rhs` states
+the observer equations behind E. e advances one coordinate group of the
+error system at a time, by exp(dt E_g), E_g the group's block of E,
+`_BLOCK` consecutive states per matrix-matrix product, and the node
+error norms of each block are summed while it is in cache. A dense plant
+is a single group, stepped by exp(dt E).
 
-The state is stepped and recorded in the propagator's own column order:
-the plant's n columns, then each group size of the error system as one
-contiguous run, one sub-run of N |g| columns per group g. A step is one
-batched product per group size on strided views of that layout, and the
-trace forms x, e and the estimates from the recorded states only when
-they are read.
+The error is stepped in the propagator's own column order: each group
+size of the error system as one contiguous run, one sub-run of N |g|
+columns per group g. A step is one batched product per group size on
+strided views of that layout. The plant state x, by exp(dt A), and the
+full states (x, e) are stepped only when a caller reads them from the
+trace, once, by a replay of the same run.
 """
 
 import logging
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -92,43 +94,49 @@ class SimulationConfig:
 class SimulationTrace:
     """Recorded samples of one run.
 
-    states[k] is the state stepped at times[k], in the propagator's
-    column order: columns[j] is the column of states that holds
-    coordinate j of (x, e), the plant state followed by the stacked
-    estimation errors e = xhat - 1 (x) x. The plant state x[k], the node
-    errors e[k, i] and the estimates xhat[k, i] = x[k] + e[k, i] are
-    gathered from states only when read, each time they are read.
-    e_norms[k, i] is the norm of e[k, i]; e_global stacks all nodes.
-    fitted_rate is the negated least-squares slope of log ||e|| over the
-    fit window, or None when the error was identically (numerically) zero
-    there.
+    e_norms[k, i] is the norm of node i's estimation error at times[k];
+    e_global stacks all nodes. fitted_rate is the negated least-squares
+    slope of log ||e|| over the fit window, or None when the error was
+    identically (numerically) zero there.
+
+    states[k] is the state (x, e) at times[k]: the plant state followed
+    by the stacked estimation errors e = xhat - 1 (x) x. It is made by
+    the zero-argument callable replay on the first read of states, x, e
+    or xhat, kept read-only, and not made at all when none is read. The
+    plant state x[k], the node errors e[k, i] and the estimates
+    xhat[k, i] = x[k] + e[k, i] are read from it. A replay that raises,
+    such as `DivergenceError` for a plant that overflows, raises on every
+    read and leaves the norms and the fitted rate usable.
     """
 
     times: np.ndarray
-    states: np.ndarray
-    columns: np.ndarray
     e_norms: np.ndarray
     e_global: np.ndarray
     fitted_rate: float | None
+    replay: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def states(self):
+        states = self.replay()
+        states.flags.writeable = False
+        return states
 
     @property
     def x(self):
-        return np.take(self.states, self.columns[: self._n], axis=1)
+        return self.states[:, : self._n]
 
     @property
     def e(self):
         rows, N = self.e_norms.shape
-        return np.take(self.states, self.columns[self._n :], axis=1).reshape(rows, N, -1)
+        return self.states[:, self._n :].reshape(rows, N, -1)
 
     @property
     def xhat(self):
-        xhat = self.e
-        xhat += self.x[:, None, :]
-        return xhat
+        return self.e + self.x[:, None, :]
 
     @property
     def _n(self):
-        return len(self.columns) // (self.e_norms.shape[1] + 1)
+        return self.states.shape[1] // (self.e_norms.shape[1] + 1)
 
 
 def rhs(state, model, g_net, design):
@@ -171,26 +179,32 @@ def rhs(state, model, g_net, design):
 
 
 def integrate(config, model, g_net, design):
-    """Exact fixed-step run of the coupled dynamics.
+    """Exact fixed-step run of the networked error dynamics.
 
-    The run steps the plant state x and the stacked estimation error
-    e = xhat - 1 (x) x, so e keeps its digits while x grows. In these
-    coordinates the field is blockdiag(A, E), with E the error matrix of
-    `verify.error_system`, so a design `verify` rejects is rejected here
-    with the same error. One step multiplies x by exp(dt A) and the error
-    rows of each coordinate group by exp(dt E_g), E_g its block of E,
-    exact to rounding. The state is held with the rows of the groups of
-    one size side by side, so a step is one batched product per group
-    size. The first `_BLOCK` states are stepped one at a time, each later
-    block in one product with the `_BLOCK`-th power of the step, written
-    straight into the record when every step is recorded; a block with a
-    non-finite entry is redone one step at a time from the last finite
-    one. The trace keeps the states in that layout and the per-node error
-    norms; x, e and xhat are gathered from the states only when read.
+    The run steps the stacked estimation error e = xhat - 1 (x) x alone:
+    e' = E e, with E the error matrix of `verify.error_system`, never
+    reads the plant state x, so a design `verify` certifies simulates
+    whatever x does, and a design `verify` rejects is rejected here with
+    the same error. One step multiplies the error rows of each coordinate
+    group by exp(dt E_g), E_g its block of E, exact to rounding. The error
+    is held with the rows of the groups of one size side by side, so a
+    step is one batched product per group size. The first `_BLOCK` states
+    are stepped one at a time, each later block in one product with the
+    `_BLOCK`-th power of the step, into one of two scratch blocks, whose
+    squared node norms are summed while it is in cache. A block whose
+    sums are not finite and that holds a non-finite entry is redone one
+    step at a time from the last finite block. No state is kept: the
+    trace holds the per-node error norms at the recorded steps.
+
+    The plant state x, by exp(dt A), and the states (x, e) are stepped
+    only when the trace's states, x, e or xhat are first read: a replay of
+    the run over (x, e), in the same layout and blocks, whose steps of e
+    are those of this run. It raises `DivergenceError` naming the first
+    step whose x is non-finite.
 
     Deterministic for fixed inputs and seed. Divergence aborts with
-    `DivergenceError` naming the first step whose x or e is non-finite;
-    that is the expected outcome when simulating an invalid design.
+    `DivergenceError` naming the first step whose e is non-finite; that
+    is the expected outcome when simulating an invalid design.
     """
     n = model.n
     N = model.node_count
@@ -213,34 +227,21 @@ def integrate(config, model, g_net, design):
     if rec_steps[-1] != steps:
         rec_steps = np.append(rec_steps, steps)
 
-    # stepped column j holds coordinate layout[j] of y = (x, e): the plant
-    # first, then each size class of groups, one contiguous run per group
-    layout = np.concatenate([np.arange(n), *(n + rows.ravel() for rows in err_sys.group_rows())])
-    y0 = np.concatenate([x0, (xhat0 - x0).ravel()])[layout]
-    # states are rows, so one step is y @ blockdiag(exp(dt A), exp(dt E_g), ...).T;
+    # stepped column j holds coordinate layout[j] of e: each size class of
+    # groups as one contiguous run, one sub-run of N |g| rows per group
+    layout = np.concatenate([rows.ravel() for rows in err_sys.group_rows()])
+    e0 = (xhat0 - x0).ravel()[layout]
+    # states are rows, so one step is e @ blockdiag(exp(dt E_g), ...).T;
     # overflow is detected explicitly, so numpy stays quiet on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        step = [_expm(dt * model.A[None]).transpose(0, 2, 1)]
-        step += [_expm(dt * blocks).transpose(0, 2, 1) for blocks in err_sys.E_blocks]
-        states = _propagate(step, y0, rec_steps, dt)
-
-    # squared node norms, summed inside each size class: its run of group
-    # g holds the N |g| rows (i, k), k in g, node-major
-    squares = np.zeros((len(rec_steps), N))
-    lo = n
-    for groups in err_sys.groups:
-        k, m = groups.shape
-        part = states[:, lo : lo + k * N * m].reshape(len(rec_steps), k, N, m)
-        squares += np.einsum("rkim,rkim->ri", part, part)
-        lo += k * N * m
-    e_norms = np.sqrt(squares)
+        step = [_expm(dt * blocks).transpose(0, 2, 1) for blocks in err_sys.E_blocks]
+        e_norms = _node_norms(step, e0, rec_steps, dt, [g.shape for g in err_sys.groups], N)
     trace = SimulationTrace(
         times=rec_steps * dt,
-        states=states,
-        columns=np.argsort(layout),
         e_norms=e_norms,
         e_global=np.linalg.norm(e_norms, axis=1),
         fitted_rate=None,
+        replay=partial(_replay, model.A, step, x0, e0, layout, rec_steps, dt),
     )
     try:
         rate = estimate_decay_rate(trace, config.resolved_fit_window())
@@ -248,6 +249,69 @@ def integrate(config, model, g_net, design):
         logger.warning("decay-rate fit skipped: %s", exc)
         rate = None
     return replace(trace, fitted_rate=rate)
+
+
+def _replay(A, e_step, x0, e0, layout, rec_steps, dt):
+    """The states (x, e) of a run at the ascending steps rec_steps, one
+    per row, in coordinate order: x by exp(dt A) next to e, stepped by
+    `_propagate` in the run's layout of e, with the plant's n columns
+    first."""
+    n = len(x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = [_expm(dt * A[None]).transpose(0, 2, 1), *e_step]
+        states = _propagate(step, np.concatenate([x0, e0]), rec_steps, dt, "plant state x")
+    columns = np.argsort(np.concatenate([np.arange(n), n + layout]))
+    return np.take(states, columns, axis=1)
+
+
+def _node_norms(step, e0, rec_steps, dt, shapes, N):
+    """Norms of the N node errors at the ascending steps rec_steps, one
+    row per step, where e_{k+1} = _times(e_k, step).
+
+    shapes holds the (k, m) of each part of step: k groups of size m,
+    each a run of N m columns, node-major. Blocks of states alternate
+    between two scratch arrays; the squared node norms of each block are
+    summed when it is made, and only those of the recorded rows are kept.
+    """
+    steps = int(rec_steps[-1])
+    width = min(_BLOCK, steps + 1)
+    scratch = np.empty((2, width, e0.size))
+    squares = np.empty((len(rec_steps), N))
+    block = scratch[0]
+    block[0] = e0
+    _step_one_at_a_time(step, e0, 1, block[1:], dt, "estimation error")
+    sums = _squared_node_norms(block, shapes, N)
+    jump = [np.linalg.matrix_power(T, width) for T in step]
+    start = 0  # step of the first row of block
+    while True:
+        lo, hi = np.searchsorted(rec_steps, [start, start + width])
+        squares[lo:hi] = sums[rec_steps[lo:hi] - start]
+        start += width
+        if start > steps:
+            return np.sqrt(squares)
+        rows = min(width, steps + 1 - start)
+        following = scratch[start // width % 2, :rows]
+        _times(block[:rows], jump, following)
+        sums = _squared_node_norms(following, shapes, N)
+        # a finite sum of squares has finite terms; an infinite one may
+        # come from finite entries above the square root of the largest float
+        if not np.isfinite(sums).all() and not np.isfinite(following).all():
+            _step_one_at_a_time(step, block[-1], start, following, dt, "estimation error")
+            sums = _squared_node_norms(following, shapes, N)
+        block = following
+
+
+def _squared_node_norms(block, shapes, N):
+    """Squared node norms of the states of block, one row each, summed
+    inside each size class: its run of group g holds the N |g| rows
+    (i, k), k in g, node-major."""
+    squares = np.zeros((len(block), N))
+    lo = 0
+    for k, m in shapes:
+        part = block[:, lo : lo + k * N * m].reshape(len(block), k, N, m)
+        squares += np.einsum("rkim,rkim->ri", part, part)
+        lo += k * N * m
+    return squares
 
 
 def _expm(M):
@@ -272,13 +336,14 @@ def _expm(M):
     return P
 
 
-def _propagate(step, y0, rec_steps, dt):
+def _propagate(step, y0, rec_steps, dt, name):
     """States y_k at the ascending steps rec_steps, one per row, where
     y_{k+1} = _times(y_k, step).
 
     When every step is recorded, each block is computed straight into its
     rows of the result; otherwise blocks alternate between two scratch
-    arrays and only the recorded rows are copied out.
+    arrays and only the recorded rows are copied out. A non-finite state
+    raises `DivergenceError` naming the state as name.
     """
     steps = int(rec_steps[-1])
     out = np.empty((len(rec_steps), y0.size))
@@ -287,7 +352,7 @@ def _propagate(step, y0, rec_steps, dt):
     scratch = None if direct else np.empty((2, width, y0.size))
     block = out[:width] if direct else scratch[0]
     block[0] = y0
-    _step_one_at_a_time(step, y0, 1, block[1:], dt)
+    _step_one_at_a_time(step, y0, 1, block[1:], dt, name)
     jump = [np.linalg.matrix_power(T, width) for T in step]
     start = 0  # step of the first row of block
     while True:
@@ -301,7 +366,7 @@ def _propagate(step, y0, rec_steps, dt):
         following = out[start : start + rows] if direct else scratch[start // width % 2, :rows]
         _times(block[:rows], jump, following)
         if not np.isfinite(following).all():
-            _step_one_at_a_time(step, block[-1], start, following, dt)
+            _step_one_at_a_time(step, block[-1], start, following, dt, name)
         block = following
 
 
@@ -326,11 +391,12 @@ def _runs(y, k):
     return y.reshape(len(y), k, -1).swapaxes(0, 1)
 
 
-def _step_one_at_a_time(step, y, start, out, dt):
+def _step_one_at_a_time(step, y, start, out, dt, name):
     """Fill the rows of out with the states start, start + 1, ..., stepped
     one at a time from y, the state at step start - 1.
 
-    Raises `DivergenceError` at the first step with a non-finite entry.
+    Raises `DivergenceError` at the first step with a non-finite entry,
+    naming the state as name.
     """
     previous = y[None]
     for row in range(len(out)):
@@ -339,7 +405,7 @@ def _step_one_at_a_time(step, y, start, out, dt):
         if not np.isfinite(current).all():
             k = start + row
             raise DivergenceError(
-                f"state became non-finite at step {k} (t = {k * dt:.6g})",
+                f"{name} became non-finite at step {k} (t = {k * dt:.6g})",
                 step=k,
                 time=k * dt,
             )

@@ -319,7 +319,7 @@ def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
     F = A_io + (alpha + beta) * np.eye(v)
     X = numerics.solve_lyapunov(F, -2.0 * (H_io.T @ H_io))
     w = np.linalg.eigvalsh(X)
-    if w[0] <= 1e-10 * max(1.0, w[-1]):
+    if w[0] <= 1e-10 * w[-1]:
         cond = w[-1] / w[0] if w[0] > 0 else np.inf
         raise AssumptionViolationError(
             f"observability Gramian of the stabilized block is singular: "

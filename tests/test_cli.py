@@ -457,6 +457,34 @@ class TestSimulate:
         summary = json.loads(capsys.readouterr().out)
         assert summary["fitted_rate"] >= 0.95 * summary["alpha"]
 
+    def test_fast_unstable_plant_simulates(self, tmp_path, capsys):
+        # x' = 80 x overflows at t = 8.89 of the default t_final = 10, but
+        # the error the certificate speaks of never reads x
+        cfg = write_config(tmp_path / "fast.json", A=[[80.0, 0.0], [0.0, 2.0]])
+        design = tmp_path / "d.json"
+        assert main(["synthesize", str(cfg), "-o", str(design)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(cfg), str(design)]) == 0
+        abscissa = json.loads(capsys.readouterr().out)["abscissa"]
+        assert abscissa == pytest.approx(-4.876, abs=1e-3)
+        assert main(["simulate", str(cfg), str(design), "-o", str(tmp_path / "t.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["fitted_rate"] == pytest.approx(-abscissa, rel=1e-3)
+
+    def test_states_of_an_overflowing_plant(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "fast.json", A=[[80.0, 0.0], [0.0, 2.0]])
+        design = tmp_path / "d.json"
+        assert main(["synthesize", str(cfg), "-o", str(design)]) == 0
+        capsys.readouterr()
+        trace = tmp_path / "t.csv"
+        code = main(["simulate", str(cfg), str(design), "--states", "-o", str(trace)])
+        assert code == 1
+        # x_k = x_0 exp(80 dt k) with x_0 the seed-7 draw of integrate
+        x0 = np.random.default_rng(7).uniform(-1.0, 1.0, 2)[0]
+        expected = math.floor((math.log(np.finfo(float).max) - math.log(abs(x0))) / 0.08) + 1
+        assert f"plant state x became non-finite at step {expected} " in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_state_columns_flag(self, config_path, design_path, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         code = main([

@@ -40,15 +40,18 @@ def probed_field(model, g_net, design):
     return rhs(np.eye(model.n * (model.node_count + 1)), model, g_net, design)
 
 
+def no_replay():
+    raise AssertionError("the states were read")
+
+
 def trace_from_norm(times, values):
     e = np.asarray(values, dtype=float)
     return SimulationTrace(
         times=np.asarray(times, dtype=float),
-        states=np.zeros((len(times), 2)),
-        columns=np.arange(2),
         e_norms=e[:, None],
         e_global=e,
         fitted_rate=None,
+        replay=no_replay,
     )
 
 
@@ -374,6 +377,47 @@ class TestIntegrate:
             assert err.value.step == expected
             assert err.value.time == pytest.approx(expected * dt)
 
+    def test_states_are_replayed_only_when_read(self, monkeypatch):
+        model, g_net = partial_instance(3)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        config = SimulationConfig(t_final=1.0, dt=1e-3, seed=2, record_stride=10)
+        propagate, calls = sim._propagate, []
+
+        def counting(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(sim, "_propagate", counting)
+        trace = integrate(config, model, g_net, design)
+        assert trace.e_norms.shape == (101, 3) and trace.e_global.shape == (101,)
+        assert trace.fitted_rate > 1.0
+        assert calls == []
+        x, xhat = trace.x, trace.xhat
+        assert len(calls) == 1
+        e = trace.e
+        assert np.array_equal(trace.states, np.hstack([x, e.reshape(101, -1)]))
+        assert np.array_equal(xhat, x[:, None, :] + e)
+        assert len(calls) == 1
+        assert not trace.states.flags.writeable
+
+    def test_overflowing_plant_does_not_stop_the_error(self):
+        # x' = 80 x overflows at t = 8.87, yet e' = E e never reads x
+        model = SystemModel(A=np.diag([80.0, 2.0]), outputs=(np.eye(2)[:1], np.eye(2)[1:]))
+        design = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
+        abscissa = verify.verify_design(model, UNIT_2CYCLE, design).abscissa
+        dt = 1e-3
+        config = SimulationConfig(t_final=10.0, dt=dt, x0=[1.0, 0.0], seed=0)
+        trace = integrate(config, model, UNIT_2CYCLE, design)
+        assert np.all(np.isfinite(trace.e_norms))
+        assert trace.fitted_rate == pytest.approx(-abscissa, rel=1e-3)
+        # the first power of exp(80 dt) above the largest float
+        expected = math.floor(math.log(np.finfo(float).max) / (80.0 * dt)) + 1
+        for _ in range(2):
+            with pytest.raises(DivergenceError, match="plant state x") as err:
+                trace.x
+            assert err.value.step == expected
+        assert trace.e_global[-1] < 1e-15
+
     def test_error_coordinates_keep_digits(self):
         # the plant state grows to about 1e6 while the error decays to about
         # 1e-5; stepping e directly keeps the digits a subtraction would lose
@@ -520,11 +564,10 @@ class TestWriteCsv:
         t = np.array([0.0, 0.5])
         trace = SimulationTrace(
             times=t,
-            states=np.zeros((2, 6)),
-            columns=np.arange(6),
             e_norms=np.ones((2, 2)),
             e_global=np.ones(2),
             fitted_rate=None,
+            replay=no_replay,
         )
         buf = io.StringIO()
         write_csv(trace, buf)
@@ -537,11 +580,10 @@ class TestWriteCsv:
         e = np.array([np.pi, np.e * 1e-7])
         trace = SimulationTrace(
             times=times,
-            states=np.zeros((2, 2)),
-            columns=np.arange(2),
             e_norms=e[:, None],
             e_global=e,
             fitted_rate=None,
+            replay=no_replay,
         )
         buf = io.StringIO()
         write_csv(trace, buf)
@@ -556,17 +598,12 @@ class TestWriteCsv:
         rows, N, n = 3, 2, 2
         x = np.resize(np.roll(values, 1), (rows, n))
         e = np.resize(np.roll(values, 2), (rows, N * n))
-        # the states are held in a shuffled column order, as integrate may
-        columns = np.random.default_rng(0).permutation(n + N * n)
-        states = np.empty((rows, n + N * n))
-        states[:, columns] = np.hstack([x, e])
         trace = SimulationTrace(
             times=np.array([0.0, 1.0 / 3.0, 2.0]),
-            states=states,
-            columns=columns,
             e_norms=np.resize(np.roll(values, 3), (rows, N)),
             e_global=np.resize(values, rows),
             fitted_rate=None,
+            replay=lambda: np.hstack([x, e]),
         )
         assert np.array_equal(trace.x, x) and np.array_equal(trace.e.reshape(rows, -1), e)
         buf = io.StringIO()
@@ -583,11 +620,10 @@ class TestWriteCsv:
     def test_state_columns(self):
         trace = SimulationTrace(
             times=np.zeros(1),
-            states=np.zeros((1, 8)),
-            columns=np.arange(8),
             e_norms=np.zeros((1, 3)),
             e_global=np.zeros(1),
             fitted_rate=None,
+            replay=lambda: np.zeros((1, 8)),
         )
         buf = io.StringIO()
         write_csv(trace, buf, include_states=True)

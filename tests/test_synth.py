@@ -553,6 +553,24 @@ class TestSynthesize:
                            match=r"singular: cond\(X\) = \d.*e\+\d+ with v = 5\."):
             synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
 
+    def test_weak_output_certifies(self):
+        # node 1's sensor in units 1e5 times larger: its Gramian is small
+        # but perfectly conditioned, so it is no singular Gramian
+        model = SystemModel(A=TWO_MODES.A, outputs=(TWO_MODES.outputs[0], 1e-5 * TWO_MODES.outputs[1]))
+        design = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
+        report = verify_design(model, UNIT_2CYCLE, design)
+        assert report.passed and report.lyapunov_passed
+
+    def test_battery_in_small_output_units_certifies(self):
+        # every output rescaled by 1e-4 is a change of sensor units only
+        certified = 0
+        for model, g_net in battery_instances(20240817):
+            scaled = SystemModel(A=model.A, outputs=tuple(1e-4 * H for H in model.outputs))
+            design = synthesize(scaled, g_net, SynthesisParams(alpha=1.0))
+            report = verify_design(scaled, g_net, design)
+            certified += report.passed and report.lyapunov_passed
+        assert certified == 100
+
     def test_wide_mode_spread_certifies(self):
         design = synthesize(SPREAD_MODEL, RING_8, SynthesisParams(alpha=1.0))
         report = verify_design(SPREAD_MODEL, RING_8, design)
