@@ -184,6 +184,7 @@ def save_design(design, path):
 
 
 def load_design(path):
+    """Read a design file; `ObserverDesign.from_dict` checks its fields."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -191,12 +192,4 @@ def load_design(path):
         raise ConfigError(f"cannot read design {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"design {path} is not valid JSON: {exc}") from exc
-    doc = _typed(doc, dict, "design")
-    for key in ("gamma", "epsilon", "alpha", "r"):
-        _typed(_require(doc, key, "design"), float, f"design {key}")
-    for i, node in enumerate(_typed(_require(doc, "nodes", "design"), list, "design nodes")):
-        node = _typed(node, dict, f"design node {i}")
-        for key in ("L", "M"):
-            _typed(_require(node, key, f"design node {i}"), float, f"node {i} {key}")
-        _typed(_require(node, "v", f"design node {i}"), int, f"node {i} v")
     return ObserverDesign.from_dict(doc)

@@ -12,15 +12,19 @@ is E, the error matrix `verify` certifies, from the same
 the observer equations behind E. e advances one coordinate group of the
 error system at a time, by exp(dt E_g), E_g the group's block of E,
 `_BLOCK` consecutive states per matrix-matrix product, and the node
-error norms of each block are summed while it is in cache. A dense plant
-is a single group, stepped by exp(dt E).
+error norms of each block are taken while it is in cache. A dense plant
+is a single group, stepped by exp(dt E). Norms whose squares pass the
+largest float are taken of the block scaled by its largest entry, so a
+norm reads inf only when it passes the largest float itself.
 
 The error is stepped in the propagator's own column order: each group
 size of the error system as one contiguous run, one sub-run of N |g|
 columns per group g. A step is one batched product per group size on
 strided views of that layout. The plant state x, by exp(dt A), and the
 full states (x, e) are stepped only when a caller reads them from the
-trace, once, by a replay of the same run.
+trace, once, by a replay of the same run. The run and the replay share
+one block loop, `_run`, which keeps the node norms of each block in the
+one and the block itself in the other.
 """
 
 import logging
@@ -188,19 +192,23 @@ def integrate(config, model, g_net, design):
     the same error. One step multiplies the error rows of each coordinate
     group by exp(dt E_g), E_g its block of E, exact to rounding. The error
     is held with the rows of the groups of one size side by side, so a
-    step is one batched product per group size. The first `_BLOCK` states
-    are stepped one at a time, each later block in one product with the
-    `_BLOCK`-th power of the step, into one of two scratch blocks, whose
-    squared node norms are summed while it is in cache. A block whose
-    sums are not finite and that holds a non-finite entry is redone one
-    step at a time from the last finite block. No state is kept: the
-    trace holds the per-node error norms at the recorded steps.
+    step is one batched product per group size. `_run` steps the first
+    `_BLOCK` states one at a time and each later block in one product
+    with the `_BLOCK`-th power of the step, into one of two scratch
+    blocks, whose node norms are taken while it is in cache. A block whose
+    norms are not finite and that holds a non-finite entry is redone one
+    step at a time from the last finite block; one whose norms overflow
+    from finite entries has them taken again of the block scaled by its
+    largest entry, and e_global is summed by `np.hypot` where the norm of
+    the node norms overflows. No state is kept: the trace holds the
+    per-node error norms at the recorded steps.
 
     The plant state x, by exp(dt A), and the states (x, e) are stepped
     only when the trace's states, x, e or xhat are first read: a replay of
-    the run over (x, e), in the same layout and blocks, whose steps of e
-    are those of this run. It raises `DivergenceError` naming the first
-    step whose x is non-finite.
+    the run over (x, e) through the same `_run`, in the same layout and
+    blocks, whose steps of e are those of this run, keeping whole blocks.
+    It raises `DivergenceError` naming the first step whose x is
+    non-finite.
 
     Deterministic for fixed inputs and seed. Divergence aborts with
     `DivergenceError` naming the first step whose e is non-finite; that
@@ -235,11 +243,15 @@ def integrate(config, model, g_net, design):
     # overflow is detected explicitly, so numpy stays quiet on the way there
     with np.errstate(over="ignore", invalid="ignore"):
         step = [_expm(dt * blocks).transpose(0, 2, 1) for blocks in err_sys.E_blocks]
-        e_norms = _node_norms(step, e0, rec_steps, dt, [g.shape for g in err_sys.groups], N)
+        norms = partial(_node_norms, shapes=[g.shape for g in err_sys.groups], N=N)
+        e_norms = _run(step, e0, rec_steps, dt, "estimation error", norms)
+        e_global = np.linalg.norm(e_norms, axis=1)
+        overflowed = ~np.isfinite(e_global)
+        e_global[overflowed] = np.hypot.reduce(e_norms[overflowed], axis=1)
     trace = SimulationTrace(
         times=rec_steps * dt,
         e_norms=e_norms,
-        e_global=np.linalg.norm(e_norms, axis=1),
+        e_global=e_global,
         fitted_rate=None,
         replay=partial(_replay, model.A, step, x0, e0, layout, rec_steps, dt),
     )
@@ -254,64 +266,82 @@ def integrate(config, model, g_net, design):
 def _replay(A, e_step, x0, e0, layout, rec_steps, dt):
     """The states (x, e) of a run at the ascending steps rec_steps, one
     per row, in coordinate order: x by exp(dt A) next to e, stepped by
-    `_propagate` in the run's layout of e, with the plant's n columns
-    first."""
+    `_run` in the run's layout of e, with the plant's n columns first."""
     n = len(x0)
     with np.errstate(over="ignore", invalid="ignore"):
         step = [_expm(dt * A[None]).transpose(0, 2, 1), *e_step]
-        states = _propagate(step, np.concatenate([x0, e0]), rec_steps, dt, "plant state x")
+        y0 = np.concatenate([x0, e0])
+        states = _run(step, y0, rec_steps, dt, "plant state x", lambda block: block)
     columns = np.argsort(np.concatenate([np.arange(n), n + layout]))
     return np.take(states, columns, axis=1)
 
 
-def _node_norms(step, e0, rec_steps, dt, shapes, N):
-    """Norms of the N node errors at the ascending steps rec_steps, one
-    row per step, where e_{k+1} = _times(e_k, step).
+def _run(step, y0, rec_steps, dt, name, reduce):
+    """reduce(block) at the ascending steps rec_steps, one row per step,
+    where block holds consecutive states y_k, one per row, from y_0 = y0
+    and y_{k+1} = _times(y_k, step).
 
-    shapes holds the (k, m) of each part of step: k groups of size m,
-    each a run of N m columns, node-major. Blocks of states alternate
-    between two scratch arrays; the squared node norms of each block are
-    summed when it is made, and only those of the recorded rows are kept.
+    The first block is stepped one at a time, each later one in one
+    product with the `_BLOCK`-th power of the step. Blocks alternate
+    between two scratch arrays, and only the recorded rows of each
+    reduction are kept. reduce must be positively homogeneous and
+    non-finite on a block with a non-finite entry. A block whose
+    reduction is not finite and that holds a non-finite entry is redone
+    one step at a time from the last finite block, which raises
+    `DivergenceError` naming the state as name at the first non-finite
+    step; a finite one is reduced by `_finite_reduction`.
     """
     steps = int(rec_steps[-1])
     width = min(_BLOCK, steps + 1)
-    scratch = np.empty((2, width, e0.size))
-    squares = np.empty((len(rec_steps), N))
+    scratch = np.empty((2, width, y0.size))
     block = scratch[0]
-    block[0] = e0
-    _step_one_at_a_time(step, e0, 1, block[1:], dt, "estimation error")
-    sums = _squared_node_norms(block, shapes, N)
+    block[0] = y0
+    _step_one_at_a_time(step, y0, 1, block[1:], dt, name)
+    kept = _finite_reduction(reduce, block)
+    out = np.empty((len(rec_steps), *kept.shape[1:]))
     jump = [np.linalg.matrix_power(T, width) for T in step]
     start = 0  # step of the first row of block
     while True:
         lo, hi = np.searchsorted(rec_steps, [start, start + width])
-        squares[lo:hi] = sums[rec_steps[lo:hi] - start]
+        out[lo:hi] = kept[rec_steps[lo:hi] - start]
         start += width
         if start > steps:
-            return np.sqrt(squares)
+            return out
         rows = min(width, steps + 1 - start)
         following = scratch[start // width % 2, :rows]
         _times(block[:rows], jump, following)
-        sums = _squared_node_norms(following, shapes, N)
-        # a finite sum of squares has finite terms; an infinite one may
-        # come from finite entries above the square root of the largest float
-        if not np.isfinite(sums).all() and not np.isfinite(following).all():
-            _step_one_at_a_time(step, block[-1], start, following, dt, "estimation error")
-            sums = _squared_node_norms(following, shapes, N)
+        kept = reduce(following)
+        if not np.isfinite(kept).all():
+            if not np.isfinite(following).all():
+                _step_one_at_a_time(step, block[-1], start, following, dt, name)
+            kept = _finite_reduction(reduce, following)
         block = following
 
 
-def _squared_node_norms(block, shapes, N):
-    """Squared node norms of the states of block, one row each, summed
-    inside each size class: its run of group g holds the N |g| rows
-    (i, k), k in g, node-major."""
+def _finite_reduction(reduce, block):
+    """reduce(block) of finite states, each entry of it that is not finite
+    taken again of the block divided by its largest entry: a sum of
+    squares of entries above the square root of the largest float
+    overflows, their norm need not."""
+    kept = reduce(block)
+    overflowed = ~np.isfinite(kept)
+    if overflowed.any():
+        scale = np.abs(block).max()
+        kept[overflowed] = (reduce(block / scale) * scale)[overflowed]
+    return kept
+
+
+def _node_norms(block, shapes, N):
+    """Norms of the N node errors of the states of block, one row each,
+    squared and summed inside each size class: its run of group g holds
+    the N |g| rows (i, k), k in g, node-major."""
     squares = np.zeros((len(block), N))
     lo = 0
     for k, m in shapes:
         part = block[:, lo : lo + k * N * m].reshape(len(block), k, N, m)
         squares += np.einsum("rkim,rkim->ri", part, part)
         lo += k * N * m
-    return squares
+    return np.sqrt(squares)
 
 
 def _expm(M):
@@ -334,40 +364,6 @@ def _expm(M):
     for _ in range(s):
         P = P @ P
     return P
-
-
-def _propagate(step, y0, rec_steps, dt, name):
-    """States y_k at the ascending steps rec_steps, one per row, where
-    y_{k+1} = _times(y_k, step).
-
-    When every step is recorded, each block is computed straight into its
-    rows of the result; otherwise blocks alternate between two scratch
-    arrays and only the recorded rows are copied out. A non-finite state
-    raises `DivergenceError` naming the state as name.
-    """
-    steps = int(rec_steps[-1])
-    out = np.empty((len(rec_steps), y0.size))
-    width = min(_BLOCK, steps + 1)
-    direct = len(rec_steps) == steps + 1
-    scratch = None if direct else np.empty((2, width, y0.size))
-    block = out[:width] if direct else scratch[0]
-    block[0] = y0
-    _step_one_at_a_time(step, y0, 1, block[1:], dt, name)
-    jump = [np.linalg.matrix_power(T, width) for T in step]
-    start = 0  # step of the first row of block
-    while True:
-        if not direct:
-            lo, hi = np.searchsorted(rec_steps, [start, start + width])
-            out[lo:hi] = block[rec_steps[lo:hi] - start]
-        start += width
-        if start > steps:
-            return out
-        rows = min(width, steps + 1 - start)
-        following = out[start : start + rows] if direct else scratch[start // width % 2, :rows]
-        _times(block[:rows], jump, following)
-        if not np.isfinite(following).all():
-            _step_one_at_a_time(step, block[-1], start, following, dt, name)
-        block = following
 
 
 def _times(y, parts, out):

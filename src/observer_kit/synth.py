@@ -153,8 +153,7 @@ class ObserverDesign:
 
 def _numbers(value, name):
     """value, if it is a number or nested sequences of numbers; a boolean,
-    string or null anywhere in it raises TypeError, as it fails
-    `config.load_design`."""
+    string or null anywhere in it raises TypeError."""
     if isinstance(value, np.ndarray):
         if value.dtype.kind not in "iuf":
             raise TypeError(f"{name} must hold numbers, got dtype {value.dtype}")

@@ -12,6 +12,9 @@ from conftest import random_partial_model, random_sc_digraph
 from observer_kit.cli import main
 
 
+MISSING = object()  # a key deleted from a document
+
+
 def write_config(path, *, alpha=1.0, edges=None, A=None, outputs=None, sim=None,
                  seed=7, n_nodes=2):
     A = A if A is not None else [[1.0, 0.0], [0.0, 2.0]]
@@ -299,15 +302,23 @@ class TestVerify:
     @pytest.mark.parametrize(
         "node, key, value",
         [(True, "v", 0.9), (True, "v", True), (True, "v", "1"), (True, "L", [["1.0"], ["0.0"]]),
-         (False, "gamma", "20.0"), (False, "epsilon", True), (False, "r", [True, True])],
+         (False, "gamma", "20.0"), (False, "epsilon", True), (False, "r", [True, True]),
+         (False, None, None), (False, "nodes", ["node 0", "node 1"]), (False, "gamma", MISSING)],
         ids=["v-0.9", "v-bool", "v-string", "L-strings", "gamma-string", "epsilon-bool",
-             "r-bools"],
+             "r-bools", "root-array", "node-string", "gamma-missing"],
     )
     def test_design_number_of_wrong_type(self, config_path, design_path, tmp_path, node, key,
                                          value):
-        # v = 0.9 was once truncated to 0 by int() without a word
+        # v = 0.9 was once truncated to 0 by int() without a word; key None
+        # wraps the whole document in an array
         doc = json.loads(design_path.read_text())
-        (doc["nodes"][0] if node else doc)[key] = value
+        target = doc["nodes"][0] if node else doc
+        if key is None:
+            doc = [doc]
+        elif value is MISSING:
+            del target[key]
+        else:
+            target[key] = value
         tampered = tmp_path / "tampered_type.json"
         tampered.write_text(json.dumps(doc))
         assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
@@ -484,6 +495,54 @@ class TestSimulate:
         expected = math.floor((math.log(np.finfo(float).max) - math.log(abs(x0))) / 0.08) + 1
         assert f"plant state x became non-finite at step {expected} " in capsys.readouterr().err
         assert not trace.exists()
+
+    def test_error_above_the_root_of_the_largest_float(self, tmp_path, capsys):
+        # e' = 50 e grows to e^500 = 1.4e217: finite, so the summary is
+        # valid JSON, though the error's square overflows from t = 7.1 on
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps({
+            "system": {"n": 1, "A": [[0.0]], "outputs": [{"H": [[1.0]]}]},
+            "graph": {"N": 1, "edges": []},
+            "params": {"alpha": 1.0, "sim": {"x0": [0.0], "xhat0": [[1.0]], "dt": 0.01}},
+        }))
+        design = tmp_path / "d.json"
+        design.write_text(json.dumps({
+            "gamma": 1.0, "epsilon": 0.9, "alpha": 1.0, "r": [1.0],
+            "nodes": [{"L": [[-50.0]], "M": [[1.0]], "v": 1}],
+        }))
+        trace = tmp_path / "t.csv"
+        assert main(["simulate", str(cfg), str(design), "-o", str(trace)]) == 1
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in the summary")
+
+        summary = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert summary["fitted_rate"] == pytest.approx(-50.0, rel=1e-9)
+        assert summary["final_error"] == pytest.approx(math.exp(500.0), rel=1e-10)
+        table = np.loadtxt(trace, delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(table))
+
+    def test_strided_states_match_the_run(self, tmp_path, capsys):
+        from observer_kit.config import build_sim_config, load_config, load_design
+        from observer_kit.sim import integrate
+
+        cfg = write_config(
+            tmp_path / "strided.json",
+            sim={"t_final": 8.0, "dt": 0.001, "fit_window": [2.0, 8.0], "record_stride": 7},
+        )
+        design = tmp_path / "d.json"
+        assert main(["synthesize", str(cfg), "-o", str(design)]) == 0
+        trace = tmp_path / "t.csv"
+        assert main(["simulate", str(cfg), str(design), "--states", "-o", str(trace)]) == 0
+        header = trace.read_text().splitlines()[0].split(",")
+        table = np.loadtxt(trace, delimiter=",", skiprows=1)
+        assert table.shape == (1144, len(header))
+        loaded = load_config(cfg)
+        run = integrate(build_sim_config(loaded), loaded.model, loaded.graph, load_design(design))
+        x = table[:, header.index("x_1") :][:, :2]
+        xhat = table[:, header.index("xhat_1_1") :]
+        assert np.array_equal(x, run.x)
+        assert np.array_equal(xhat, run.xhat.reshape(1144, 4))
 
     def test_state_columns_flag(self, config_path, design_path, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

@@ -381,13 +381,13 @@ class TestIntegrate:
         model, g_net = partial_instance(3)
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
         config = SimulationConfig(t_final=1.0, dt=1e-3, seed=2, record_stride=10)
-        propagate, calls = sim._propagate, []
+        replay, calls = sim._replay, []
 
         def counting(*args):
             calls.append(args)
-            return propagate(*args)
+            return replay(*args)
 
-        monkeypatch.setattr(sim, "_propagate", counting)
+        monkeypatch.setattr(sim, "_replay", counting)
         trace = integrate(config, model, g_net, design)
         assert trace.e_norms.shape == (101, 3) and trace.e_global.shape == (101,)
         assert trace.fitted_rate > 1.0
@@ -400,13 +400,19 @@ class TestIntegrate:
         assert len(calls) == 1
         assert not trace.states.flags.writeable
 
-    def test_overflowing_plant_does_not_stop_the_error(self):
-        # x' = 80 x overflows at t = 8.87, yet e' = E e never reads x
+    @pytest.mark.parametrize("record_stride", [1, 7])
+    @pytest.mark.parametrize("block", [sim._BLOCK, 1], ids=["blocks", "single-steps"])
+    def test_overflowing_plant_does_not_stop_the_error(self, monkeypatch, record_stride, block):
+        # x' = 80 x overflows at t = 8.87, yet e' = E e never reads x; the
+        # replay redoes the block in which x overflows, whatever its length
+        monkeypatch.setattr(sim, "_BLOCK", block)
         model = SystemModel(A=np.diag([80.0, 2.0]), outputs=(np.eye(2)[:1], np.eye(2)[1:]))
         design = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
         abscissa = verify.verify_design(model, UNIT_2CYCLE, design).abscissa
         dt = 1e-3
-        config = SimulationConfig(t_final=10.0, dt=dt, x0=[1.0, 0.0], seed=0)
+        config = SimulationConfig(
+            t_final=10.0, dt=dt, x0=[1.0, 0.0], seed=0, record_stride=record_stride
+        )
         trace = integrate(config, model, UNIT_2CYCLE, design)
         assert np.all(np.isfinite(trace.e_norms))
         assert trace.fitted_rate == pytest.approx(-abscissa, rel=1e-3)
@@ -417,6 +423,33 @@ class TestIntegrate:
                 trace.x
             assert err.value.step == expected
         assert trace.e_global[-1] < 1e-15
+
+    @pytest.mark.parametrize(
+        "dt, record_stride", [(1e-2, 1), (1e-2, 7), (1.0, 1)],
+        ids=["stride-1", "stride-7", "inside-the-first-block"],
+    )
+    @pytest.mark.parametrize("g_net", [SINGLE_NODE, UNIT_2CYCLE], ids=["one-node", "two-nodes"])
+    def test_error_above_the_root_of_the_largest_float_has_finite_norms(
+        self, dt, record_stride, g_net
+    ):
+        # |e|' = 50 |e| grows to e^500 = 1.4e217 at every node, finite, though
+        # its square passes the largest float from t = 7.1 on; equal node
+        # errors never disagree, so the coupling stays zero
+        N = g_net.node_count
+        model = SystemModel(A=[[0.0]], outputs=([[1.0]],) * N)
+        design = scalar_design(l=-50.0, m=1.0, gamma=1.0, n_nodes=N)
+        config = SimulationConfig(
+            t_final=10.0, dt=dt, x0=[0.0], xhat0=[[-1.0]] * N, record_stride=record_stride,
+            fit_window=(0.0, 10.0),
+        )
+        trace = integrate(config, model, g_net, design)
+        exact = np.exp(50.0 * trace.times)
+        assert np.any(exact > math.sqrt(np.finfo(float).max))
+        pairs = [(trace.e_norms, exact[:, None]), (trace.e_global, math.sqrt(N) * exact)]
+        for norms, want in pairs:
+            assert np.all(np.isfinite(norms))
+            assert np.all(np.abs(norms - want) <= 1e-10 * want)
+        assert trace.fitted_rate == pytest.approx(-50.0, rel=1e-9)
 
     def test_error_coordinates_keep_digits(self):
         # the plant state grows to about 1e6 while the error decays to about
