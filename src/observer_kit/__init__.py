@@ -44,7 +44,6 @@ from .synth import (
     place_observer_poles,
     select_gamma,
     synthesize,
-    verify_design_lmi,
 )
 from .verify import (
     GlobalErrorSystem,
@@ -96,6 +95,5 @@ __all__ = [
     "spectral_abscissa_certificate",
     "synthesize",
     "verify_design",
-    "verify_design_lmi",
     "write_csv",
 ]

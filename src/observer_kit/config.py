@@ -27,7 +27,7 @@ from .decomp import SystemModel
 from .errors import ConfigError, DimensionError, NumericalFailureError
 from .graph import Digraph
 from .sim import SimulationConfig
-from .synth import ObserverDesign, SynthesisParams
+from .synth import ObserverDesign, SynthesisParams, _integer, _numbers
 
 
 @dataclass
@@ -45,24 +45,21 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-_NOUNS = {
-    dict: "an object", list: "an array", int: "an integer",
-    float: "a number or an array of numbers",
-}
-
-
 def _typed(value, kind, name):
-    """value, if it has the JSON type kind: dict (an object), list (an
-    array), int (an integer) or float (a number, or an array of them
-    nested to any depth, as a vector or a matrix is). A JSON boolean is
-    neither an integer nor a number."""
-    if kind is float and isinstance(value, list):
-        for item in value:
-            _typed(item, float, name)
-        return value
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{name} must be {_NOUNS[kind]}, got {value!r}")
+    """value, if it has the JSON type kind: dict (an object), int (an
+    integer) or float (a number, or an array of them nested to any depth,
+    as a vector or a matrix is). Numbers are checked by `synth`'s design
+    file readers, so a JSON boolean, string or null is rejected the same
+    way in a config and in a design."""
+    try:
+        if kind is int:
+            return _integer(value, name)
+        if kind is float:
+            return _numbers(value, name)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
     return value
 
 

@@ -16,9 +16,14 @@ The pipeline decouples the network topology from the local gain design:
    defines the gain, scaled, is also the certificate block P_io, and
 6. assemble the full-order gains L_i and M_i.
 
-Every step is checked after the fact: the per-node matrix inequality that
-certifies the global error decay is evaluated on the assembled L_i and M_i
-and must come back strictly negative definite at every node.
+Steps 4 and 5 are sized so that each node meets the matrix inequality
+Sym(P_i Lambda_i) + 2*alpha*P_i + gamma*(g_i*Pi_i - epsilon*I) < 0, with
+P_i = inv(M_i) and Pi_i the projector onto the node's observable subspace;
+at epsilon <= lambda_min(S) the N inequalities imply the global
+certificate Z(gamma) < 0 of `verify`, but not the other way round. The
+assembled design is returned only when that global certificate, computed
+from its L_i and M_i exactly as `verify` computes it, comes back strictly
+negative definite.
 """
 
 import logging
@@ -81,11 +86,11 @@ class NodeGains:
 
     L is the n x p_i output-injection gain, M the symmetric positive
     definite n x n consensus weighting and v the observable dimension.
-    inv(M) is the node's block of the Lyapunov certificate, the block that
-    `verify` and `verify_design_lmi` read: the v x v certificate of the
-    observable block, P_io, in the observable coordinates, and the
-    identity on the unobservable block, which is why M restricted to that
-    subspace is the identity as well.
+    inv(M) is the node's block of the Lyapunov certificate that `verify`
+    and `synthesize` read: the v x v certificate of the observable block,
+    P_io, in the observable coordinates, and the identity on the
+    unobservable block, which is why M restricted to that subspace is the
+    identity as well.
     """
 
     L: np.ndarray
@@ -298,8 +303,9 @@ def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
         P_io = q / (2 beta lambda_min(X)) * X,  q = gamma*max(g_i, 1) - 2*alpha,
 
     satisfies Sym(P_io (A_io - L_io H_io + alpha I)) <= -q I. q covers the
-    gamma*g_i*Pi_i that `verify_design_lmi` adds (gamma*g_i I on this block)
-    or exceeds it if g_i < 1. Requires gamma > 2*alpha. Returns (L_io, P_io).
+    gamma*g_i*Pi_i of the node's matrix inequality (gamma*g_i I on this
+    block; see the module docstring), or exceeds it if g_i < 1. Requires
+    gamma > 2*alpha. Returns (L_io, P_io).
     """
     if not gamma > 2.0 * alpha:
         raise AssumptionViolationError(
@@ -376,24 +382,6 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
     )
 
 
-def verify_design_lmi(model, design, decomps, g):
-    """Largest eigenvalue of each node's certificate matrix
-
-        Sym(P_i Lambda_i) + 2*alpha*P_i + gamma*(g_i*Pi_i - epsilon*I),
-
-    Lambda_i = A - L_i H_i and P_i = inv(M_i) read from the design as
-    `verify` reads them, Pi_i = T_i1 T_i1.T. A sound design makes every
-    margin negative. At epsilon <= lambda_min(S) the N inequalities imply
-    the global certificate, but not the other way round.
-    """
-    Lam, _, P = verify._node_blocks(model, design)
-    projectors = np.stack([d.T1 @ d.T1.T for d in decomps])
-    C = verify._lyapunov_blocks(P, Lam, design.alpha) + design.gamma * (
-        np.asarray(g, dtype=float)[:, None, None] * projectors - design.epsilon * np.eye(design.n)
-    )
-    return np.linalg.eigvalsh(C)[:, -1]
-
-
 class AssumptionCheck(NamedTuple):
     """Per-node decompositions and the raw standing-assumption tests."""
 
@@ -436,8 +424,8 @@ def synthesize(model, g_net, params):
 
     Checks the standing assumptions (strongly connected graph, jointly
     observable system) with `check_assumptions`, runs the six
-    construction steps and re-verifies the per-node certificate inequality
-    for the assembled design before returning it.
+    construction steps and returns the assembled design only when
+    `verify`'s Lyapunov certificate Z(gamma) < 0 holds on it.
 
     Parameters
     ----------
@@ -474,11 +462,13 @@ def synthesize(model, g_net, params):
         decomps, L_blocks, P_blocks, gamma, epsilon, balanced.r, params.alpha
     )
 
-    margins = verify_design_lmi(model, design, decomps, g)
-    logger.debug("node certificate margins %s", margins)
-    for i, margin in enumerate(margins):
-        if not margin < 0.0:
-            raise NumericalFailureError(
-                f"assembled design fails its certificate at node {i} (margin {margin:.3e})"
-            )
+    cert = verify.lyapunov_certificate(
+        verify.build_global_error_matrix(model, balanced, design),
+        balanced.mirror, gamma, params.alpha,
+    )
+    logger.debug("certificate margin %s", cert.margin)
+    if not cert.passed:
+        raise NumericalFailureError(
+            f"assembled design fails its certificate (margin {cert.margin:.3e})"
+        )
     return design

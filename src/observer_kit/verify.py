@@ -12,7 +12,8 @@ design can be stable yet uncertified at the requested rate (Lyapunov
 false, abscissa pass); the reverse disagreement would mean one of the
 two computations is wrong and is treated as a hard error.
 `error_system` reads and builds the error matrix for both
-`verify_design` and `sim`.
+`verify_design` and `sim`; `synth.synthesize` returns a design only when
+the same Lyapunov certificate holds on it.
 
 Neither certificate forms a dense nN x nN matrix. The graph couples each
 plant coordinate only to the same coordinate of the other nodes, so the
@@ -117,7 +118,10 @@ def build_global_error_matrix(model, balanced, design):
     _check_compatible(model, design)
     if balanced.laplacian.shape[0] != design.node_count:
         raise DimensionError("graph size does not match the design")
-    Lambda_blocks, Ms, P = _node_blocks(model, design)
+    Lambda_blocks = np.stack([model.A - nd.L @ H for nd, H in zip(design.nodes, model.outputs)])
+    Ms = np.stack([node.M for node in design.nodes])
+    P = np.linalg.inv(Ms)
+    P = 0.5 * (P + P.transpose(0, 2, 1))
     groups = numerics.coordinate_groups(Lambda_blocks, Ms, P)
     RL = balanced.R @ balanced.laplacian
     E_blocks = tuple(
@@ -129,19 +133,6 @@ def build_global_error_matrix(model, balanced, design):
     )
     conds = tuple(np.linalg.cond(Ms).tolist())
     return GlobalErrorSystem(E_blocks, tuple(groups), Lambda_blocks, P, conds)
-
-
-def _node_blocks(model, design):
-    """Stacks of Lambda_i = A - L_i H_i, of M_i and of the symmetrized inv(M_i)."""
-    Lambda_blocks = np.stack([model.A - nd.L @ H for nd, H in zip(design.nodes, model.outputs)])
-    Ms = np.stack([node.M for node in design.nodes])
-    P = np.linalg.inv(Ms)
-    return Lambda_blocks, Ms, 0.5 * (P + P.transpose(0, 2, 1))
-
-
-def _lyapunov_blocks(P, Lam, alpha):
-    """Sym(P_i Lambda_i) + 2*alpha*P_i for stacks of P_i and Lambda_i."""
-    return P @ Lam + np.swapaxes(Lam, -1, -2) @ P + 2.0 * alpha * P
 
 
 def error_system(model, g_net, design):
@@ -230,7 +221,7 @@ def certificate_blocks(err_sys, mirror, gamma, alpha):
     for idx in err_sys.groups:
         P = numerics.restrict(err_sys.P_blocks, idx)
         Lam = numerics.restrict(err_sys.Lambda_blocks, idx)
-        local = _lyapunov_blocks(P, Lam, alpha)
+        local = P @ Lam + np.swapaxes(Lam, -1, -2) @ P + 2.0 * alpha * P
         unit = np.eye(idx.shape[1])[None, None]
         blocks.append(numerics.coupled_blocks(local, mirror, unit, gamma))
     return blocks

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import observer_kit
-from conftest import random_partial_model, random_sc_digraph
+from conftest import battery_instances, random_partial_model, random_sc_digraph
 from observer_kit.cli import main
 
 
@@ -32,6 +32,21 @@ def write_config(path, *, alpha=1.0, edges=None, A=None, outputs=None, sim=None,
         doc["params"]["sim"] = sim
     path.write_text(json.dumps(doc))
     return path
+
+
+def write_instance(path, model, g_net, seed):
+    """write_config for a (model, graph) pair."""
+    return write_config(
+        path,
+        A=model.A.tolist(),
+        outputs=[H.tolist() for H in model.outputs],
+        edges=[
+            {"from": int(src), "to": int(dst), "weight": float(g_net.adjacency[dst, src])}
+            for dst, src in zip(*np.nonzero(g_net.adjacency))
+        ],
+        n_nodes=g_net.node_count,
+        seed=seed,
+    )
 
 
 def with_r(design_path, tmp_path, r):
@@ -234,6 +249,19 @@ class TestSynthesize:
             assert code == 0
             gammas.append(json.loads(capsys.readouterr().out)["gamma"])
         assert gammas[1] > gammas[0]
+
+    def test_fast_decay_rate_on_a_battery_instance(self, tmp_path, capsys):
+        # battery seed 20240817, instance 11 (n = 2, N = 3): a per-node gate
+        # refused this design at alpha = 10 with a margin of +1.5e-8
+        model, g_net = battery_instances(20240817, count=12)[11]
+        cfg = write_instance(tmp_path / "battery11.json", model, g_net, seed=7)
+        design = tmp_path / "d.json"
+        assert main(["synthesize", str(cfg), "--alpha", "10", "-o", str(design)]) == 0
+        assert main(["verify", str(cfg), str(design)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", str(cfg), str(design), "-o", str(tmp_path / "t.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["alpha"] == 10.0 and summary["fitted_rate"] >= 0.95 * 10.0
 
     def test_assumption_failure(self, tmp_path):
         cfg = write_config(
@@ -449,17 +477,7 @@ class TestSimulate:
         rng = np.random.default_rng(1)
         g_net = random_sc_digraph(rng, 30)
         model = random_partial_model(rng, 30, 30)
-        cfg = write_config(
-            tmp_path / "rung30.json",
-            A=model.A.tolist(),
-            outputs=[H.tolist() for H in model.outputs],
-            edges=[
-                {"from": int(src), "to": int(dst), "weight": float(g_net.adjacency[dst, src])}
-                for dst, src in zip(*np.nonzero(g_net.adjacency))
-            ],
-            n_nodes=30,
-            seed=1,
-        )
+        cfg = write_instance(tmp_path / "rung30.json", model, g_net, seed=1)
         design = tmp_path / "d.json"
         assert main(["synthesize", str(cfg), "-o", str(design)]) == 0
         assert main(["verify", str(cfg), str(design)]) == 0
