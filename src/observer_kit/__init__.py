@@ -31,7 +31,6 @@ from .sim import (
     SimulationTrace,
     estimate_decay_rate,
     integrate,
-    rhs,
     write_csv,
 )
 from .synth import (
@@ -90,7 +89,6 @@ __all__ = [
     "lyapunov_certificate",
     "observability_matrix",
     "place_observer_poles",
-    "rhs",
     "select_gamma",
     "spectral_abscissa_certificate",
     "synthesize",

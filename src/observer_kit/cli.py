@@ -21,7 +21,6 @@ from .errors import (
     ConfigError,
     DimensionError,
     DivergenceError,
-    InsufficientDataError,
     NumericalFailureError,
 )
 from .sim import integrate, write_csv
@@ -84,7 +83,6 @@ def cmd_synthesize(args):
         "gamma": design.gamma,
         "epsilon": design.epsilon,
         "alpha": design.alpha,
-        "per_node_v": [node.v for node in design.nodes],
         "design_path": args.output,
     }
     print(json.dumps(summary, indent=2))
@@ -191,7 +189,7 @@ def main(argv=None):
     except AssumptionViolationError as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except (DivergenceError, InsufficientDataError) as exc:
+    except DivergenceError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except NumericalFailureError as exc:

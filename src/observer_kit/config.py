@@ -19,15 +19,16 @@ An edge (from, to, weight) means information flows from ``from`` to
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decomp import SystemModel
-from .errors import ConfigError, DimensionError, NumericalFailureError
+from .errors import ConfigError, NumericalFailureError
 from .graph import Digraph
 from .sim import SimulationConfig
-from .synth import ObserverDesign, SynthesisParams, _integer, _numbers
+from .synth import ObserverDesign, SynthesisParams, _numbers
 
 
 @dataclass
@@ -45,11 +46,18 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _integer(value, name):
+    """value as an int, if it is an integer and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _typed(value, kind, name):
     """value, if it has the JSON type kind: dict (an object), int (an
     integer) or float (a number, or an array of them nested to any depth,
     as a vector or a matrix is). Numbers are checked by `synth`'s design
-    file readers, so a JSON boolean, string or null is rejected the same
+    file reader, so a JSON boolean, string or null is rejected the same
     way in a config and in a design."""
     try:
         if kind is int:

@@ -14,9 +14,10 @@ class AssumptionViolationError(ObserverKitError):
 
     Raised when the communication graph is not strongly connected, the
     system is not jointly observable, or a derived quantity that those
-    assumptions guarantee (a positive coupling budget, an invertible
-    Gramian of a shifted observable block, from which the gain and its
-    certificate are built) fails to materialize.
+    assumptions guarantee (a positive coupling bound epsilon, a coupling
+    gain above 2*alpha) fails to materialize. An observable block whose
+    Gramian is too ill-conditioned to invert meets both assumptions and
+    raises `NumericalFailureError` instead.
     """
 
 

@@ -311,8 +311,6 @@ def coordinate_groups(*stacks):
     """
     n = stacks[0].shape[-1]
     reach = np.concatenate(stacks).any(axis=0)
-    if reach.all():
-        return [np.arange(n)[None]]
     reach = _reachability(reach | reach.T)
     # one row per group: the row of its first coordinate
     members = reach[reach.argmax(axis=1) == np.arange(n)]

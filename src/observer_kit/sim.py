@@ -6,16 +6,18 @@ are bit-reproducible for a given configuration and seed. Ideal continuous
 communication links are assumed throughout; there is no measurement
 noise, packet loss or sampling.
 
-The run steps the estimation error e = xhat - 1 (x) x alone. Its field
-is E, the error matrix `verify` certifies, from the same
-`verify.error_system`, and it never reads the plant state x; `rhs` states
-the observer equations behind E. e advances one coordinate group of the
-error system at a time, by exp(dt E_g), E_g the group's block of E,
-`_BLOCK` consecutive states per matrix-matrix product, and the node
-error norms of each block are taken while it is in cache. A dense plant
-is a single group, stepped by exp(dt E). Norms whose squares pass the
-largest float are taken of the block scaled by its largest entry, so a
-norm reads inf only when it passes the largest float itself.
+Each observer runs a copy of the plant corrected by output injection on
+its own measurement and by the weighted disagreement with its
+in-neighbors' estimates. The run steps the estimation error
+e = xhat - 1 (x) x alone. Its field is E, the error matrix `verify`
+certifies, from the same `verify.error_system`, and it never reads the
+plant state x. e advances one coordinate group of the error system at a
+time, by exp(dt E_g), E_g the group's block of E, `_BLOCK` consecutive
+states per matrix-matrix product, and the node error norms of each block
+are taken while it is in cache. A dense plant is a single group, stepped
+by exp(dt E). Norms whose squares pass the largest float are taken of
+the block scaled by its largest entry, so a norm reads inf only when it
+passes the largest float itself.
 
 The error is stepped in the propagator's own column order: each group
 size of the error system as one contiguous run, one sub-run of N |g|
@@ -141,45 +143,6 @@ class SimulationTrace:
     @property
     def _n(self):
         return self.states.shape[1] // (self.e_norms.shape[1] + 1)
-
-
-def rhs(state, model, g_net, design):
-    """Vector field of the stacked plant + observers state.
-
-    The layout is (x, xhat_1, ..., xhat_N). Each observer runs a copy of
-    the plant corrected by output injection on its own measurement and by
-    the weighted disagreement with its in-neighbors' estimates. ``state``
-    is one state of shape (dim,) or a batch of m states as the columns of
-    a (dim, m) array, with dim = n (N + 1); the result has the same shape.
-    """
-    n = model.n
-    N = model.node_count
-    dim = n * (N + 1)
-    if state.ndim not in (1, 2) or state.shape[0] != dim:
-        raise DimensionError(
-            f"state must have shape ({dim},) or ({dim}, m), got {state.shape}"
-        )
-    A = model.A
-    adjacency = g_net.adjacency
-    degree = adjacency.sum(axis=1)
-    x = state[:n]
-    xhat = state[n:].reshape(N, n, *state.shape[1:])
-    # node estimates as rows, batch columns flattened into each row
-    xhat_rows = state[n:].reshape(N, -1)
-    out = np.empty_like(state)
-    out[:n] = A @ x
-    for i in range(N):
-        H = model.outputs[i]
-        node = design.nodes[i]
-        innovation = node.L @ (H @ (x - xhat[i]))
-        neighbors = (adjacency[i] @ xhat_rows).reshape(xhat[i].shape)
-        disagreement = neighbors - degree[i] * xhat[i]
-        out[n * (i + 1) : n * (i + 2)] = (
-            A @ xhat[i]
-            + innovation
-            + design.gamma * design.r[i] * (node.M @ disagreement)
-        )
-    return out
 
 
 def integrate(config, model, g_net, design):

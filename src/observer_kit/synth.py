@@ -84,18 +84,16 @@ class SynthesisParams:
 class NodeGains:
     """Gains of a single node.
 
-    L is the n x p_i output-injection gain, M the symmetric positive
-    definite n x n consensus weighting and v the observable dimension.
-    inv(M) is the node's block of the Lyapunov certificate that `verify`
-    and `synthesize` read: the v x v certificate of the observable block,
-    P_io, in the observable coordinates, and the identity on the
-    unobservable block, which is why M restricted to that subspace is the
-    identity as well.
+    L is the n x p_i output-injection gain and M the symmetric positive
+    definite n x n consensus weighting. inv(M) is the node's block of the
+    Lyapunov certificate that `verify` and `synthesize` read: the certificate
+    of the observable block, P_io, in the observable coordinates, and the
+    identity on the unobservable block, which is why M restricted to that
+    subspace is the identity as well.
     """
 
     L: np.ndarray
     M: np.ndarray
-    v: int
 
 
 @dataclass(frozen=True)
@@ -124,21 +122,20 @@ class ObserverDesign:
             "alpha": self.alpha,
             "r": self.r.tolist(),
             "nodes": [
-                {"L": node.L.tolist(), "M": node.M.tolist(), "v": node.v}
-                for node in self.nodes
+                {"L": node.L.tolist(), "M": node.M.tolist()} for node in self.nodes
             ],
         }
 
     @classmethod
     def from_dict(cls, data):
         """Read a `to_dict` document; keys it does not write are ignored,
-        among them the ``P_io`` that older design files carry per node."""
+        among them the ``v`` and ``P_io`` that older design files carry per
+        node."""
         try:
             nodes = tuple(
                 NodeGains(
                     L=numerics.as_matrix(_numbers(nd["L"], "L"), "L"),
                     M=numerics.as_matrix(_numbers(nd["M"], "M"), "M"),
-                    v=_integer(nd["v"], "v"),
                 )
                 for nd in data["nodes"]
             )
@@ -168,13 +165,6 @@ def _numbers(value, name):
     elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must hold numbers, got {value!r}")
     return value
-
-
-def _integer(value, name):
-    """value as an int, if it is an integer and not a boolean."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _sym(M):
@@ -306,6 +296,10 @@ def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
     gamma*g_i*Pi_i of the node's matrix inequality (gamma*g_i I on this
     block; see the module docstring), or exceeds it if g_i < 1. Requires
     gamma > 2*alpha. Returns (L_io, P_io).
+
+    `decomp.decompose_node` has confirmed the rank of the block's
+    observability matrix, so an X too ill-conditioned to invert raises
+    `NumericalFailureError`, not a violated assumption.
     """
     if not gamma > 2.0 * alpha:
         raise AssumptionViolationError(
@@ -326,7 +320,7 @@ def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
     w = np.linalg.eigvalsh(X)
     if w[0] <= 1e-10 * w[-1]:
         cond = w[-1] / w[0] if w[0] > 0 else np.inf
-        raise AssumptionViolationError(
+        raise NumericalFailureError(
             f"observability Gramian of the stabilized block is singular: "
             f"cond(X) = {cond:.3g} with v = {v}. Its outputs see its {v} "
             f"modes too weakly, or the observable/unobservable split "
@@ -372,7 +366,7 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
             raise NumericalFailureError(
                 f"node {i}: inverse certificate residual {inv_residual:.3e}"
             )
-        nodes.append(NodeGains(L=L, M=M, v=v))
+        nodes.append(NodeGains(L=L, M=M))
     return ObserverDesign(
         gamma=float(gamma),
         epsilon=float(epsilon),
@@ -450,7 +444,9 @@ def synthesize(model, g_net, params):
     g = params.g if params.g is not None else np.ones(model.node_count)
     epsilon = compute_epsilon(decomps, balanced, g, params.epsilon_margin)
     gamma = select_gamma(decomps, epsilon, params.alpha, params.gamma_margin)
-    logger.info("epsilon = %.6g, gamma = %.6g", epsilon, gamma)
+    logger.info(
+        "epsilon = %.6g, gamma = %.6g, per-node v = %s", epsilon, gamma, [d.v for d in decomps]
+    )
 
     L_blocks, P_blocks = zip(
         *(

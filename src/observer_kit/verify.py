@@ -64,7 +64,6 @@ class GlobalErrorSystem:
     groups: tuple
     Lambda_blocks: np.ndarray
     P_blocks: np.ndarray
-    condition_numbers: tuple
 
     def group_rows(self):
         """One (k, Nm) array per entry of groups: the rows of E that each
@@ -74,20 +73,6 @@ class GlobalErrorSystem:
             (n * np.arange(N)[:, None] + idx[:, None, :]).reshape(len(idx), -1)
             for idx in self.groups
         ]
-
-    def dense(self, blocks):
-        """The nN x nN matrix with the given group blocks, one stack per
-        entry of groups as in E_blocks, and zeros between groups."""
-        N, n = self.Lambda_blocks.shape[:2]
-        out = np.zeros((N * n, N * n))
-        for rows, stack in zip(self.group_rows(), blocks):
-            out[rows[:, :, None], rows[:, None, :]] = stack
-        return out
-
-    @property
-    def E(self):
-        """The dense nN x nN error matrix."""
-        return self.dense(self.E_blocks)
 
 
 def _check_compatible(model, design):
@@ -131,8 +116,7 @@ def build_global_error_matrix(model, balanced, design):
         )
         for idx in groups
     )
-    conds = tuple(np.linalg.cond(Ms).tolist())
-    return GlobalErrorSystem(E_blocks, tuple(groups), Lambda_blocks, P, conds)
+    return GlobalErrorSystem(E_blocks, tuple(groups), Lambda_blocks, P)
 
 
 def error_system(model, g_net, design):
@@ -140,9 +124,8 @@ def error_system(model, g_net, design):
 
     Returns (balanced, GlobalErrorSystem). Raises `DimensionError` for a
     design whose r is not the graph's balancing (rtol 1e-9), whose gains
-    do not fit the model, whose M_i is not symmetric positive definite or
-    whose v_i lies outside [0, n], so `verify_design` and `sim.integrate`
-    reject the same designs.
+    do not fit the model or whose M_i is not symmetric positive definite,
+    so `verify_design` and `sim.integrate` reject the same designs.
     """
     balanced = balance(g_net)
     if design.r.shape != balanced.r.shape or not np.allclose(design.r, balanced.r, 1e-9, 0):
@@ -153,12 +136,9 @@ def error_system(model, g_net, design):
 
 
 def _check_weighting(i, node):
-    """Reject an M_i that is not symmetric positive definite, and a v_i outside [0, n]."""
-    n = node.M.shape[0]
+    """Reject an M_i that is not symmetric positive definite."""
     if not numerics.is_symmetric(node.M) or np.linalg.eigvalsh(node.M)[0] <= 0:
         raise DimensionError(f"node {i}: M is not symmetric positive definite")
-    if not 0 <= node.v <= n:
-        raise DimensionError(f"node {i}: v = {node.v} lies outside [0, {n}]")
 
 
 class AbscissaCertificate(NamedTuple):
@@ -166,23 +146,20 @@ class AbscissaCertificate(NamedTuple):
     abscissa: float
 
 
-def spectral_abscissa_certificate(E, alpha, tol=ABSCISSA_TOL):
+def spectral_abscissa_certificate(E_blocks, alpha, tol=ABSCISSA_TOL):
     """Ground-truth decay check: max Re eig(E) <= -alpha + tol.
 
-    E is the error matrix or, as `verify_design` passes it, the sequence
-    `GlobalErrorSystem.E_blocks` of the group blocks that E is
-    permutation-similar to the block diagonal of; the abscissa is then
-    the largest over all blocks.
+    E_blocks is the sequence `GlobalErrorSystem.E_blocks` of the group
+    blocks that the error matrix E is permutation-similar to the block
+    diagonal of; the abscissa is the largest over all blocks.
     """
-    blocks = [E] if isinstance(E, np.ndarray) else E
-    abscissa = max(float(np.max(numerics.eigenvalues(B).real)) for B in blocks)
+    abscissa = max(float(np.max(numerics.eigenvalues(B).real)) for B in E_blocks)
     return AbscissaCertificate(abscissa <= -alpha + tol, abscissa)
 
 
 class LyapunovCertificate(NamedTuple):
     passed: bool
     margin: float
-    condition_numbers: tuple
 
 
 def lyapunov_certificate(err_sys, mirror, gamma, alpha):
@@ -194,15 +171,13 @@ def lyapunov_certificate(err_sys, mirror, gamma, alpha):
     weightings inv(M_i), and mirror is the mirror of the balanced graph.
     Z is tested for negative definiteness, one block per coordinate group
     of ``err_sys``; its margin is the largest eigenvalue over all blocks.
-    The per-node condition numbers of the weightings are reported so a
-    near-singular inversion is visible.
     """
     verdicts = [
         numerics.is_negative_definite(Z)
         for Z in certificate_blocks(err_sys, mirror, gamma, alpha)
     ]
     margin = max(v.margin for v in verdicts)
-    return LyapunovCertificate(margin < 0.0, margin, err_sys.condition_numbers)
+    return LyapunovCertificate(margin < 0.0, margin)
 
 
 def certificate_blocks(err_sys, mirror, gamma, alpha):
@@ -255,7 +230,9 @@ def verify_design(model, g_net, design, alpha=None):
     """Run both certificates and cross-check their consistency.
 
     The global error system is built once, by `error_system`, and shared
-    by both; the designs it rejects raise `DimensionError`.
+    by both; the designs it rejects raise `DimensionError`. The report
+    carries the condition number of each M_i, so a near-singular
+    inversion is visible.
 
     A true Lyapunov certificate implies exponential decay at the same
     rate, so (Lyapunov pass, abscissa fail) is impossible for correct
@@ -277,12 +254,13 @@ def verify_design(model, g_net, design, alpha=None):
     note = ""
     if spect.passed and not lyap.passed:
         note = f"stable but uncertified at rate {alpha:g}"
+    conds = np.linalg.cond(np.stack([node.M for node in design.nodes]))
     return VerificationReport(
         abscissa=spect.abscissa,
         alpha=float(alpha),
         lyapunov_margin=lyap.margin,
         passed=spect.passed,
         lyapunov_passed=lyap.passed,
-        condition_numbers=lyap.condition_numbers,
+        condition_numbers=tuple(conds.tolist()),
         note=note,
     )

@@ -1,4 +1,4 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and dense oracles for the test suite.
 
 Random per-node output blocks carry ceil(n/2) to ceil(n/2)+1 rows: with
 fewer rows the stacked observability matrices of large random pairs turn
@@ -6,12 +6,18 @@ into near-degenerate Krylov sequences (condition numbers beyond 1e12)
 and no solver can meet the toolkit's residual contracts at double
 precision. The structured family below covers the genuinely partial
 observation cases instead, with perfect conditioning at any size.
+
+The oracles at the end state the observer network the plain way: `rhs`
+is the vector field of the stacked plant and observer states, and
+`dense_E` the error matrix as one nN x nN array, for comparison with the
+coordinate-group blocks the package works on.
 """
 
 import numpy as np
 import pytest
 
 from observer_kit import Digraph, SystemModel, joint_observability_rank, observability_matrix
+from observer_kit.errors import DimensionError
 
 
 def random_sc_digraph(rng, n_nodes, weight_range=(0.5, 2.0), extra_edge_prob=0.3):
@@ -144,3 +150,58 @@ def graph_for(rng, n_nodes):
     if n_nodes == 1:
         return Digraph(np.zeros((1, 1)))
     return random_sc_digraph(rng, n_nodes)
+
+
+def rhs(state, model, g_net, design):
+    """Vector field of the stacked plant + observers state.
+
+    The layout is (x, xhat_1, ..., xhat_N). Each observer runs a copy of
+    the plant corrected by output injection on its own measurement and by
+    the weighted disagreement with its in-neighbors' estimates. ``state``
+    is one state of shape (dim,) or a batch of m states as the columns of
+    a (dim, m) array, with dim = n (N + 1); the result has the same shape.
+    """
+    n = model.n
+    N = model.node_count
+    dim = n * (N + 1)
+    if state.ndim not in (1, 2) or state.shape[0] != dim:
+        raise DimensionError(
+            f"state must have shape ({dim},) or ({dim}, m), got {state.shape}"
+        )
+    A = model.A
+    adjacency = g_net.adjacency
+    degree = adjacency.sum(axis=1)
+    x = state[:n]
+    xhat = state[n:].reshape(N, n, *state.shape[1:])
+    # node estimates as rows, batch columns flattened into each row
+    xhat_rows = state[n:].reshape(N, -1)
+    out = np.empty_like(state)
+    out[:n] = A @ x
+    for i in range(N):
+        H = model.outputs[i]
+        node = design.nodes[i]
+        innovation = node.L @ (H @ (x - xhat[i]))
+        neighbors = (adjacency[i] @ xhat_rows).reshape(xhat[i].shape)
+        disagreement = neighbors - degree[i] * xhat[i]
+        out[n * (i + 1) : n * (i + 2)] = (
+            A @ xhat[i]
+            + innovation
+            + design.gamma * design.r[i] * (node.M @ disagreement)
+        )
+    return out
+
+
+def dense_matrix(err_sys, blocks):
+    """The nN x nN matrix with the given group blocks of the error system
+    err_sys, one stack per entry of its groups as in E_blocks, and zeros
+    between groups."""
+    N, n = err_sys.Lambda_blocks.shape[:2]
+    out = np.zeros((N * n, N * n))
+    for rows, stack in zip(err_sys.group_rows(), blocks):
+        out[rows[:, :, None], rows[:, None, :]] = stack
+    return out
+
+
+def dense_E(err_sys):
+    """The dense nN x nN error matrix of err_sys."""
+    return dense_matrix(err_sys, err_sys.E_blocks)

@@ -17,6 +17,7 @@ import scipy.linalg
 
 from conftest import (
     battery_instances,
+    dense_E,
     kalman_rank,
     random_dense_model,
     random_model,
@@ -64,7 +65,7 @@ def battery():
             continue
         bal = balance(g_net)
         sys_ = build_global_error_matrix(model, bal, design)
-        abscissa = spectral_abscissa_certificate(sys_.E, 1.0).abscissa
+        abscissa = spectral_abscissa_certificate([dense_E(sys_)], 1.0).abscissa
         results.append((model, g_net, bal, design, abscissa))
     elapsed = time.perf_counter() - start
     return {"results": results, "failures": failures, "elapsed": elapsed}
@@ -95,7 +96,7 @@ def test_criterion_2_arbitrary_decay_rate():
         for alpha in (0.5, 1.0, 2.0, 4.0):
             design = synthesize(model, g_net, SynthesisParams(alpha=alpha))
             sys_ = build_global_error_matrix(model, balance(g_net), design)
-            verdict = spectral_abscissa_certificate(sys_.E, alpha)
+            verdict = spectral_abscissa_certificate([dense_E(sys_)], alpha)
             assert verdict.abscissa <= -alpha + 1e-6
             gammas.append(design.gamma)
         assert all(g2 >= g1 for g1, g2 in zip(gammas, gammas[1:])), gammas
@@ -169,7 +170,7 @@ def test_criterion_6_simulation_matches_theory():
                 fit_window=(2.0, 8.0),
             )
             trace = integrate(config, model, g_net, design)
-            E = build_global_error_matrix(model, balance(g_net), design).E
+            E = dense_E(build_global_error_matrix(model, balance(g_net), design))
             e0 = (trace.xhat[0] - trace.x[0]).ravel()
             idx = int(np.argmin(np.abs(trace.times - 1.0)))
             assert trace.times[idx] == pytest.approx(1.0, abs=1e-12)
@@ -186,9 +187,9 @@ def test_criterion_7_oracle_equivalences(battery):
         # design certificate blocks from the battery
         for model, g_net, bal, design, _ in battery["results"][:40]:
             for H, node in zip(model.outputs, design.nodes):
-                if node.v == 0:
-                    continue
                 d = decompose_node(H, model.A)
+                if d.v == 0:
+                    continue
                 L_io = d.T1.T @ node.L
                 F = d.A_io - L_io @ d.H_io + design.alpha * np.eye(d.v)
                 Q = (design.gamma - 2.0 * design.alpha) * np.eye(d.v)

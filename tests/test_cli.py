@@ -234,10 +234,11 @@ class TestSynthesize:
         out = tmp_path / "design.json"
         assert main(["synthesize", str(config_path), "-o", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
+        assert set(summary) == {"gamma", "epsilon", "alpha", "design_path"}
         assert summary["gamma"] >= 2 * 1.0 + 1.0
         design = json.loads(out.read_text())
         assert set(design) == {"gamma", "epsilon", "alpha", "r", "nodes"}
-        assert set(design["nodes"][0]) == {"L", "M", "v"}
+        assert [set(node) for node in design["nodes"]] == [{"L", "M"}] * 2
 
     def test_alpha_override_monotone(self, config_path, tmp_path, capsys):
         gammas = []
@@ -268,6 +269,17 @@ class TestSynthesize:
             tmp_path / "blind.json", outputs=[[[1.0, 0.0]], [[1.0, 0.0]]]
         )
         assert main(["synthesize", str(cfg), "-o", str(tmp_path / "d.json")]) == 2
+
+    def test_singular_gramian_of_an_observable_plant_is_a_numerical_failure(self, tmp_path):
+        # node 0 measures the sum of diag(1..5), node 1 nothing: both
+        # assumptions hold, but node 0's Bass Gramian has condition 1.7e11
+        cfg = write_config(
+            tmp_path / "sum5.json",
+            A=np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).tolist(),
+            outputs=[[[1.0] * 5], [[0.0] * 5]],
+        )
+        assert main(["check", str(cfg)]) == 0
+        assert main(["synthesize", str(cfg), "-o", str(tmp_path / "d.json")]) == 4
 
     def test_round_trip_bit_exact(self, config_path, design_path, tmp_path, capsys):
         from observer_kit.config import load_design, save_design
@@ -315,10 +327,8 @@ class TestVerify:
         "key, value",
         [("L", [[1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
          ("M", [[-1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.5], [0.0, 1.0]]),
-         ("L", [[math.nan], [0.0]]), ("M", [[math.nan, 0.0], [0.0, 1.0]]),
-         ("v", -1), ("v", 3)],
-        ids=["L-2x2", "M-2x3", "M-indefinite", "M-asymmetric", "L-nan", "M-nan",
-             "v-negative", "v-exceeds-n"],
+         ("L", [[math.nan], [0.0]]), ("M", [[math.nan, 0.0], [0.0, 1.0]])],
+        ids=["L-2x2", "M-2x3", "M-indefinite", "M-asymmetric", "L-nan", "M-nan"],
     )
     def test_tampered_node_gains(self, config_path, design_path, tmp_path, key, value):
         doc = json.loads(design_path.read_text())
@@ -329,16 +339,15 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "node, key, value",
-        [(True, "v", 0.9), (True, "v", True), (True, "v", "1"), (True, "L", [["1.0"], ["0.0"]]),
-         (False, "gamma", "20.0"), (False, "epsilon", True), (False, "r", [True, True]),
-         (False, None, None), (False, "nodes", ["node 0", "node 1"]), (False, "gamma", MISSING)],
-        ids=["v-0.9", "v-bool", "v-string", "L-strings", "gamma-string", "epsilon-bool",
-             "r-bools", "root-array", "node-string", "gamma-missing"],
+        [(True, "L", [["1.0"], ["0.0"]]), (False, "gamma", "20.0"), (False, "epsilon", True),
+         (False, "r", [True, True]), (False, None, None), (False, "nodes", ["node 0", "node 1"]),
+         (False, "gamma", MISSING)],
+        ids=["L-strings", "gamma-string", "epsilon-bool", "r-bools", "root-array",
+             "node-string", "gamma-missing"],
     )
     def test_design_number_of_wrong_type(self, config_path, design_path, tmp_path, node, key,
                                          value):
-        # v = 0.9 was once truncated to 0 by int() without a word; key None
-        # wraps the whole document in an array
+        # key None wraps the whole document in an array
         doc = json.loads(design_path.read_text())
         target = doc["nodes"][0] if node else doc
         if key is None:
@@ -357,6 +366,21 @@ class TestVerify:
         older = tmp_path / "older_design.json"
         older.write_text(json.dumps(doc))
         assert verify_and_simulate(config_path, older, tmp_path) == [0, 0]
+
+    @pytest.mark.parametrize("v", [(1, 1), (2, 0), (-1, 3), (0.9, True), ("1", None)])
+    def test_v_and_p_io_of_older_design_files_are_ignored(self, config_path, design_path,
+                                                           tmp_path, capsys, v):
+        # no certificate reads a node's v: any value loads and verifies
+        # with the report of the clean file
+        assert main(["verify", str(config_path), str(design_path)]) == 0
+        clean = capsys.readouterr().out
+        doc = json.loads(design_path.read_text())
+        for node, v_i in zip(doc["nodes"], v):
+            node["v"], node["P_io"] = v_i, [[100.0]]
+        older = tmp_path / "older_design.json"
+        older.write_text(json.dumps(doc))
+        assert main(["verify", str(config_path), str(older)]) == 0
+        assert capsys.readouterr().out == clean
 
     def test_ill_conditioned_certificate_block_verifies(self, tmp_path, capsys):
         # node 0 sees all five modes through one output, and its
@@ -526,7 +550,7 @@ class TestSimulate:
         design = tmp_path / "d.json"
         design.write_text(json.dumps({
             "gamma": 1.0, "epsilon": 0.9, "alpha": 1.0, "r": [1.0],
-            "nodes": [{"L": [[-50.0]], "M": [[1.0]], "v": 1}],
+            "nodes": [{"L": [[-50.0]], "M": [[1.0]]}],
         }))
         trace = tmp_path / "t.csv"
         assert main(["simulate", str(cfg), str(design), "-o", str(trace)]) == 1

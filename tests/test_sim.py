@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import partial_instance, random_model, random_partial_model, random_sc_digraph
+from conftest import (
+    dense_E,
+    partial_instance,
+    random_model,
+    random_partial_model,
+    random_sc_digraph,
+    rhs,
+)
 from observer_kit import sim
 from observer_kit.decomp import SystemModel
 from observer_kit.errors import DimensionError, DivergenceError, InsufficientDataError
@@ -16,7 +23,6 @@ from observer_kit.sim import (
     SimulationTrace,
     estimate_decay_rate,
     integrate,
-    rhs,
     write_csv,
 )
 from observer_kit.synth import NodeGains, ObserverDesign, SynthesisParams, synthesize
@@ -28,7 +34,7 @@ SINGLE_NODE = Digraph(np.zeros((1, 1)))
 
 
 def scalar_design(l, m, gamma, alpha=1.0, n_nodes=1):
-    node = NodeGains(L=np.array([[l]]), M=np.array([[m]]), v=1)
+    node = NodeGains(L=np.array([[l]]), M=np.array([[m]]))
     return ObserverDesign(
         gamma=gamma, epsilon=0.9, alpha=alpha, r=np.ones(n_nodes),
         nodes=(node,) * n_nodes,
@@ -88,12 +94,12 @@ class TestRhs:
         for _ in range(N):
             B = rng2.normal(size=(n, n))
             M = B @ B.T + n * np.eye(n)
-            nodes.append(NodeGains(L=np.zeros((n, 1)), M=M, v=0))
+            nodes.append(NodeGains(L=np.zeros((n, 1)), M=M))
         design = ObserverDesign(
             gamma=1.7, epsilon=0.9, alpha=1.0, r=bal.r, nodes=tuple(nodes)
         )
         F = probed_field(model, g_net, design)
-        E = build_global_error_matrix(model, bal, design).E
+        E = dense_E(build_global_error_matrix(model, bal, design))
         assert np.allclose(F[n:, n:], E, atol=1e-12)
         assert np.allclose(F[n:, :n], 0.0)
 
@@ -129,32 +135,27 @@ class TestRhs:
         to_z = np.eye(dim)
         to_z[3:, :3] = np.tile(np.eye(3), (3, 1))
         field = np.linalg.solve(to_z, probe @ to_z)
-        E = build_global_error_matrix(model, balance(g_net), design).E
+        E = dense_E(build_global_error_matrix(model, balance(g_net), design))
         expected = scipy.linalg.block_diag(model.A, E)
         assert np.allclose(field, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(probe)))
 
 
 class TestIntegrate:
-    def test_builds_error_system_once_and_never_probes_rhs(self, monkeypatch):
+    def test_builds_error_system_once(self, monkeypatch):
         rng = np.random.default_rng(4)
         model = random_model(rng, 3, 3)
         g_net = random_sc_digraph(rng, 3)
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
-        calls = {"build": 0, "rhs": 0}
-        real_build, real_rhs = verify.build_global_error_matrix, sim.rhs
+        calls = []
+        real_build = verify.build_global_error_matrix
 
         def build_spy(*args, **kwargs):
-            calls["build"] += 1
+            calls.append(args)
             return real_build(*args, **kwargs)
 
-        def rhs_spy(*args, **kwargs):
-            calls["rhs"] += 1
-            return real_rhs(*args, **kwargs)
-
         monkeypatch.setattr(verify, "build_global_error_matrix", build_spy)
-        monkeypatch.setattr(sim, "rhs", rhs_spy)
         integrate(SimulationConfig(t_final=0.1, seed=0), model, g_net, design)
-        assert calls == {"build": 1, "rhs": 0}
+        assert len(calls) == 1
 
     def test_zero_initial_error_stays_zero(self):
         rng = np.random.default_rng(3)
@@ -199,7 +200,7 @@ class TestIntegrate:
             t_final=1.0, dt=1e-3, seed=17, record_stride=1000
         )
         trace = integrate(config, model, UNIT_2CYCLE, design)
-        E = build_global_error_matrix(model, balance(UNIT_2CYCLE), design).E
+        E = dense_E(build_global_error_matrix(model, balance(UNIT_2CYCLE), design))
         e0 = (trace.xhat[0] - trace.x[0]).ravel()
         exact = scipy.linalg.expm(E * 1.0) @ e0
         simulated = (trace.xhat[-1] - trace.x[-1]).ravel()
@@ -215,7 +216,7 @@ class TestIntegrate:
         dt = 1e-3
         config = SimulationConfig(t_final=1.0, dt=dt, seed=23, record_stride=1000)
         trace = integrate(config, model, g_net, design)
-        E = build_global_error_matrix(model, balance(g_net), design).E
+        E = dense_E(build_global_error_matrix(model, balance(g_net), design))
         e = (trace.xhat[0] - trace.x[0]).ravel()
         for _ in range(1000):
             k1 = E @ e
@@ -238,7 +239,7 @@ class TestIntegrate:
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
         config = SimulationConfig(t_final=10.0, dt=1e-3, seed=1, record_stride=500)
         trace = integrate(config, model, g_net, design)
-        E = build_global_error_matrix(model, balance(g_net), design).E
+        E = dense_E(build_global_error_matrix(model, balance(g_net), design))
         e_step = scipy.linalg.expm(E * 0.5)
         x_step = scipy.linalg.expm(model.A * 0.5)
         assert np.allclose(trace.times, 0.5 * np.arange(21), rtol=0, atol=1e-12)
@@ -290,7 +291,7 @@ class TestIntegrate:
         rng = np.random.default_rng(4)  # the draws integrate makes for x0 and xhat0
         x, xhat0 = rng.uniform(-1.0, 1.0, 5), rng.uniform(-1.0, 1.0, (3, 5))
         e = (xhat0 - x).ravel()
-        x_step, e_step = scipy.linalg.expm(dt * A), scipy.linalg.expm(dt * err_sys.E)
+        x_step, e_step = scipy.linalg.expm(dt * A), scipy.linalg.expm(dt * dense_E(err_sys))
         recorded = [*range(0, steps + 1, record_stride)]
         if recorded[-1] != steps:
             recorded.append(steps)
@@ -329,7 +330,7 @@ class TestIntegrate:
             g_net = random_sc_digraph(rng, n)
             model = random_partial_model(rng, n, n)
             design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
-            M = 1e-3 * build_global_error_matrix(model, balance(g_net), design).E
+            M = 1e-3 * dense_E(build_global_error_matrix(model, balance(g_net), design))
         else:
             M = np.zeros((4, 4))
         want = scipy.linalg.expm(M)
@@ -460,7 +461,7 @@ class TestIntegrate:
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
         config = SimulationConfig(t_final=10, dt=1e-3, seed=1)
         trace = integrate(config, model, g_net, design)
-        E = build_global_error_matrix(model, balance(g_net), design).E
+        E = dense_E(build_global_error_matrix(model, balance(g_net), design))
         e0 = (trace.xhat[0] - trace.x[0]).ravel()
         exact = np.linalg.norm(
             np.linalg.matrix_power(scipy.linalg.expm(E), 10) @ e0

@@ -8,6 +8,7 @@ import scipy.linalg
 from conftest import (
     MIXED_OBSERVABILITY_CASES,
     battery_instances,
+    dense_E,
     graph_for,
     partial_instance,
     random_dense_model,
@@ -459,7 +460,7 @@ class TestSynthesize:
         # spot check downstream: assembled global error matrix decays at 1
         from observer_kit.verify import build_global_error_matrix
 
-        E = build_global_error_matrix(model, balance(UNIT_2CYCLE), design).E
+        E = dense_E(build_global_error_matrix(model, balance(UNIT_2CYCLE), design))
         assert np.max(np.linalg.eigvals(E).real) <= -1.0 + 1e-6
 
     @pytest.mark.parametrize("weights", ["uniform", "random"])
@@ -513,10 +514,11 @@ class TestSynthesize:
 
     def test_singular_gramian_reports_condition_and_v(self):
         # one output summing diag(1..5) is observable, but its Bass Gramian
-        # is too ill-conditioned to invert
+        # is too ill-conditioned to invert: both assumptions hold, so this
+        # is a numerical failure
         model = SystemModel(A=np.diag([1.0, 2.0, 3.0, 4.0, 5.0]),
                             outputs=(np.ones((1, 5)), np.zeros((1, 5))))
-        with pytest.raises(AssumptionViolationError,
+        with pytest.raises(NumericalFailureError,
                            match=r"singular: cond\(X\) = \d.*e\+\d+ with v = 5\."):
             synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
 
@@ -537,6 +539,30 @@ class TestSynthesize:
             report = verify_design(scaled, g_net, design)
             certified += report.passed and report.lyapunov_passed
         assert certified == 100
+
+    @pytest.mark.parametrize("s", [1e-4, 1e4])
+    def test_output_units_are_exact(self, s):
+        # H -> s H is a change of sensor units: L -> L / s, and M, gamma
+        # and epsilon stay, to rounding; a node that sees nothing has L = 0
+        for model, g_net in battery_instances(20240817, count=50):
+            scaled = SystemModel(A=model.A, outputs=tuple(s * H for H in model.outputs))
+            design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+            rescaled = synthesize(scaled, g_net, SynthesisParams(alpha=1.0))
+            assert rescaled.gamma == pytest.approx(design.gamma, rel=1e-10, abs=0)
+            assert rescaled.epsilon == pytest.approx(design.epsilon, rel=1e-10, abs=0)
+            for a, b in zip(rescaled.nodes, design.nodes):
+                L_norm = np.linalg.norm(b.L)
+                assert np.linalg.norm(s * a.L - b.L) <= 1e-10 * max(L_norm, 1.0)
+                assert np.linalg.norm(a.M - b.M) <= 1e-10 * np.linalg.norm(b.M)
+
+    def test_battery_at_very_fast_decay_rate_violates_no_assumption(self):
+        # every instance meets both assumptions; at alpha = 1000 a few
+        # Gramians are too ill-conditioned to invert, a numerical failure
+        for model, g_net in battery_instances(20240817):
+            try:
+                synthesize(model, g_net, SynthesisParams(alpha=1000.0))
+            except NumericalFailureError:
+                pass
 
     @pytest.mark.parametrize("alpha", [10.0, 100.0])
     def test_battery_at_fast_decay_rates_certifies(self, alpha):
@@ -671,7 +697,6 @@ class TestDesignSerialization:
         for a, b in zip(restored.nodes, design.nodes):
             assert np.array_equal(a.L, b.L)
             assert np.array_equal(a.M, b.M)
-            assert a.v == b.v
 
     @pytest.mark.parametrize("bad", [True, "0.5", None], ids=["bool", "string", "null"])
     @pytest.mark.parametrize("field", ["gamma", "epsilon", "alpha", "r", "L", "M"])
@@ -686,14 +711,6 @@ class TestDesignSerialization:
             doc["r"][1] = bad
         else:
             doc["nodes"][0][field][0][-1] = bad
-        with pytest.raises(DimensionError, match="malformed design document"):
-            ObserverDesign.from_dict(doc)
-
-    @pytest.mark.parametrize("v", [0.9, True, "1", 1.0, None])
-    def test_rejects_non_integer_v(self, v):
-        model = SystemModel(A=[[0.7]], outputs=([[1.0]], [[1.0]]))
-        doc = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0)).to_dict()
-        doc["nodes"][0]["v"] = v
         with pytest.raises(DimensionError, match="malformed design document"):
             ObserverDesign.from_dict(doc)
 

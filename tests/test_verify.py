@@ -5,6 +5,8 @@ import scipy.linalg
 from conftest import (
     MIXED_OBSERVABILITY_CASES,
     battery_instances,
+    dense_matrix,
+    dense_E,
     graph_for,
     partial_instance,
     random_model,
@@ -30,7 +32,7 @@ UNIT_2CYCLE = Digraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
 
 def scalar_pair_design(l, m, gamma, alpha=1.0):
     """Hand-built two-node scalar design with identical gains."""
-    node = NodeGains(L=np.array([[l]]), M=np.array([[m]]), v=1)
+    node = NodeGains(L=np.array([[l]]), M=np.array([[m]]))
     return ObserverDesign(
         gamma=gamma, epsilon=0.9, alpha=alpha, r=np.ones(2), nodes=(node, node)
     )
@@ -55,7 +57,6 @@ def random_gains_instance(seed, n, owned):
             NodeGains(
                 L=rng.normal(size=(n, H.shape[0])),
                 M=B @ B.T + n * np.eye(n) + 0.1 * (C - C.T),
-                v=n,
             )
         )
     design = ObserverDesign(
@@ -107,25 +108,25 @@ class TestBuildGlobalErrorMatrix:
         expected = np.array(
             [[a - l - gamma * m, gamma * m], [gamma * m, a - l - gamma * m]]
         )
-        assert np.allclose(sys_.E, expected, atol=1e-12)
-        w = np.sort(np.linalg.eigvals(sys_.E).real)
+        assert np.allclose(dense_E(sys_), expected, atol=1e-12)
+        w = np.sort(np.linalg.eigvals(dense_E(sys_)).real)
         assert np.allclose(w, sorted([a - l, a - l - 2 * gamma * m]), atol=1e-12)
 
     def test_single_node_no_coupling(self):
         model = SystemModel(A=[[0.4]], outputs=([[1.0]],))
-        node = NodeGains(L=np.array([[2.0]]), M=np.array([[1.0]]), v=1)
+        node = NodeGains(L=np.array([[2.0]]), M=np.array([[1.0]]))
         design = ObserverDesign(
             gamma=5.0, epsilon=0.9, alpha=1.0, r=np.ones(1), nodes=(node,)
         )
         g_single = Digraph(np.zeros((1, 1)))
         sys_ = build_global_error_matrix(model, balance(g_single), design)
-        assert np.allclose(sys_.E, [[0.4 - 2.0]])
+        assert np.allclose(dense_E(sys_), [[0.4 - 2.0]])
 
     def test_zero_coupling_gain(self):
         model = scalar_pair_model(0.3)
         design = scalar_pair_design(1.2, 0.7, gamma=0.0)
         sys_ = build_global_error_matrix(model, balance(UNIT_2CYCLE), design)
-        assert np.allclose(sys_.E, scipy.linalg.block_diag(*sys_.Lambda_blocks))
+        assert np.allclose(dense_E(sys_), scipy.linalg.block_diag(*sys_.Lambda_blocks))
 
     def test_depends_on_graph_only_through_balanced_product(self):
         # two different digraphs with the same product R L
@@ -135,8 +136,8 @@ class TestBuildGlobalErrorMatrix:
         assert np.allclose(b1.R @ b1.laplacian, b2.R @ b2.laplacian, atol=1e-12)
         model = scalar_pair_model(0.3)
         design = scalar_pair_design(1.2, 0.7, gamma=2.0)
-        E1 = build_global_error_matrix(model, b1, design).E
-        E2 = build_global_error_matrix(model, b2, design).E
+        E1 = dense_E(build_global_error_matrix(model, b1, design))
+        E2 = dense_E(build_global_error_matrix(model, b2, design))
         assert np.allclose(E1, E2, atol=1e-12)
 
     def test_unit_weights_reduce_to_plain_laplacian(self):
@@ -149,7 +150,7 @@ class TestBuildGlobalErrorMatrix:
         bal = balance(ring)
         assert np.allclose(bal.r, 1.0, atol=1e-12)
         sys_ = build_global_error_matrix(model, bal, design)
-        coupling = scipy.linalg.block_diag(*sys_.Lambda_blocks) - sys_.E
+        coupling = scipy.linalg.block_diag(*sys_.Lambda_blocks) - dense_E(sys_)
         Mbar = dense_blocks(model, bal, design)[1]
         expected = design.gamma * Mbar @ np.kron(bal.laplacian, np.eye(2))
         assert np.allclose(coupling, expected, atol=1e-10)
@@ -164,7 +165,7 @@ class TestBuildGlobalErrorMatrix:
         RL = bal.R @ bal.laplacian
         dense = Lambda - design.gamma * Mbar @ np.kron(RL, np.eye(n))
         sys_ = build_global_error_matrix(model, bal, design)
-        assert_rel_close(sys_.E, dense)
+        assert_rel_close(dense_E(sys_), dense)
         assert sys_.Lambda_blocks.shape == sys_.P_blocks.shape == (len(owned), n, n)
         assert_rel_close(sys_.Lambda_blocks, diagonal_blocks(Lambda, n))
 
@@ -173,8 +174,8 @@ class TestBuildGlobalErrorMatrix:
         bad = ObserverDesign(
             gamma=1.0, epsilon=0.9, alpha=1.0, r=np.ones(2),
             nodes=(
-                NodeGains(L=np.ones((2, 1)), M=np.eye(2), v=2),
-                NodeGains(L=np.ones((2, 1)), M=np.eye(2), v=2),
+                NodeGains(L=np.ones((2, 1)), M=np.eye(2)),
+                NodeGains(L=np.ones((2, 1)), M=np.eye(2)),
             ),
         )
         with pytest.raises(DimensionError):
@@ -183,13 +184,20 @@ class TestBuildGlobalErrorMatrix:
 
 class TestSpectralAbscissa:
     def test_stable_diagonal(self):
-        verdict = spectral_abscissa_certificate(-2.0 * np.eye(2), alpha=1.0)
+        verdict = spectral_abscissa_certificate([-2.0 * np.eye(2)], alpha=1.0)
         assert verdict.passed
         assert verdict.abscissa == pytest.approx(-2.0)
 
+    def test_abscissa_is_the_largest_over_all_blocks(self):
+        # one (k, m, m) stack per group size, as in GlobalErrorSystem.E_blocks
+        blocks = [np.array([[[-3.0]], [[-2.0]]]), np.array([[[-1.5, 4.0], [0.0, -0.5]]])]
+        verdict = spectral_abscissa_certificate(blocks, alpha=1.0)
+        assert not verdict.passed
+        assert verdict.abscissa == pytest.approx(-0.5)
+
     def test_nilpotent_fails(self):
         verdict = spectral_abscissa_certificate(
-            np.array([[0.0, 1.0], [0.0, 0.0]]), alpha=0.1
+            [np.array([[0.0, 1.0], [0.0, 0.0]])], alpha=0.1
         )
         assert not verdict.passed
         assert verdict.abscissa == pytest.approx(0.0, abs=1e-8)
@@ -227,7 +235,7 @@ class TestLyapunovCertificate:
         )
         design = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
         bal, sys_ = error_system(model, UNIT_2CYCLE, design)
-        abscissa = spectral_abscissa_certificate(sys_.E, 1.0).abscissa
+        abscissa = spectral_abscissa_certificate(sys_.E_blocks, 1.0).abscissa
         # demanding twice the achieved decay must break the certificate
         cert = lyapunov_certificate(sys_, bal.mirror, design.gamma, 2.0 * abs(abscissa))
         assert not cert.passed
@@ -247,7 +255,7 @@ class TestLyapunovCertificate:
         )
         sys_ = build_global_error_matrix(model, bal, design)
         assert_rel_close(sys_.P_blocks, diagonal_blocks(P, n))
-        Z = sys_.dense(certificate_blocks(sys_, bal.mirror, design.gamma, alpha))
+        Z = dense_matrix(sys_, certificate_blocks(sys_, bal.mirror, design.gamma, alpha))
         assert_rel_close(Z, dense)
         cert = lyapunov_certificate(sys_, bal.mirror, design.gamma, alpha)
         assert cert.margin == pytest.approx(
@@ -265,7 +273,9 @@ class TestVerifyDesign:
         assert report.passed and report.lyapunov_passed
         assert report.abscissa <= -1.0 + 1e-6
         assert report.lyapunov_margin < 0
-        assert len(report.condition_numbers) == 3
+        assert report.condition_numbers == pytest.approx(
+            [np.linalg.cond(node.M) for node in design.nodes], rel=1e-12
+        )
         doc = report.to_dict()
         assert doc["pass"] is True
         assert doc["alpha"] == 1.0
@@ -306,7 +316,7 @@ class TestVerifyDesign:
         model = SystemModel(
             A=np.array([[-2.0, 10.0], [0.0, -2.0]]), outputs=(np.zeros((1, 2)),)
         )
-        node = NodeGains(L=np.zeros((2, 1)), M=np.eye(2), v=0)
+        node = NodeGains(L=np.zeros((2, 1)), M=np.eye(2))
         design = ObserverDesign(
             gamma=1.0, epsilon=0.9, alpha=1.0, r=np.ones(1), nodes=(node,)
         )
@@ -324,7 +334,7 @@ class TestCoordinateGroups:
         bal, sys_ = error_system(model, g_net, design)
         E, abscissa, margin = dense_certificates(model, bal, design)
         # no entry of E falls between two groups
-        assert_rel_close(sys_.E, E)
+        assert_rel_close(dense_E(sys_), E)
         report = verify_design(model, g_net, design)
         assert abs(report.abscissa - abscissa) <= 1e-10 * abs(abscissa)
         assert abs(report.lyapunov_margin - margin) <= 1e-10 * abs(margin)
@@ -371,7 +381,7 @@ class TestCoordinateGroups:
         M[1, 4] = M[4, 1] = 0.5 * np.sqrt(M[1, 1] * M[4, 4])
         tampered = ObserverDesign(
             gamma=design.gamma, epsilon=design.epsilon, alpha=design.alpha, r=design.r,
-            nodes=(NodeGains(L=design.nodes[0].L, M=M, v=design.nodes[0].v),)
+            nodes=(NodeGains(L=design.nodes[0].L, M=M),)
             + design.nodes[1:],
         )
         _, sys_ = error_system(model, g_net, tampered)
