@@ -1,17 +1,19 @@
 """Dense linear-algebra kernels shared by the rest of the toolkit.
 
 Thin, defensive wrappers around numpy dense routines: eigenvalues,
-SVD-based rank and subspace bases, definiteness tests, and a small-scale
-Lyapunov solver (a scaled Newton iteration for the matrix sign
-function). Everything here is a pure function sized for desk-scale
+SVD-based rank and subspace bases, symmetry and definiteness tests, and
+a small-scale Lyapunov solver (a scaled Newton iteration for the matrix
+sign function). Everything here is a pure function sized for desk-scale
 problems (a few dozen states), where exactness and clear failure modes
-matter more than asymptotic speed.
+matter more than asymptotic speed. The symmetry, eigenvalue,
+definiteness and Lyapunov routines take a square matrix or a (k, m, m)
+stack of them; a stack costs one numpy call per step for all k
+matrices, where a loop would cost k.
 
 Only numpy is used. Importing scipy.linalg would take about 0.3 s, about
 half the start-up of a command-line call.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -44,14 +46,12 @@ def as_square(M, name="matrix"):
 
 
 def is_symmetric(M, rtol=SYMMETRY_RTOL):
-    """True when the relative asymmetry of a square matrix is below rtol."""
-    M = as_square(M)
-    if M.size == 0:
-        return True
-    scale = np.linalg.norm(M, "fro")
-    if scale == 0.0:
-        return True
-    return np.linalg.norm(M - M.T, "fro") <= rtol * scale
+    """True when the relative asymmetry (Frobenius norms) of a square
+    matrix is below rtol; for a (k, m, m) stack, a boolean array of one
+    such verdict per matrix. A zero or empty matrix is symmetric."""
+    M = _as_squares(M)
+    asymmetry = np.linalg.norm(M - M.swapaxes(-1, -2), axis=(-2, -1))
+    return asymmetry <= rtol * np.linalg.norm(M, axis=(-2, -1))
 
 
 def _as_squares(M, name="matrix"):
@@ -77,7 +77,7 @@ def eigenvalues(M):
     if M.size == 0:
         return np.zeros(M.shape[:-1])
     try:
-        if all(map(is_symmetric, M if M.ndim == 3 else [M])):
+        if is_symmetric(M).all():
             return np.linalg.eigvalsh(0.5 * (M + M.swapaxes(-1, -2)))
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
@@ -147,23 +147,26 @@ _SIGN_STEP_RTOL = 1e-8
 
 
 def _sign_steps(G, lam):
-    """Scaled Newton iteration G <- (G/c + c inv(G))/2 towards sign(G).
+    """Scaled Newton iteration G <- (G/c + c inv(G))/2 towards sign(G),
+    on a (k, m, m) stack G at once.
 
-    Returns the (c_k, inv(G_k)) pairs of every step. The determinant
-    scaling c_k = |det G_k|^(1/m) (Byers, 1987) is the geometric mean of
-    |lam|, the eigenvalues of G_k, which each step maps as it maps G. lam
-    is a list: at a few states numpy's per-call cost would exceed slogdet's.
+    Returns the (c_k, inv(G_k)) pairs of every step, c_k a (k, 1, 1)
+    array. The determinant scaling c_k = |det G_k|^(1/m) (Byers, 1987) is
+    the geometric mean of |lam|, the (k, m) eigenvalues of G_k, which
+    each step maps as it maps G. The stack steps until its last matrix
+    has converged; a matrix that converged earlier sits at its sign,
+    where a step with c = 1 changes it by rounding only.
     """
     steps = []
     for _ in range(_SIGN_MAX_STEPS):
         G_inv = np.linalg.inv(G)
-        c = math.exp(sum(math.log(abs(z)) for z in lam) / len(lam))
-        steps.append((c, G_inv))
-        G_next = (0.5 / c) * G + (0.5 * c) * G_inv
-        lam = [0.5 * (z / c + c / z) for z in lam]
-        change = np.linalg.norm(G_next - G)
+        c = np.exp(np.log(np.abs(lam)).mean(axis=-1, keepdims=True))
+        steps.append((c[..., None], G_inv))
+        G_next = (0.5 / c[..., None]) * G + (0.5 * c[..., None]) * G_inv
+        lam = 0.5 * (lam / c + c / lam)
+        change = np.linalg.norm(G_next - G, axis=(-2, -1))
         G = G_next
-        if change <= _SIGN_STEP_RTOL * np.linalg.norm(G):
+        if (change <= _SIGN_STEP_RTOL * np.linalg.norm(G, axis=(-2, -1))).all():
             return steps
     raise NumericalFailureError(
         f"sign iteration did not converge in {_SIGN_MAX_STEPS} steps"
@@ -171,63 +174,67 @@ def _sign_steps(G, lam):
 
 
 def _sign_solve(steps, C):
-    """Solution X of G.T X + X G = -C for Hurwitz G, from G's sign steps.
+    """Solutions X of G.T X + X G = -C for a Hurwitz (k, m, m) stack G,
+    from G's sign steps.
 
     The sign of [[G, 0], [C, -G.T]] is [[-I, 0], [2X, I]] (Roberts, 1980);
     its lower-left block follows C <- (C/c + c inv(G).T C inv(G))/2.
     """
     for c, G_inv in steps:
-        C = 0.5 * (C / c + c * (G_inv.T @ C @ G_inv))
-    return 0.25 * (C + C.T)
+        C = 0.5 * (C / c + c * (G_inv.swapaxes(-1, -2) @ C @ G_inv))
+    return 0.25 * (C + C.swapaxes(-1, -2))
 
 
 def solve_lyapunov(F, Q, residual_rtol=1e-8):
-    """Solve F.T @ P + P @ F = -Q for symmetric P.
+    """Solve F.T @ P + P @ F = -Q for symmetric P, or each equation of a
+    stack of them.
 
     Method: the Newton iteration for the matrix sign function of
     G = +-F, whichever sign makes G Hurwitz (Roberts, Int. J. Control
     32(4), 1980), with determinant scaling (Byers, Linear Algebra Appl.
     85, 1987). The same steps then solve the equation again for the
-    residual, one step of iterative refinement.
+    residual, one step of iterative refinement. A stack runs one
+    iteration for all its equations; every check below still applies to
+    each equation on its own.
 
     Parameters
     ----------
-    F : (m, m) array
-        Coefficient matrix with its spectrum in one open half-plane: every
-        eigenvalue has negative real part, or every one has positive real
-        part. Otherwise (including an eigenvalue on or near the imaginary
-        axis) `SingularEquationError` is raised.
-    Q : (m, m) array
-        Symmetric right-hand side.
+    F : (m, m) array or (k, m, m) stack
+        Coefficient matrices, each with its spectrum in one open
+        half-plane: every eigenvalue has negative real part, or every one
+        has positive real part. Otherwise (including an eigenvalue on or
+        near the imaginary axis) `SingularEquationError` is raised.
+    Q : array of F's shape
+        Symmetric right-hand sides.
     residual_rtol : float
-        Acceptance bound: the Frobenius residual must satisfy
+        Acceptance bound: each Frobenius residual must satisfy
         ``norm(F.T P + P F + Q) <= residual_rtol * max(1, norm(Q))``.
 
     Returns
     -------
-    P : (m, m) array, symmetric. When F is Hurwitz and Q is positive
-        definite, or -F is Hurwitz and Q is negative definite, P is
-        verified positive definite before returning.
+    P : array of F's shape, symmetric. Where F is Hurwitz and Q is
+        positive definite, or -F is Hurwitz and Q is negative definite, P
+        is verified positive definite before returning.
     """
-    F = as_square(F, "F")
-    Q = as_square(Q, "Q")
+    F = _as_squares(F, "F")
+    Q = _as_squares(Q, "Q")
     if F.shape != Q.shape:
         raise DimensionError(f"F and Q shapes differ: {F.shape} vs {Q.shape}")
     if F.size == 0:
-        return np.zeros((0, 0))
-    if not is_symmetric(Q):
+        return np.zeros(F.shape)
+    if not is_symmetric(Q).all():
         raise DimensionError("Q must be symmetric")
-    Q = 0.5 * (Q + Q.T)
+    shape = F.shape
+    F = F.reshape(-1, *shape[-2:])
+    Q = Q.reshape(F.shape)
+    Q = 0.5 * (Q + Q.swapaxes(-1, -2))
 
     # 2 Re(lam) is the sum of lam and its conjugate; max(1, norm) so that
     # F = 0 is rejected too
     lam = eigenvalues(F)
-    tol = 1e-9 * max(1.0, np.linalg.norm(F, "fro"))
-    if np.all(2.0 * lam.real < -tol):
-        sign = 1.0
-    elif np.all(2.0 * lam.real > tol):
-        sign = -1.0
-    else:
+    tol = 1e-9 * np.maximum(1.0, np.linalg.norm(F, axis=(-2, -1)))[:, None]
+    hurwitz = (2.0 * lam.real < -tol).all(axis=-1)
+    if not (hurwitz | (2.0 * lam.real > tol).all(axis=-1)).all():
         raise SingularEquationError(
             "Lyapunov equation is outside the solver's contract: the spectrum "
             "of F is not in one open half-plane (an eigenvalue on or near the "
@@ -235,27 +242,30 @@ def solve_lyapunov(F, Q, residual_rtol=1e-8):
         )
 
     # G = sign*F is Hurwitz and G.T P + P G = -sign*Q
+    sign = np.where(hurwitz, 1.0, -1.0)[:, None, None]
     try:
-        steps = _sign_steps(sign * F, (sign * lam).tolist())
+        steps = _sign_steps(sign * F, sign[:, 0] * lam)
         P = _sign_solve(steps, sign * Q)
         # one step of iterative refinement; cheap at this scale and shaves
         # an order of magnitude off the residual of hard problems
-        P = P + _sign_solve(steps, sign * (F.T @ P + P @ F + Q))
+        P = P + _sign_solve(steps, sign * (F.swapaxes(-1, -2) @ P + P @ F + Q))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"Lyapunov solve failed: {exc}") from exc
 
-    residual = np.linalg.norm(F.T @ P + P @ F + Q, "fro")
-    if not residual <= residual_rtol * max(1.0, np.linalg.norm(Q, "fro")):
+    residual = np.linalg.norm(F.swapaxes(-1, -2) @ P + P @ F + Q, axis=(-2, -1))
+    bound = residual_rtol * np.maximum(1.0, np.linalg.norm(Q, axis=(-2, -1)))
+    if not (residual <= bound).all():
         raise NumericalFailureError(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance"
+            f"Lyapunov residual {residual[~(residual <= bound)][0]:.3e} exceeds tolerance"
         )
 
-    if np.linalg.eigvalsh(sign * Q)[0] > 0 and np.linalg.eigvalsh(P)[0] <= 0:
+    definite = np.linalg.eigvalsh(sign * Q)[:, 0] > 0
+    if (definite & (np.linalg.eigvalsh(P)[:, 0] <= 0)).any():
         raise NumericalFailureError(
             "Lyapunov solution lost positive definiteness despite a definite "
             "right-hand side"
         )
-    return P
+    return P.reshape(shape)
 
 
 def orthonormal_row_space_basis(M, rtol=RANK_RTOL):
@@ -310,12 +320,28 @@ def coordinate_groups(*stacks):
     single group comes back as [arange(n)[None]].
     """
     n = stacks[0].shape[-1]
-    reach = np.concatenate(stacks).any(axis=0)
+    reach = np.any([(stack != 0).any(axis=0) for stack in stacks], axis=0)
     reach = _reachability(reach | reach.T)
     # one row per group: the row of its first coordinate
     members = reach[reach.argmax(axis=1) == np.arange(n)]
     sizes = members.sum(axis=1)
     return [np.nonzero(members[sizes == m])[1].reshape(-1, m) for m in sorted(set(sizes.tolist()))]
+
+
+def _smallest_eigenvalues(stack):
+    """Smallest eigenvalue of each matrix of a symmetric (N, n, n) stack.
+
+    Every matrix is block diagonal in the stack's `coordinate_groups`, so
+    its spectrum is the union of its blocks'; each group size takes one
+    stacked eigvalsh of N k blocks of size m, not N of size n.
+    """
+    return np.min(
+        [
+            np.linalg.eigvalsh(restrict(stack, idx))[..., 0].min(axis=1)
+            for idx in coordinate_groups(stack)
+        ],
+        axis=0,
+    )
 
 
 def _reachability(links):

@@ -74,6 +74,12 @@ class SimulationConfig:
             raise ValueError(
                 f"t_final must be finite and cover at least 10 steps, got {self.t_final}"
             )
+        # the run indexes its round(t_final / dt) + 1 steps with numpy
+        if not self.t_final / self.dt < np.iinfo(np.intp).max:
+            raise ValueError(
+                f"t_final / dt = {self.t_final / self.dt:.3g} steps is more than "
+                f"numpy can index"
+            )
         for name in ("x0", "xhat0"):
             state = getattr(self, name)
             if state is not None and not np.all(np.isfinite(np.asarray(state, dtype=float))):

@@ -277,7 +277,8 @@ def select_gamma(decomps, epsilon, alpha, margin=1.1):
 
 
 def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
-    """Output-injection gain and certificate block for an observable block.
+    """Output-injection gain and certificate block for an observable block,
+    or for each block of a stack of blocks that share v and p.
 
     Shifted Lyapunov (Bass-style) construction: with At = A_io + alpha*I
     and a shift beta = 1 + ||A_io||_F + alpha that dominates the spectral
@@ -295,7 +296,12 @@ def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
     satisfies Sym(P_io (A_io - L_io H_io + alpha I)) <= -q I. q covers the
     gamma*g_i*Pi_i of the node's matrix inequality (gamma*g_i I on this
     block; see the module docstring), or exceeds it if g_i < 1. Requires
-    gamma > 2*alpha. Returns (L_io, P_io).
+    gamma > 2*alpha.
+
+    A_io is v x v and H_io p x v, or a (k, v, v) and a (k, p, v) stack
+    with g_i a scalar or k weights: beta and q are taken per block, and
+    the k Bass equations are one stacked `numerics.solve_lyapunov` call.
+    Returns (L_io, P_io), stacked as the input is.
 
     `decomp.decompose_node` has confirmed the rank of the block's
     observability matrix, so an X too ill-conditioned to invert raises
@@ -305,38 +311,63 @@ def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
         raise AssumptionViolationError(
             f"gamma = {gamma:.6g} must exceed 2*alpha = {2.0 * alpha:.6g}"
         )
-    A_io = numerics.as_square(A_io, "A_io")
-    H_io = numerics.as_matrix(H_io, "H_io")
-    v = A_io.shape[0]
-    p = H_io.shape[0]
-    if H_io.shape[1] != v:
-        raise DimensionError(f"H_io has {H_io.shape[1]} columns, expected {v}")
+    A_io = numerics._as_squares(A_io, "A_io")
+    H_io = np.asarray(H_io, dtype=float)
+    if H_io.ndim != A_io.ndim or H_io.shape[:-2] + H_io.shape[-1:] != A_io.shape[:-1]:
+        raise DimensionError(f"H_io has shape {H_io.shape}, A_io has shape {A_io.shape}")
+    stacked = A_io.ndim == 3
+    if not stacked:
+        A_io, H_io = A_io[None], H_io[None]
+    k, v = A_io.shape[:2]
     if v == 0:
-        return np.zeros((0, p)), np.zeros((0, 0))
+        L_io, P_io = np.zeros((k, 0, H_io.shape[1])), np.zeros((k, 0, 0))
+    else:
+        beta = 1.0 + np.linalg.norm(A_io, axis=(-2, -1)) + alpha
+        F = A_io + (alpha + beta)[:, None, None] * np.eye(v)
+        X = numerics.solve_lyapunov(F, -2.0 * (H_io.swapaxes(-1, -2) @ H_io))
+        w = np.linalg.eigvalsh(X)
+        singular = w[:, 0] <= 1e-10 * w[:, -1]
+        if singular.any():
+            lo, hi = w[singular][0, [0, -1]]
+            cond = hi / lo if lo > 0 else np.inf
+            raise NumericalFailureError(
+                f"observability Gramian of the stabilized block is singular: "
+                f"cond(X) = {cond:.3g} with v = {v}. Its outputs see its {v} "
+                f"modes too weakly, or the observable/unobservable split "
+                f"misclassified the block"
+            )
+        L_io = np.linalg.solve(X, H_io.swapaxes(-1, -2))
 
-    beta = 1.0 + np.linalg.norm(A_io, "fro") + alpha
-    F = A_io + (alpha + beta) * np.eye(v)
-    X = numerics.solve_lyapunov(F, -2.0 * (H_io.T @ H_io))
-    w = np.linalg.eigvalsh(X)
-    if w[0] <= 1e-10 * w[-1]:
-        cond = w[-1] / w[0] if w[0] > 0 else np.inf
-        raise NumericalFailureError(
-            f"observability Gramian of the stabilized block is singular: "
-            f"cond(X) = {cond:.3g} with v = {v}. Its outputs see its {v} "
-            f"modes too weakly, or the observable/unobservable split "
-            f"misclassified the block"
-        )
-    L_io = np.linalg.solve(X, H_io.T)
+        abscissa = float(np.max(numerics.eigenvalues(A_io - L_io @ H_io).real))
+        if abscissa >= -alpha - 1e-8:
+            raise NumericalFailureError(
+                f"pole placement landed at spectral abscissa {abscissa:.6g}, "
+                f"not below {-alpha:.6g}"
+            )
+        q = gamma * np.maximum(g_i, 1.0) - 2.0 * alpha
+        P_io = (q / (2.0 * beta * w[:, 0]))[:, None, None] * X
+    return (L_io, P_io) if stacked else (L_io[0], P_io[0])
 
-    closed = A_io - L_io @ H_io
-    abscissa = float(np.max(numerics.eigenvalues(closed).real))
-    if abscissa >= -alpha - 1e-8:
-        raise NumericalFailureError(
-            f"pole placement landed at spectral abscissa {abscissa:.6g}, "
-            f"not below {-alpha:.6g}"
-        )
-    q = gamma * max(g_i, 1.0) - 2.0 * alpha
-    return L_io, (q / (2.0 * beta * w[0])) * X
+
+def _place_all_poles(decomps, alpha, gamma, g):
+    """`place_observer_poles` for every node: one stacked call per distinct
+    v_i > 0. The H_io of a stack are padded to its largest row count
+    with zero rows, which add nothing to the Gramian and give zero columns
+    of L_io, cut off again. Returns the per-node lists of L_io and P_io;
+    a node with v_i = 0 gets empty blocks."""
+    L_blocks = [np.zeros((0, d.H_io.shape[0])) for d in decomps]
+    P_blocks = [np.zeros((0, 0))] * len(decomps)
+    for v in sorted({d.v for d in decomps} - {0}):
+        nodes = [i for i, d in enumerate(decomps) if d.v == v]
+        rows = [decomps[i].H_io.shape[0] for i in nodes]
+        H_io = np.zeros((len(nodes), max(rows), v))
+        for j, i in enumerate(nodes):
+            H_io[j, : rows[j]] = decomps[i].H_io
+        A_io = np.stack([decomps[i].A_io for i in nodes])
+        L_io, P_io = place_observer_poles(A_io, H_io, alpha, gamma, g[nodes])
+        for j, i in enumerate(nodes):
+            L_blocks[i], P_blocks[i] = L_io[j, :, : rows[j]], P_io[j]
+    return L_blocks, P_blocks
 
 
 def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
@@ -345,34 +376,44 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
     For each node, L_i = T_i @ [L_io; 0] and
     M_i = T_i @ diag(inv(P_io), I) @ T_i.T; the identity on the
     unobservable subspace reflects the pinned unit certificate there.
-    M_i is verified positive definite, and inv(P_io) verified as the
-    inverse of P_io: T_i is orthogonal, so that residual is the one of M_i
-    against T_i @ diag(P_io, I) @ T_i.T, whose Frobenius norm squared is
-    ||P_io||_F^2 + n - v.
+    The M_i are formed as one (N, n, n) stack of batched products, with
+    the P_io inverted in one stack per distinct v_i. Each inv(P_io) is
+    verified as the inverse of P_io: T_i is orthogonal, so that residual
+    is the one of M_i against T_i @ diag(P_io, I) @ T_i.T, whose
+    Frobenius norm squared is ||P_io||_F^2 + n - v. Each M_i is verified
+    positive definite, one coordinate group of the M_i at a time.
     """
-    nodes = []
-    for i, (d, L_io, P_io) in enumerate(zip(decomps, L_blocks, P_blocks)):
-        n, v = d.n, d.v
-        p = L_io.shape[1]
-        L = d.T @ np.vstack([L_io, np.zeros((n - v, p))])
-        M_local = np.eye(n)
-        M_local[:v, :v] = inv_P_io = np.linalg.inv(P_io)
-        M = d.T @ M_local @ d.T.T
-        M = 0.5 * (M + M.T)
-        if np.linalg.eigvalsh(M)[0] <= 0:
-            raise NumericalFailureError(f"node {i}: consensus weighting M is not positive definite")
-        inv_residual = np.linalg.norm(inv_P_io @ P_io - np.eye(v), "fro")
-        if inv_residual > 1e-8 * max(1.0, math.sqrt(np.linalg.norm(P_io, "fro") ** 2 + n - v)):
+    T = np.stack([d.T for d in decomps])
+    n = T.shape[-1]
+    local = np.broadcast_to(np.eye(n), T.shape).copy()
+    for v in sorted({d.v for d in decomps} - {0}):
+        nodes = [i for i, d in enumerate(decomps) if d.v == v]
+        P_io = np.stack([P_blocks[i] for i in nodes])
+        local[nodes, :v, :v] = inv_P_io = np.linalg.inv(P_io)
+        inv_residual = np.linalg.norm(inv_P_io @ P_io - np.eye(v), axis=(-2, -1))
+        scale = np.sqrt(np.linalg.norm(P_io, axis=(-2, -1)) ** 2 + n - v)
+        inaccurate = ~(inv_residual <= 1e-8 * np.maximum(1.0, scale))
+        if inaccurate.any():
+            j = int(np.argmax(inaccurate))
             raise NumericalFailureError(
-                f"node {i}: inverse certificate residual {inv_residual:.3e}"
+                f"node {nodes[j]}: inverse certificate residual {inv_residual[j]:.3e}"
             )
-        nodes.append(NodeGains(L=L, M=M))
+    M = T @ local @ T.swapaxes(-1, -2)
+    M = 0.5 * (M + M.swapaxes(-1, -2))
+    indefinite = numerics._smallest_eigenvalues(M) <= 0
+    if indefinite.any():
+        raise NumericalFailureError(
+            f"node {int(np.argmax(indefinite))}: consensus weighting M is not positive definite"
+        )
+    nodes = tuple(
+        NodeGains(L=d.T1 @ L_io, M=M_i) for d, L_io, M_i in zip(decomps, L_blocks, M)
+    )
     return ObserverDesign(
         gamma=float(gamma),
         epsilon=float(epsilon),
         alpha=float(alpha),
         r=np.asarray(r, dtype=float),
-        nodes=tuple(nodes),
+        nodes=nodes,
     )
 
 
@@ -448,12 +489,7 @@ def synthesize(model, g_net, params):
         "epsilon = %.6g, gamma = %.6g, per-node v = %s", epsilon, gamma, [d.v for d in decomps]
     )
 
-    L_blocks, P_blocks = zip(
-        *(
-            place_observer_poles(d.A_io, d.H_io, params.alpha, gamma, gi)
-            for d, gi in zip(decomps, g)
-        )
-    )
+    L_blocks, P_blocks = _place_all_poles(decomps, params.alpha, gamma, g)
     design = assemble_gains(
         decomps, L_blocks, P_blocks, gamma, epsilon, balanced.r, params.alpha
     )

@@ -18,12 +18,14 @@ the same Lyapunov certificate holds on it.
 Neither certificate forms a dense nN x nN matrix. The graph couples each
 plant coordinate only to the same coordinate of the other nodes, so the
 error matrix and the quadratic form split exactly into one block per
-group of coordinates that no Lambda_i, M_i or inv(M_i) couples; the
-groups are read off the design's own gains, so a design file cannot buy
-itself a split. The abscissa is the largest over the blocks and the
-Lyapunov margin the largest eigenvalue over them, one eigenvalue problem
-of size N |g| per group g, in one stacked call per group size. A dense
-plant is a single group.
+group of coordinates that no Lambda_i or M_i couples (inv(M_i) has the
+block structure of M_i, so it couples none either); the groups are read
+off the design's own gains, so a design file cannot buy itself a split.
+Each M_i is checked for definiteness and inverted one group at a time.
+The abscissa is the largest over the blocks and the Lyapunov margin the
+largest eigenvalue over them, one eigenvalue problem of size N |g| per
+group g, in one stacked call per group size. A dense plant is a single
+group.
 """
 
 from dataclasses import dataclass
@@ -48,16 +50,19 @@ class GlobalErrorSystem:
     nN x nN, with Lambda_i = A - L_i H_i, M_i the consensus weightings
     and R the balancing of the graph Laplacian L. The graph couples
     coordinate k of one node only to coordinate k of the others, so E
-    splits exactly along the coordinate groups that no Lambda_i, M_i or
-    P_i = inv(M_i) couples (`numerics.coordinate_groups`): group g owns
-    the N |g| rows (i, k), k in g, node-major, and E has no entry between
-    two groups. groups[c] is a (k, m) array of the k groups of size m and
-    E_blocks[c] the (k, Nm, Nm) stack of their diagonal blocks of E. A
-    dense plant is one group, whose block is E itself.
+    splits exactly along the coordinate groups that no Lambda_i or M_i
+    couples (`numerics.coordinate_groups`): group g owns the N |g| rows
+    (i, k), k in g, node-major, and E has no entry between two groups.
+    groups[c] is a (k, m) array of the k groups of size m and E_blocks[c]
+    the (k, Nm, Nm) stack of their diagonal blocks of E. A dense plant is
+    one group, whose block is E itself.
 
     The (N, n, n) stacks Lambda_blocks and P_blocks hold the Lambda_i and
-    the symmetrized P_i, the blocks of the certificate's quadratic form.
-    Building the system costs O(sum_g (N |g|)^2) plus N small inversions.
+    the symmetrized P_i = inv(M_i), the blocks of the certificate's
+    quadratic form. M_i is block diagonal in the groups, so P_i is too:
+    it is inverted one group at a time, one stacked call per group size,
+    and scattered into P_blocks. Building the system costs
+    O(sum_g (N |g|)^2) plus N sum_g |g|^3 for the inversions.
     """
 
     E_blocks: tuple
@@ -95,8 +100,8 @@ def build_global_error_matrix(model, balanced, design):
 
     Block (i, j) of E is delta_ij (A - L_i H_i) - gamma (R L)_ij M_i,
     formed directly from the blocks instead of multiplying blockdiag(M_i)
-    by kron(R L, I_n), and only inside each coordinate group of Lambda_i,
-    M_i and P_i. The coupling term uses the balancing weights recomputed
+    by kron(R L, I_n), and only inside each coordinate group of Lambda_i
+    and M_i. The coupling term uses the balancing weights recomputed
     from the graph, which is what makes the result depend on the graph
     only through the product R L.
     """
@@ -105,9 +110,11 @@ def build_global_error_matrix(model, balanced, design):
         raise DimensionError("graph size does not match the design")
     Lambda_blocks = np.stack([model.A - nd.L @ H for nd, H in zip(design.nodes, model.outputs)])
     Ms = np.stack([node.M for node in design.nodes])
-    P = np.linalg.inv(Ms)
-    P = 0.5 * (P + P.transpose(0, 2, 1))
-    groups = numerics.coordinate_groups(Lambda_blocks, Ms, P)
+    groups = numerics.coordinate_groups(Lambda_blocks, Ms)
+    P = np.zeros_like(Ms)
+    for idx in groups:
+        P_g = np.linalg.inv(numerics.restrict(Ms, idx))
+        P[:, idx[:, :, None], idx[:, None, :]] = 0.5 * (P_g + np.swapaxes(P_g, -1, -2))
     RL = balanced.R @ balanced.laplacian
     E_blocks = tuple(
         numerics.coupled_blocks(
@@ -125,20 +132,19 @@ def error_system(model, g_net, design):
     Returns (balanced, GlobalErrorSystem). Raises `DimensionError` for a
     design whose r is not the graph's balancing (rtol 1e-9), whose gains
     do not fit the model or whose M_i is not symmetric positive definite,
-    so `verify_design` and `sim.integrate` reject the same designs.
+    so `verify_design` and `sim.integrate` reject the same designs. The
+    symmetry test takes the whole stack of M_i at once, and definiteness
+    is tested one coordinate group of the M_i at a time.
     """
     balanced = balance(g_net)
     if design.r.shape != balanced.r.shape or not np.allclose(design.r, balanced.r, 1e-9, 0):
         raise DimensionError(f"design r = {design.r} does not balance the graph")
-    for i, node in enumerate(design.nodes):
-        _check_weighting(i, node)
+    _check_compatible(model, design)
+    Ms = np.stack([node.M for node in design.nodes])
+    rejected = ~numerics.is_symmetric(Ms) | (numerics._smallest_eigenvalues(Ms) <= 0)
+    if rejected.any():
+        raise DimensionError(f"node {int(np.argmax(rejected))}: M is not symmetric positive definite")
     return balanced, build_global_error_matrix(model, balanced, design)
-
-
-def _check_weighting(i, node):
-    """Reject an M_i that is not symmetric positive definite."""
-    if not numerics.is_symmetric(node.M) or np.linalg.eigvalsh(node.M)[0] <= 0:
-        raise DimensionError(f"node {i}: M is not symmetric positive definite")
 
 
 class AbscissaCertificate(NamedTuple):

@@ -337,6 +337,27 @@ class TestVerify:
         tampered.write_text(json.dumps(doc))
         assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
 
+    def test_weighting_indefinite_in_one_coordinate_group(self, tmp_path, capsys):
+        # the n = N = 10 ladder rung splits into ten single-coordinate
+        # groups, and every M_i is diagonal; node 3's M, still symmetric,
+        # turns indefinite in the group of coordinate 7 only
+        rng = np.random.default_rng(1)
+        g_net = random_sc_digraph(rng, 10)
+        model = random_partial_model(rng, 10, 10)
+        cfg = write_instance(tmp_path / "rung10.json", model, g_net, seed=1)
+        design = tmp_path / "d.json"
+        assert main(["synthesize", str(cfg), "-o", str(design)]) == 0
+        doc = json.loads(design.read_text())
+        M = np.array(doc["nodes"][3]["M"])
+        assert np.array_equal(M, np.diag(np.diag(M))) and np.all(np.diag(M) > 0)
+        M[7, 7] = -M[7, 7]
+        doc["nodes"][3]["M"] = M.tolist()
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert verify_and_simulate(cfg, tampered, tmp_path) == [3, 3]
+        assert "node 3: M is not symmetric positive definite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "node, key, value",
         [(True, "L", [["1.0"], ["0.0"]]), (False, "gamma", "20.0"), (False, "epsilon", True),
@@ -470,6 +491,16 @@ class TestSimulate:
             "-o", str(tmp_path / "t.csv"),
         ])
         assert code == 3
+
+    def test_step_count_numpy_cannot_index(self, config_path, design_path, tmp_path, capsys):
+        # 1e301 steps: rejected with the sim settings, before any array is made
+        code = main([
+            "simulate", str(config_path), str(design_path), "--dt", "1e-300",
+            "-o", str(tmp_path / "t.csv"),
+        ])
+        assert code == 3
+        assert "bad sim settings" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize(
         "sim",

@@ -233,6 +233,69 @@ class TestSolveLyapunov:
         assert np.linalg.norm(P - expected) <= 1e-8 * np.linalg.norm(expected)
         assert counts == [8]
 
+    @staticmethod
+    def mixed_stack():
+        """Three equations of one size whose sign iterations need 8, 1 and
+        4 steps: a Hurwitz F with a spectrum over six decades, F = -I,
+        and an anti-Hurwitz Bass equation of a Jordan-like block."""
+        bass = TestSolveLyapunov.bass_equation(
+            np.diag([1.0, 2.0, 3.0]) + np.diag(np.ones(2), 1), np.array([[1.0, 0.0, 0.0]])
+        )
+        F = np.stack([-np.diag([1.0, 1e3, 1e6]) + np.triu(np.ones((3, 3)), 1), -np.eye(3), bass[0]])
+        Q = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), bass[1]])
+        return F, Q
+
+    def test_stack_matches_kronecker_oracle_per_matrix(self, monkeypatch):
+        counts = []
+        real_steps = numerics._sign_steps
+
+        def spy(*args):
+            steps = real_steps(*args)
+            counts.append(len(steps))
+            return steps
+
+        monkeypatch.setattr(numerics, "_sign_steps", spy)
+        F, Q = self.mixed_stack()
+        alone = [solve_lyapunov(F_j, Q_j) for F_j, Q_j in zip(F, Q)]
+        assert counts == [8, 1, 4]
+        P = solve_lyapunov(F, Q)
+        # one iteration for the stack, as long as its slowest matrix needs
+        assert counts[3:] == [8]
+        assert P.shape == F.shape
+        for F_j, Q_j, P_j, P_alone in zip(F, Q, P, alone):
+            expected = kron_lyapunov_oracle(F_j, Q_j)
+            assert np.linalg.norm(P_j - expected) <= 1e-10 * np.linalg.norm(expected)
+            assert np.linalg.norm(P_j - P_alone) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_random_stack_matches_kronecker_oracle(self):
+        rng = np.random.default_rng(8)
+        for m in range(1, 5):
+            F = rng.normal(size=(6, m, m)) - 2.0 * m * np.eye(m)
+            B = rng.normal(size=(6, m, m))
+            Q = B @ B.swapaxes(-1, -2) + 0.1 * np.eye(m)
+            P = solve_lyapunov(F, Q)
+            for F_j, Q_j, P_j in zip(F, Q, P):
+                expected = kron_lyapunov_oracle(F_j, Q_j)
+                assert np.linalg.norm(P_j - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_stack_with_one_matrix_off_the_half_plane_rejected(self):
+        F, Q = self.mixed_stack()
+        F[1] = np.diag([-1.0, -2.0, 3.0])
+        with pytest.raises(SingularEquationError):
+            solve_lyapunov(F, Q)
+
+    def test_stack_with_one_asymmetric_rhs_rejected(self):
+        F, Q = self.mixed_stack()
+        Q[2, 0, 1] += 1.0
+        with pytest.raises(DimensionError, match="Q must be symmetric"):
+            solve_lyapunov(F, Q)
+
+    def test_two_dimensional_input_stays_two_dimensional(self):
+        F, Q = self.mixed_stack()
+        assert solve_lyapunov(F[0], Q[0]).shape == (3, 3)
+        assert solve_lyapunov(F[:1], Q[:1]).shape == (1, 3, 3)
+        assert solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+
     def test_matches_kronecker_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -363,3 +426,9 @@ class TestCoordinateGroups:
 def test_is_symmetric_tolerance():
     assert is_symmetric(np.eye(3))
     assert not is_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_is_symmetric_gives_one_verdict_per_matrix_of_a_stack():
+    stack = np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)), [[1.0, 1e-12], [0.0, 1.0]]])
+    assert is_symmetric(stack).tolist() == [True, False, True, True]
+    assert is_symmetric(np.zeros((2, 0, 0))).tolist() == [True, True]

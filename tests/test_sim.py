@@ -584,6 +584,17 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(t_final=1.0, dt=1e-3, **settings)
 
+    @pytest.mark.parametrize(
+        "t_final, dt",
+        [(10.0, 1e-300), (2.0**63, 1.0), (1e300, 1e-300)],
+        ids=["dt-1e-300", "index-max-plus-one", "ratio-overflows"],
+    )
+    def test_rejects_step_count_numpy_cannot_index(self, t_final, dt):
+        # each fails before any array is made: round(t_final / dt) reaches
+        # np.iinfo(np.intp).max, past the length of any numpy array
+        with pytest.raises(ValueError, match="steps"):
+            SimulationConfig(t_final=t_final, dt=dt)
+
     def test_accepts_numpy_integers(self):
         config = SimulationConfig(t_final=1.0, seed=np.int64(3), record_stride=np.int32(2))
         assert config.seed == 3 and config.record_stride == 2

@@ -317,6 +317,40 @@ class TestPlaceObserverPoles:
         _, P = place_observer_poles(*args, alpha=1.0, gamma=4.0, g_i=0.5)
         assert P == pytest.approx(np.array([[0.5]]))
 
+    def test_stack_matches_each_block_alone(self):
+        # beta and q per block; one stacked Bass solve
+        rng = np.random.default_rng(11)
+        A = rng.uniform(-1.0, 1.0, (4, 3, 3))
+        H = rng.uniform(-1.0, 1.0, (4, 2, 3))
+        g = np.array([0.5, 1.0, 2.0, 3.0])
+        L, P = place_observer_poles(A, H, alpha=0.5, gamma=3.0, g_i=g)
+        assert L.shape == (4, 3, 2) and P.shape == (4, 3, 3)
+        for A_j, H_j, g_j, L_j, P_j in zip(A, H, g, L, P):
+            L_alone, P_alone = place_observer_poles(A_j, H_j, alpha=0.5, gamma=3.0, g_i=g_j)
+            assert np.allclose(L_j, L_alone, rtol=1e-10, atol=0)
+            assert np.allclose(P_j, P_alone, rtol=1e-10, atol=0)
+
+    def test_mismatched_stacks_rejected(self):
+        with pytest.raises(DimensionError):
+            place_observer_poles(np.zeros((2, 3, 3)), np.ones((3, 1, 3)), alpha=1.0, gamma=4.0)
+        with pytest.raises(DimensionError):
+            place_observer_poles(np.zeros((3, 3)), np.ones((1, 2)), alpha=1.0, gamma=4.0)
+
+    def test_nodes_sharing_v_with_different_row_counts(self):
+        # one stack for v = 3, its H_io padded to 3 rows: each node's gains
+        # are those of its block placed alone
+        rng = np.random.default_rng(12)
+        A = rng.uniform(-1.0, 1.0, (3, 3))
+        decomps = [decompose_node(rng.uniform(-1.0, 1.0, (p, 3)), A) for p in (2, 3, 2)]
+        assert [d.v for d in decomps] == [3, 3, 3]
+        g = np.array([1.0, 2.0, 0.5])
+        L_blocks, P_blocks = synth._place_all_poles(decomps, 1.0, 5.0, g)
+        for d, g_i, L_io, P_io in zip(decomps, g, L_blocks, P_blocks):
+            L_alone, P_alone = place_observer_poles(d.A_io, d.H_io, 1.0, 5.0, g_i)
+            assert L_io.shape == L_alone.shape
+            assert np.allclose(L_io, L_alone, rtol=1e-10, atol=0)
+            assert np.allclose(P_io, P_alone, rtol=1e-10, atol=0)
+
     def test_double_integrator_certificate_against_oracle(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         H = np.array([[1.0, 0.0]])
@@ -611,19 +645,37 @@ class TestSynthesize:
     # the multi-node cases; the single node there is not jointly observable
     @pytest.mark.parametrize("n, owned", MIXED_OBSERVABILITY_CASES[:2])
     def test_one_lyapunov_solve_per_observable_block(self, monkeypatch, n, owned):
-        # the Gramian that defines the gain is also its certificate
+        # the Gramian that defines the gain is also its certificate: every
+        # block with v_i > 0 is solved exactly once, inside the one stacked
+        # solve of the blocks that share its v_i
         rng = np.random.default_rng(5)
         model = rotated_partial_model(rng, n, owned)
         g_net = graph_for(rng, len(owned))
-        original, calls = numerics.solve_lyapunov, []
+        original, stacks = numerics.solve_lyapunov, []
 
         def counting(F, Q, *args, **kwargs):
-            calls.append(F.shape)
+            stacks.append((F, Q))
             return original(F, Q, *args, **kwargs)
 
         monkeypatch.setattr(numerics, "solve_lyapunov", counting)
         synthesize(model, g_net, SynthesisParams(alpha=1.0))
-        assert calls == [(len(idx), len(idx)) for idx in owned if idx]
+        assert all(F.ndim == 3 for F, _ in stacks)
+        assert sorted(F.shape[-1] for F, _ in stacks) == sorted({len(i) for i in owned if i})
+
+        def solves(d, F, Q):
+            # F is A_io shifted by a multiple of I, and Q = -2 H_io.T H_io
+            if F.shape != d.A_io.shape:
+                return False
+            shift = F - d.A_io
+            return np.allclose(shift, shift[0, 0] * np.eye(d.v), rtol=0, atol=1e-12) and (
+                np.allclose(Q, -2.0 * d.H_io.T @ d.H_io, rtol=1e-12, atol=1e-14)
+            )
+
+        solved = [(F, Q) for Fs, Qs in stacks for F, Q in zip(Fs, Qs)]
+        observable = [d for d in check_assumptions(model, g_net).decomps if d.v]
+        assert len(solved) == len(observable) == sum(1 for idx in owned if idx)
+        for d in observable:
+            assert sum(solves(d, F, Q) for F, Q in solved) == 1
 
     def test_two_observability_matrices_per_node(self, monkeypatch):
         # one for the decomposition, one for its rank recheck (v_i > 0);

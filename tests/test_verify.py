@@ -369,6 +369,23 @@ class TestCoordinateGroups:
         nN = model.n * model.node_count
         assert [B.shape for B in sys_.E_blocks] == [(1, nN, nN)]
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["ladder-10", "dense-battery"])
+    def test_P_blocks_are_the_inverse_weightings(self, dense):
+        # inverted one group at a time: ten groups of one coordinate on the
+        # rung, a single group of all n on the dense plant
+        if dense:
+            model, g_net = next(
+                (m, g) for m, g in battery_instances(20240817) if np.count_nonzero(m.A) == m.n**2
+            )
+        else:
+            model, g_net = partial_instance(10)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        _, sys_ = error_system(model, g_net, design)
+        assert [idx.shape for idx in sys_.groups] == [(1, model.n) if dense else (10, 1)]
+        for P, node in zip(sys_.P_blocks, design.nodes):
+            expected = np.linalg.inv(node.M)
+            assert np.max(np.abs(P - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_weighting_that_couples_two_groups_merges_them(self):
         # a design file cannot buy itself a split: an entry of M_0 between
         # coordinates 1 and 4, kept symmetric positive definite, puts the
