@@ -41,7 +41,6 @@ from .synth import (
     check_assumptions,
     compute_epsilon,
     place_observer_poles,
-    select_gamma,
     synthesize,
 )
 from .verify import (
@@ -89,7 +88,6 @@ __all__ = [
     "lyapunov_certificate",
     "observability_matrix",
     "place_observer_poles",
-    "select_gamma",
     "spectral_abscissa_certificate",
     "synthesize",
     "verify_design",

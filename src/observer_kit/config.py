@@ -7,15 +7,16 @@ Config layout (all node indices 0-based, matrices row-major)::
                  "outputs": [{"H": [[..]]}, {"H": [[..]]}]},
       "graph":  {"N": 2, "edges": [{"from": 0, "to": 1, "weight": 1.0}, ..]},
       "params": {"alpha": 1.0,
-                 "g": [1.0, 1.0],                  # optional
-                 "margins": {"epsilon": 0.9, "gamma": 1.1},  # optional
+                 "margins": {"gamma": 1.1},        # optional
                  "rank_rtol": 1e-10,               # optional
                  "seed": 0,                        # optional
                  "sim": {"t_final": 10.0, "dt": 1e-3, ...}}  # optional
     }
 
 An edge (from, to, weight) means information flows from ``from`` to
-``to``; the loader stores the weight at adjacency[to][from].
+``to``; the loader stores the weight at adjacency[to][from]. Keys the
+loader does not read are ignored, among them the ``params.g`` and
+``params.margins.epsilon`` of older configs.
 """
 
 import json
@@ -131,20 +132,16 @@ def load_config(path):
 
     margins = _typed(params_sec.get("margins", {}), dict, "params.margins")
     _require(params_sec, "alpha", "params")
-    _typed_fields(params_sec, ("alpha", "g", "rank_rtol"), float, "params")
-    _typed_fields(margins, ("epsilon", "gamma"), float, "params.margins")
+    _typed_fields(params_sec, ("alpha", "rank_rtol"), float, "params")
+    _typed_fields(margins, ("gamma",), float, "params.margins")
     try:
         params = SynthesisParams(
             alpha=float(params_sec["alpha"]),
-            g=params_sec.get("g"),
-            epsilon_margin=float(margins.get("epsilon", 0.9)),
             gamma_margin=float(margins.get("gamma", 1.1)),
             rank_rtol=float(params_sec.get("rank_rtol", 1e-10)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params section: {exc}") from exc
-    if params.g is not None and params.g.shape != (node_count,):
-        raise ConfigError(f"params.g must hold {node_count} weights")
 
     sim_settings = _typed(params_sec.get("sim", {}), dict, "params.sim")
     _typed_fields(

@@ -1,29 +1,28 @@
-"""Constructive design of the distributed observer gains.
+"""Design of the distributed observer gains by their certificate.
 
-The pipeline decouples the network topology from the local gain design:
+1. Decompose every node's pair (H_i, A) into observable and unobservable
+   coordinates, and balance the communication graph.
+2. Stabilize each observable block by output injection with poles left
+   of ``-alpha``; the Lyapunov solution that defines the gain, at unit
+   margin, is also the shape of the certificate block P_io.
+3. Size the two free scalars of the certificate exactly: the common scale
+   q of the P_io and the coupling gain gamma.
+4. Assemble the full-order gains L_i and M_i.
 
-1. decompose every node's pair (H_i, A) into observable and unobservable
-   coordinates,
-2. balance the communication graph and take the mirror of the balanced
-   graph,
-3. compute a positive constant ``epsilon`` that lower-bounds the mirror
-   coupling seen through the per-node coordinate changes,
-4. pick the coupling gain ``gamma`` large enough that consensus dominates
-   every unobservable block at the requested decay rate; each node's
-   budget is the largest eigenvalue of one quadratic eigenvalue problem,
-5. stabilize each observable block by output injection with poles pushed
-   left of ``-alpha``; the one small Lyapunov solution per node that
-   defines the gain, scaled, is also the certificate block P_io, and
-6. assemble the full-order gains L_i and M_i.
+`verify`'s certificate is Z(gamma) = blockdiag(D_i) - gamma (mirror x I_n)
+< 0, with D_i = Sym(P_i Lambda_i) + 2*alpha*P_i and P_i = inv(M_i). For the
+gains of step 2, D_i(q) = D0_i + q C_i is affine in q and Z is affine in
+gamma, so the smallest certifying q and gamma are generalized eigenvalue
+problems (Boyd, El Ghaoui, Feron and Balakrishnan, "Linear Matrix
+Inequalities in System and Control Theory", SIAM 1994, section 2.2.3),
+each split along the coordinate groups of the plant. The design takes
+q = 2 max(q*, alpha) and gamma = gamma_margin * max(gamma*, alpha); the
+floors at alpha keep the rule covariant under a scaling of time. The
+design is returned only when the global certificate, computed from its
+L_i and M_i exactly as `verify` computes it, is negative definite.
 
-Steps 4 and 5 are sized so that each node meets the matrix inequality
-Sym(P_i Lambda_i) + 2*alpha*P_i + gamma*(g_i*Pi_i - epsilon*I) < 0, with
-P_i = inv(M_i) and Pi_i the projector onto the node's observable subspace;
-at epsilon <= lambda_min(S) the N inequalities imply the global
-certificate Z(gamma) < 0 of `verify`, but not the other way round. The
-assembled design is returned only when that global certificate, computed
-from its L_i and M_i exactly as `verify` computes it, comes back strictly
-negative definite.
+The epsilon of the paper's constructive bound sizes nothing here; it is
+computed as the numerical check of the standing assumptions and reported.
 """
 
 import logging
@@ -41,43 +40,36 @@ from .graph import _balance_connected, is_strongly_connected
 
 logger = logging.getLogger(__name__)
 
-# Floor for the per-node coupling budget, keeping gamma*epsilon - 2*alpha
-# strictly positive when no node imposes a real constraint.
-BUDGET_FLOOR = 1e-9
+# Shrinks the reported epsilon away from lambda_min(S).
+_EPSILON_MARGIN = 0.9
+
+# The design's scale q of the P_io, as a multiple of the threshold q*; the
+# consensus block of the certificate then has room for a moderate gamma.
+_SCALE_FACTOR = 2.0
 
 
 @dataclass
 class SynthesisParams:
     """Tunable inputs of the design pipeline.
 
-    alpha is the prescribed error decay rate. g holds the per-node positive
-    weights of the epsilon bound (all ones by default). epsilon_margin
-    shrinks the computed bound away from its supremum; gamma_margin
-    inflates the coupling gain above its certified minimum.
+    alpha is the prescribed error decay rate. gamma_margin inflates the
+    coupling gain above its certified minimum; rank_rtol is the relative
+    threshold of the rank decisions.
     """
 
     alpha: float
-    g: np.ndarray | None = None
-    epsilon_margin: float = 0.9
     gamma_margin: float = 1.1
     rank_rtol: float = numerics.RANK_RTOL
 
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if not 0 < self.epsilon_margin < 1:
-            raise ValueError("epsilon_margin must lie in (0, 1)")
         if not 1 < self.gamma_margin < math.inf:
             raise ValueError(
                 f"gamma_margin must be finite and exceed 1, got {self.gamma_margin}"
             )
         if not 0 < self.rank_rtol < 1:
             raise ValueError(f"rank_rtol must lie in (0, 1), got {self.rank_rtol}")
-        if self.g is not None:
-            g = np.asarray(self.g, dtype=float)
-            if g.ndim != 1 or not np.all((0 < g) & (g < math.inf)):
-                raise ValueError("g must be a 1-d array of finite positive weights")
-            self.g = g
 
 
 @dataclass(frozen=True)
@@ -171,13 +163,13 @@ def _sym(M):
     return M + M.T
 
 
-def compute_epsilon(decomps, balanced, g=None, margin=0.9):
+def compute_epsilon(decomps, balanced):
     """Positive lower bound for the coordinate-rotated mirror coupling.
 
-    The bound is ``margin * lambda_min(S)`` for S = T.T (mirror x I_n) T
-    + G, with T the block diagonal of the per-node orthogonal transforms
-    and G the block diagonal of diag(g_i I_{v_i}, 0). T is orthogonal, so
-    S has the eigenvalues of T S T.T = mirror x I_n + blockdiag(g_i Pi_i),
+    The bound is 0.9 * lambda_min(S) for S = T.T (mirror x I_n) T + G,
+    with T the block diagonal of the per-node orthogonal transforms and
+    G the block diagonal of diag(I_{v_i}, 0). T is orthogonal, so S has
+    the eigenvalues of T S T.T = mirror x I_n + blockdiag(Pi_i),
     Pi_i = T_i1 T_i1.T the projector onto node i's observable subspace.
     That matrix couples coordinate k of one node only to coordinate k of
     the others and, through the Pi_i, only inside the coordinate groups of
@@ -188,24 +180,14 @@ def compute_epsilon(decomps, balanced, g=None, margin=0.9):
 
     Raises `AssumptionViolationError` when lambda_min(S) is not safely
     positive, which signals that one of the two standing assumptions
-    failed numerically.
+    failed numerically; `synthesize` computes epsilon for this check only.
     """
-    N = len(decomps)
-    if g is None:
-        g = np.ones(N)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (N,) or np.any(g < 0):
-        raise DimensionError(f"g must hold {N} nonnegative weights")
-    # zero weights are admitted here so the lambda_min check below can
-    # report the degenerate case; the pipeline itself requires g > 0
-
     projectors = np.stack([d.T1 @ d.T1.T for d in decomps])
-    weighted = g[:, None, None] * projectors
     lam_min = math.inf
     for idx in numerics.coordinate_groups(projectors):
         unit = np.eye(idx.shape[1])[None, None]
         S = numerics.coupled_blocks(
-            numerics.restrict(weighted, idx), balanced.mirror, unit, -1.0
+            numerics.restrict(projectors, idx), balanced.mirror, unit, -1.0
         )
         S = 0.5 * (S + np.swapaxes(S, -1, -2))
         lam_min = min(lam_min, float(np.min(np.linalg.eigvalsh(S)[:, 0])))
@@ -214,71 +196,13 @@ def compute_epsilon(decomps, balanced, g=None, margin=0.9):
             f"coupling bound failed: lambda_min = {lam_min:.3e}; joint "
             "observability or strong connectivity does not hold numerically"
         )
-    return margin * lam_min
+    return _EPSILON_MARGIN * lam_min
 
 
-def _min_coupling_budget(A_iu, A_ir, floor=BUDGET_FLOOR):
-    """Smallest b > 0 with lambda_max(Sym(A_iu) + A_ir A_ir.T / b) <= b.
-
-    For b > 0 this is b^2 I - b S - K >= 0 with S = Sym(A_iu) and
-    K = A_ir A_ir.T >= 0, so b is the largest eigenvalue of the quadratic
-    pencil mu^2 I - mu S - K, i.e. of its companion [[S, K], [I, 0]]
-    (Tisseur & Meerbergen, SIAM Review 2001); all of them are real since
-    K >= 0. The floor is returned when it is larger, so the caller's
-    budget stays strictly positive.
-    """
-    m = A_iu.shape[0]
-    companion = np.block([[_sym(A_iu), A_ir @ A_ir.T], [np.eye(m), np.zeros((m, m))]])
-    return max(float(np.max(numerics.eigenvalues(companion).real)), floor)
-
-
-def select_gamma(decomps, epsilon, alpha, margin=1.1):
-    """Coupling gain large enough to dominate every unobservable block.
-
-    For each node with a nontrivial unobservable part, the minimal budget
-    b_i = gamma*epsilon - 2*alpha making
-
-        Sym(A_iu) - b I + A_ir A_ir.T / b <= 0
-
-    is one eigenvalue problem (see `_min_coupling_budget`); the returned
-    gain is
-
-        gamma = max((margin * max_i b_i + 2*alpha) / epsilon, 2*alpha + 1).
-
-    Fully observable nodes contribute no budget constraint, but the first
-    branch still applies with the floor budget: the assembled per-node
-    certificates need gamma*epsilon > 2*alpha regardless, and the floor
-    keeps that inequality strict. The domination inequality is
-    re-checked for every constrained node at the returned gain.
-    """
-    if not epsilon > 0:
-        raise AssumptionViolationError(f"epsilon must be positive, got {epsilon}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    budget = BUDGET_FLOOR
-    for d in decomps:
-        if d.v < d.n:
-            budget = max(budget, _min_coupling_budget(d.A_iu, d.A_ir))
-    gamma = max((margin * budget + 2.0 * alpha) / epsilon, 2.0 * alpha + 1.0)
-
-    b = gamma * epsilon - 2.0 * alpha
-    for i, d in enumerate(decomps):
-        if d.v == d.n:
-            continue
-        m = d.n - d.v
-        test = _sym(d.A_iu) - b * np.eye(m) + (d.A_ir @ d.A_ir.T) / b
-        verdict = numerics.is_negative_definite(test)
-        if not verdict.is_negative_definite:
-            raise NumericalFailureError(
-                f"coupling gain {gamma:.6g} fails to dominate the unobservable "
-                f"block of node {i} (margin {verdict.margin:.3e})"
-            )
-    return gamma
-
-
-def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
-    """Output-injection gain and certificate block for an observable block,
-    or for each block of a stack of blocks that share v and p.
+def place_observer_poles(A_io, H_io, alpha):
+    """Output-injection gain and unit-scale certificate block for an
+    observable block, or for each block of a stack of blocks that share v
+    and p.
 
     Shifted Lyapunov (Bass-style) construction: with At = A_io + alpha*I
     and a shift beta = 1 + ||A_io||_F + alpha that dominates the spectral
@@ -291,26 +215,20 @@ def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
     A_io - L_io H_io on the line Re = -(alpha + beta). The same X
     certifies that closed loop: Sym(X (At - L_io H_io)) = -2 beta X, so
 
-        P_io = q / (2 beta lambda_min(X)) * X,  q = gamma*max(g_i, 1) - 2*alpha,
+        P_io = X / (2 beta lambda_min(X))
 
-    satisfies Sym(P_io (A_io - L_io H_io + alpha I)) <= -q I. q covers the
-    gamma*g_i*Pi_i of the node's matrix inequality (gamma*g_i I on this
-    block; see the module docstring), or exceeds it if g_i < 1. Requires
-    gamma > 2*alpha.
+    satisfies Sym(P_io (A_io - L_io H_io + alpha I)) <= -I. `synthesize`
+    scales every P_io by one common q.
 
-    A_io is v x v and H_io p x v, or a (k, v, v) and a (k, p, v) stack
-    with g_i a scalar or k weights: beta and q are taken per block, and
-    the k Bass equations are one stacked `numerics.solve_lyapunov` call.
-    Returns (L_io, P_io), stacked as the input is.
+    A_io is v x v and H_io p x v, or a (k, v, v) and a (k, p, v) stack:
+    beta is taken per block, and the k Bass equations are one stacked
+    `numerics.solve_lyapunov` call. Returns (L_io, P_io), stacked as the
+    input is.
 
     `decomp.decompose_node` has confirmed the rank of the block's
     observability matrix, so an X too ill-conditioned to invert raises
     `NumericalFailureError`, not a violated assumption.
     """
-    if not gamma > 2.0 * alpha:
-        raise AssumptionViolationError(
-            f"gamma = {gamma:.6g} must exceed 2*alpha = {2.0 * alpha:.6g}"
-        )
     A_io = numerics._as_squares(A_io, "A_io")
     H_io = np.asarray(H_io, dtype=float)
     if H_io.ndim != A_io.ndim or H_io.shape[:-2] + H_io.shape[-1:] != A_io.shape[:-1]:
@@ -344,17 +262,16 @@ def place_observer_poles(A_io, H_io, alpha, gamma, g_i=1.0):
                 f"pole placement landed at spectral abscissa {abscissa:.6g}, "
                 f"not below {-alpha:.6g}"
             )
-        q = gamma * np.maximum(g_i, 1.0) - 2.0 * alpha
-        P_io = (q / (2.0 * beta * w[:, 0]))[:, None, None] * X
+        P_io = (1.0 / (2.0 * beta * w[:, 0]))[:, None, None] * X
     return (L_io, P_io) if stacked else (L_io[0], P_io[0])
 
 
-def _place_all_poles(decomps, alpha, gamma, g):
+def _place_all_poles(decomps, alpha):
     """`place_observer_poles` for every node: one stacked call per distinct
     v_i > 0. The H_io of a stack are padded to its largest row count
     with zero rows, which add nothing to the Gramian and give zero columns
-    of L_io, cut off again. Returns the per-node lists of L_io and P_io;
-    a node with v_i = 0 gets empty blocks."""
+    of L_io, cut off again. Returns the per-node lists of L_io and of the
+    unit-scale P_io; a node with v_i = 0 gets empty blocks."""
     L_blocks = [np.zeros((0, d.H_io.shape[0])) for d in decomps]
     P_blocks = [np.zeros((0, 0))] * len(decomps)
     for v in sorted({d.v for d in decomps} - {0}):
@@ -364,10 +281,89 @@ def _place_all_poles(decomps, alpha, gamma, g):
         for j, i in enumerate(nodes):
             H_io[j, : rows[j]] = decomps[i].H_io
         A_io = np.stack([decomps[i].A_io for i in nodes])
-        L_io, P_io = place_observer_poles(A_io, H_io, alpha, gamma, g[nodes])
+        L_io, P_io = place_observer_poles(A_io, H_io, alpha)
         for j, i in enumerate(nodes):
             L_blocks[i], P_blocks[i] = L_io[j, :, : rows[j]], P_io[j]
     return L_blocks, P_blocks
+
+
+def _certificate_pencil(decomps, L_blocks, P_blocks, alpha):
+    """(D0, C): the (N, n, n) stacks with D_i(q) = D0[i] + q C[i], where
+    D_i = Sym(P_i Lambda_i) + 2*alpha*P_i is the certificate's diagonal
+    block at P_i = T_i diag(q P_io, I) T_i.T. In node coordinates
+
+        D0 = [[0, A_ir.T], [A_ir, Sym(A_iu) + 2*alpha*I]],
+        C  = [[Sym(P_io (A_io - L_io H_io + alpha*I)), 0], [0, 0]] <= -diag(I, 0)
+
+    for the unit-scale P_io of `place_observer_poles`."""
+    T = np.stack([d.T for d in decomps])
+    local = np.zeros((2, *T.shape))
+    for i, (d, L_io, P_io) in enumerate(zip(decomps, L_blocks, P_blocks)):
+        v = d.v
+        local[0, i, v:, :v] = d.A_ir
+        local[0, i, :v, v:] = d.A_ir.T
+        local[0, i, v:, v:] = _sym(d.A_iu) + 2.0 * alpha * np.eye(d.n - v)
+        local[1, i, :v, :v] = _sym(P_io @ (d.A_io - L_io @ d.H_io)) + 2.0 * alpha * P_io
+    return T @ local @ T.swapaxes(-1, -2)
+
+
+def _largest_generalized_eigenvalues(a, b):
+    """Largest lambda with a x = lambda b x, for each pencil of (k, m, m)
+    stacks of symmetric a and positive definite b: the largest eigenvalue
+    of inv(K) a inv(K).T, K the Cholesky factor of b."""
+    try:
+        K = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"generalized eigenvalue problem: {exc}") from exc
+    reduced = np.linalg.solve(K, np.linalg.solve(K, a).swapaxes(-1, -2))
+    return np.linalg.eigvalsh(0.5 * (reduced + reduced.swapaxes(-1, -2)))[:, -1]
+
+
+def _scale_threshold(D0, C, groups):
+    """q* = lambda_max(Cbar^(-1/2) D0bar Cbar^(-1/2)), D0bar and -Cbar the
+    means of D0 and C: the smallest q with D_UU(q) = D0bar - q Cbar < 0, the
+    consensus block of Z, which no gamma moves. Cbar > 0 exactly when the
+    observable subspaces span the state. One problem per coordinate group."""
+    return max(
+        float(np.max(_largest_generalized_eigenvalues(
+            numerics.restrict(D0, idx).sum(axis=0), -numerics.restrict(C, idx).sum(axis=0)
+        )))
+        for idx in groups
+    )
+
+
+def _coupling_threshold(D, mirror, groups):
+    """gamma* = lambda_max(W^(-1/2) S W^(-1/2)), the smallest gamma with
+    Z(gamma) = blockdiag(D_i) - gamma (mirror x I_n) < 0.
+
+    In the basis Q x I of mirror = Q diag(w) Q.T, w[0] = 0 on the
+    consensus direction U, Z < 0 holds exactly when D_UU < 0 and the Schur
+    complement S = D_VV - D_VU inv(D_UU) D_UV lies below gamma W, W =
+    diag(w[1:]) x I. With D_UU not negative definite, gamma* means
+    nothing, and the final certificate of `synthesize` fails. One problem
+    of size |g| (N - 1) per coordinate group g; a lone node has none.
+    """
+    N = D.shape[0]
+    if N == 1:
+        return -math.inf
+    w, Q = np.linalg.eigh(mirror)
+    gamma_star = -math.inf
+    for idx in groups:
+        k, m = idx.shape
+        # (Q x I).T blockdiag(D_i) (Q x I), block (a, b): sum_i Q[i, a] Q[i, b] D_i
+        left = Q.T[:, :, None, None] * numerics.restrict(D, idx).swapaxes(0, 1)[:, None]
+        Z = (left.transpose(0, 1, 3, 4, 2) @ Q).transpose(0, 1, 2, 4, 3)
+        Z = Z.reshape(k, N * m, N * m)
+        try:
+            coupling = np.linalg.solve(Z[:, :m, :m], Z[:, :m, m:])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"consensus block of the certificate: {exc}") from exc
+        schur = Z[:, m:, m:] - Z[:, m:, :m] @ coupling
+        scale = np.repeat(w[1:], m) ** -0.5
+        scaled = scale[:, None] * schur * scale
+        lam = np.linalg.eigvalsh(0.5 * (scaled + scaled.swapaxes(-1, -2)))[:, -1]
+        gamma_star = max(gamma_star, float(lam.max()))
+    return gamma_star
 
 
 def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
@@ -458,8 +454,8 @@ def synthesize(model, g_net, params):
     """Full design pipeline: from plant, graph and decay rate to gains.
 
     Checks the standing assumptions (strongly connected graph, jointly
-    observable system) with `check_assumptions`, runs the six
-    construction steps and returns the assembled design only when
+    observable system) with `check_assumptions`, runs the construction
+    steps of the module docstring and returns the assembled design only when
     `verify`'s Lyapunov certificate Z(gamma) < 0 holds on it.
 
     Parameters
@@ -482,21 +478,26 @@ def synthesize(model, g_net, params):
         )
 
     balanced = _balance_connected(g_net)
-    g = params.g if params.g is not None else np.ones(model.node_count)
-    epsilon = compute_epsilon(decomps, balanced, g, params.epsilon_margin)
-    gamma = select_gamma(decomps, epsilon, params.alpha, params.gamma_margin)
+    alpha = params.alpha
+    epsilon = compute_epsilon(decomps, balanced)
+    L_blocks, P_blocks = _place_all_poles(decomps, alpha)
+    D0, C = _certificate_pencil(decomps, L_blocks, P_blocks, alpha)
+    groups = numerics.coordinate_groups(D0, C)
+    q = _SCALE_FACTOR * max(_scale_threshold(D0, C, groups), alpha)
+    gamma_star = _coupling_threshold(D0 + q * C, balanced.mirror, groups)
+    gamma = params.gamma_margin * max(gamma_star, alpha)
     logger.info(
-        "epsilon = %.6g, gamma = %.6g, per-node v = %s", epsilon, gamma, [d.v for d in decomps]
+        "q = %.6g, gamma* = %.6g, gamma = %.6g, epsilon = %.6g, per-node v = %s",
+        q, gamma_star, gamma, epsilon, [d.v for d in decomps],
     )
 
-    L_blocks, P_blocks = _place_all_poles(decomps, params.alpha, gamma, g)
     design = assemble_gains(
-        decomps, L_blocks, P_blocks, gamma, epsilon, balanced.r, params.alpha
+        decomps, L_blocks, [q * P for P in P_blocks], gamma, epsilon, balanced.r, alpha
     )
 
     cert = verify.lyapunov_certificate(
         verify.build_global_error_matrix(model, balanced, design),
-        balanced.mirror, gamma, params.alpha,
+        balanced.mirror, gamma, alpha,
     )
     logger.debug("certificate margin %s", cert.margin)
     if not cert.passed:

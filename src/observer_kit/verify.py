@@ -38,7 +38,8 @@ from .errors import DimensionError, NumericalFailureError
 from .graph import balance
 
 # Strict inequalities cannot be asserted at machine precision; the
-# abscissa check passes up to this additive slack.
+# abscissa check passes up to a slack of this factor times min(1, alpha),
+# so that a slow rate is not passed by a growing error.
 ABSCISSA_TOL = 1e-6
 
 
@@ -152,14 +153,16 @@ class AbscissaCertificate(NamedTuple):
     abscissa: float
 
 
-def spectral_abscissa_certificate(E_blocks, alpha, tol=ABSCISSA_TOL):
-    """Ground-truth decay check: max Re eig(E) <= -alpha + tol.
+def spectral_abscissa_certificate(E_blocks, alpha):
+    """Ground-truth decay check: max Re eig(E) <= -alpha + tol, with the
+    slack tol = ABSCISSA_TOL * min(1, alpha) below alpha itself.
 
     E_blocks is the sequence `GlobalErrorSystem.E_blocks` of the group
     blocks that the error matrix E is permutation-similar to the block
     diagonal of; the abscissa is the largest over all blocks.
     """
     abscissa = max(float(np.max(numerics.eigenvalues(B).real)) for B in E_blocks)
+    tol = ABSCISSA_TOL * min(1.0, alpha)
     return AbscissaCertificate(abscissa <= -alpha + tol, abscissa)
 
 

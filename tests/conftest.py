@@ -10,14 +10,27 @@ observation cases instead, with perfect conditioning at any size.
 The oracles at the end state the observer network the plain way: `rhs`
 is the vector field of the stacked plant and observer states, and
 `dense_E` the error matrix as one nN x nN array, for comparison with the
-coordinate-group blocks the package works on.
+coordinate-group blocks the package works on. `select_gamma` is the
+paper's constructive coupling gain, which the package replaced by the
+exact thresholds of its certificate; `paper_design` builds the design of
+that chain from the package's own pole placement and assembly.
 """
 
 import numpy as np
 import pytest
 
-from observer_kit import Digraph, SystemModel, joint_observability_rank, observability_matrix
-from observer_kit.errors import DimensionError
+from observer_kit import (
+    Digraph,
+    SystemModel,
+    assemble_gains,
+    balance,
+    compute_epsilon,
+    decompose_node,
+    joint_observability_rank,
+    observability_matrix,
+    place_observer_poles,
+)
+from observer_kit.errors import AssumptionViolationError, DimensionError, NumericalFailureError
 
 
 def random_sc_digraph(rng, n_nodes, weight_range=(0.5, 2.0), extra_edge_prob=0.3):
@@ -205,3 +218,81 @@ def dense_matrix(err_sys, blocks):
 def dense_E(err_sys):
     """The dense nN x nN error matrix of err_sys."""
     return dense_matrix(err_sys, err_sys.E_blocks)
+
+
+# Floor for the per-node coupling budget of `select_gamma`, keeping
+# gamma*epsilon - 2*alpha strictly positive when no node imposes a real
+# constraint.
+BUDGET_FLOOR = 1e-9
+
+
+def min_coupling_budget(A_iu, A_ir, floor=BUDGET_FLOOR):
+    """Smallest b > 0 with lambda_max(Sym(A_iu) + A_ir A_ir.T / b) <= b.
+
+    For b > 0 this is b^2 I - b S - K >= 0 with S = Sym(A_iu) and
+    K = A_ir A_ir.T >= 0, so b is the largest eigenvalue of the quadratic
+    pencil mu^2 I - mu S - K, i.e. of its companion [[S, K], [I, 0]]
+    (Tisseur & Meerbergen, SIAM Review 2001); all of them are real since
+    K >= 0. The floor is returned when it is larger.
+    """
+    m = A_iu.shape[0]
+    companion = np.block([[A_iu + A_iu.T, A_ir @ A_ir.T], [np.eye(m), np.zeros((m, m))]])
+    return max(float(np.max(np.linalg.eigvals(companion).real)), floor)
+
+
+def select_gamma(decomps, epsilon, alpha, margin=1.1):
+    """The paper's coupling gain: large enough to dominate every
+    unobservable block.
+
+    For each node with a nontrivial unobservable part, the minimal budget
+    b_i = gamma*epsilon - 2*alpha making
+
+        Sym(A_iu) - b I + A_ir A_ir.T / b <= 0
+
+    is one eigenvalue problem (see `min_coupling_budget`); the returned
+    gain is
+
+        gamma = max((margin * max_i b_i + 2*alpha) / epsilon, 2*alpha + 1).
+
+    The domination inequality is re-checked for every constrained node at
+    the returned gain.
+    """
+    if not epsilon > 0:
+        raise AssumptionViolationError(f"epsilon must be positive, got {epsilon}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    budget = BUDGET_FLOOR
+    for d in decomps:
+        if d.v < d.n:
+            budget = max(budget, min_coupling_budget(d.A_iu, d.A_ir))
+    gamma = max((margin * budget + 2.0 * alpha) / epsilon, 2.0 * alpha + 1.0)
+
+    b = gamma * epsilon - 2.0 * alpha
+    for i, d in enumerate(decomps):
+        if d.v == d.n:
+            continue
+        test = d.A_iu + d.A_iu.T - b * np.eye(d.n - d.v) + (d.A_ir @ d.A_ir.T) / b
+        if not np.linalg.eigvalsh(0.5 * (test + test.T))[-1] < 0:
+            raise NumericalFailureError(
+                f"coupling gain {gamma:.6g} fails to dominate the unobservable "
+                f"block of node {i}"
+            )
+    return gamma
+
+
+def paper_design(model, g_net, alpha):
+    """(design, decomps) of the paper's constructive chain: epsilon from
+    `compute_epsilon`, the gain gamma0 of `select_gamma`, and each node's
+    unit-scale certificate block scaled by q = gamma0 - 2*alpha, through
+    the package's `place_observer_poles` and `assemble_gains`. Each node
+    then meets the per-node inequality of `test_synth.t_coordinate_lmi_margins`."""
+    decomps = [decompose_node(H, model.A) for H in model.outputs]
+    bal = balance(g_net)
+    epsilon = compute_epsilon(decomps, bal)
+    gamma0 = select_gamma(decomps, epsilon, alpha)
+    blocks = [place_observer_poles(d.A_io, d.H_io, alpha) for d in decomps]
+    design = assemble_gains(
+        decomps, [L for L, _ in blocks], [(gamma0 - 2.0 * alpha) * P for _, P in blocks],
+        gamma0, epsilon, bal.r, alpha,
+    )
+    return design, decomps

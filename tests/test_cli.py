@@ -163,13 +163,13 @@ class TestCheck:
         "path, value",
         [(("params", "alpha"), True), (("params", "alpha"), "1.0"),
          (("params", "margins"), {"gamma": "1.5"}), (("params", "rank_rtol"), "1e-10"),
-         (("params", "g"), [True, True]), (("graph", "edges", 0, "weight"), "1.0"),
+         (("graph", "edges", 0, "weight"), "1.0"),
          (("system", "A"), [[True, False], [False, True]]),
          (("system", "outputs", 0, "H"), [["1.0", "0.0"]]),
          (("params", "sim"), {"x0": ["0.5", "0.5"]}), (("params", "sim"), {"t_final": "8.0"}),
          (("params", "sim"), {"dt": True})],
         ids=["alpha-bool", "alpha-string", "gamma-margin-string", "rank-rtol-string",
-             "g-bools", "weight-string", "A-bools", "H-strings", "x0-strings",
+             "weight-string", "A-bools", "H-strings", "x0-strings",
              "t-final-string", "dt-bool"],
     )
     def test_config_number_of_wrong_type(self, tmp_path, design_path, command, path, value):
@@ -193,11 +193,10 @@ class TestCheck:
     @pytest.mark.parametrize("command", ["check", "synthesize"])
     @pytest.mark.parametrize(
         "params",
-        [{"alpha": math.inf}, {"margins": {"gamma": math.inf}}, {"g": [math.inf, 1.0]},
-         {"g": [math.nan, 1.0]}, {"rank_rtol": math.nan}, {"rank_rtol": 10.0},
-         {"rank_rtol": -1.0}],
-        ids=["alpha-inf", "gamma-margin-inf", "g-inf", "g-nan", "rank-rtol-nan",
-             "rank-rtol-10", "rank-rtol-negative"],
+        [{"alpha": math.inf}, {"margins": {"gamma": math.inf}}, {"rank_rtol": math.nan},
+         {"rank_rtol": 10.0}, {"rank_rtol": -1.0}],
+        ids=["alpha-inf", "gamma-margin-inf", "rank-rtol-nan", "rank-rtol-10",
+             "rank-rtol-negative"],
     )
     def test_config_numbers_out_of_range(self, tmp_path, command, params, capsys):
         cfg = tmp_path / "cfg.json"
@@ -280,6 +279,19 @@ class TestSynthesize:
         )
         assert main(["check", str(cfg)]) == 0
         assert main(["synthesize", str(cfg), "-o", str(tmp_path / "d.json")]) == 4
+
+    @pytest.mark.parametrize("g", [[2.0, 3.0], [True], "weights"], ids=["weights", "bool", "string"])
+    def test_keys_of_older_configs_are_ignored(self, config_path, design_path, tmp_path, g):
+        # params.g and params.margins.epsilon size nothing any more: a config
+        # that carries them, of any type, gives the design of one without
+        doc = json.loads(config_path.read_text())
+        doc["params"]["g"] = g
+        doc["params"]["margins"] = {"epsilon": 0.8}
+        older = tmp_path / "older_config.json"
+        older.write_text(json.dumps(doc))
+        out = tmp_path / "older_design.json"
+        assert main(["synthesize", str(older), "-o", str(out)]) == 0
+        assert out.read_text() == design_path.read_text()
 
     def test_round_trip_bit_exact(self, config_path, design_path, tmp_path, capsys):
         from observer_kit.config import load_design, save_design
@@ -429,6 +441,19 @@ class TestVerify:
         tampered.write_text(json.dumps(doc))
         assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
 
+    def test_growing_error_at_a_tiny_rate_fails(self, tmp_path, capsys):
+        # the consensus mode of this scalar pair grows at +5e-7 per unit time;
+        # an additive abscissa slack of 1e-6 passed it at alpha = 1e-9
+        cfg = write_config(tmp_path / "pair.json", A=[[0.3]], outputs=[[[1.0]], [[1.0]]])
+        node = {"L": [[0.3 - 5e-7]], "M": [[0.7]]}
+        design = tmp_path / "d.json"
+        design.write_text(json.dumps({
+            "gamma": 2.0, "epsilon": 0.9, "alpha": 1e-9, "r": [1.0, 1.0], "nodes": [node, node],
+        }))
+        assert main(["verify", str(cfg), str(design)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False and report["abscissa"] > 0
+
     def test_graph_not_strongly_connected(self, tmp_path, design_path):
         chain = write_config(
             tmp_path / "chain.json", edges=[{"from": 0, "to": 1, "weight": 1.0}]
@@ -550,7 +575,7 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["verify", str(cfg), str(design)]) == 0
         abscissa = json.loads(capsys.readouterr().out)["abscissa"]
-        assert abscissa == pytest.approx(-4.876, abs=1e-3)
+        assert abscissa == pytest.approx(-3.488, abs=1e-3)
         assert main(["simulate", str(cfg), str(design), "-o", str(tmp_path / "t.csv")]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["fitted_rate"] == pytest.approx(-abscissa, rel=1e-3)

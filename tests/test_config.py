@@ -1,10 +1,10 @@
 import json
 
-import numpy as np
 import pytest
 
 from observer_kit.config import build_sim_config, load_config, load_design
 from observer_kit.errors import ConfigError
+from observer_kit.synth import synthesize
 
 
 def write(path, doc):
@@ -39,27 +39,35 @@ class TestLoadConfig:
         assert loaded.graph.adjacency[1, 0] == 1.5
         assert loaded.graph.adjacency[0, 1] == 0.5
         assert loaded.params.alpha == 2.0
-        assert loaded.params.g is None
         assert loaded.seed == 0
 
     def test_optional_params(self, tmp_path):
         doc = base_doc()
         doc["params"].update(
             {
-                "g": [2.0, 3.0],
-                "margins": {"epsilon": 0.8, "gamma": 1.25},
+                "margins": {"gamma": 1.25},
                 "rank_rtol": 1e-9,
                 "seed": 42,
                 "sim": {"t_final": 4.0, "dt": 0.01},
             }
         )
         loaded = load_config(write(tmp_path / "c.json", doc))
-        assert np.array_equal(loaded.params.g, [2.0, 3.0])
-        assert loaded.params.epsilon_margin == 0.8
         assert loaded.params.gamma_margin == 1.25
         assert loaded.params.rank_rtol == 1e-9
         assert loaded.seed == 42
         assert loaded.sim_settings == {"t_final": 4.0, "dt": 0.01}
+
+    def test_keys_of_older_configs_are_ignored(self, tmp_path):
+        # params.g and params.margins.epsilon size nothing any more: the
+        # loader ignores them, as it ignores every key it does not read
+        clean = load_config(write(tmp_path / "clean.json", base_doc()))
+        doc = base_doc()
+        doc["params"].update({"g": [2.0, 3.0], "margins": {"epsilon": 0.8}})
+        older = load_config(write(tmp_path / "older.json", doc))
+        assert older.params == clean.params
+        design = synthesize(older.model, older.graph, older.params)
+        expected = synthesize(clean.model, clean.graph, clean.params)
+        assert json.dumps(design.to_dict()) == json.dumps(expected.to_dict())
 
     def test_missing_section(self, tmp_path):
         doc = base_doc()
@@ -82,12 +90,6 @@ class TestLoadConfig:
     def test_bad_weight(self, tmp_path):
         doc = base_doc()
         doc["graph"]["edges"][0]["weight"] = -1.0
-        with pytest.raises(ConfigError):
-            load_config(write(tmp_path / "c.json", doc))
-
-    def test_bad_g_length(self, tmp_path):
-        doc = base_doc()
-        doc["params"]["g"] = [1.0]
         with pytest.raises(ConfigError):
             load_config(write(tmp_path / "c.json", doc))
 

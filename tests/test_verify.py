@@ -404,3 +404,26 @@ class TestCoordinateGroups:
         _, sys_ = error_system(model, g_net, tampered)
         assert [idx.tolist() for idx in sys_.groups] == [[[0], [2], [3], [5]], [[1, 4]]]
         self.assert_matches_dense(model, g_net, tampered)
+
+
+class TestSlowRates:
+    """The abscissa slack scales with alpha below 1: at a tiny rate, an
+    additive slack would pass a growing error."""
+
+    # Lambda = 0.3 - L = +5e-7 on both nodes: the consensus mode grows
+    GROWING = dict(l=0.3 - 5e-7, m=0.7, gamma=2.0, alpha=1e-9)
+
+    def test_growing_error_fails_at_a_tiny_rate(self):
+        design = scalar_pair_design(**self.GROWING)
+        report = verify_design(scalar_pair_model(0.3), UNIT_2CYCLE, design)
+        assert report.abscissa == pytest.approx(5e-7, rel=1e-6)
+        assert not report.passed and not report.lyapunov_passed
+        assert report.note == ""
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-3, 0.5, 1.0, 10.0])
+    def test_slack_is_a_millionth_of_min_one_alpha(self, alpha):
+        # unchanged from alpha = 1 on, tighter below
+        slack = 1e-6 * min(1.0, alpha)
+        for offset, passed in ((0.5 * slack, True), (2.0 * slack, False)):
+            block = np.array([[-alpha + offset]])
+            assert spectral_abscissa_certificate([block], alpha).passed is passed
