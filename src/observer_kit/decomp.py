@@ -8,6 +8,14 @@ latter. The decomposition is unique only up to orthogonal transformations
 inside each block, so everything downstream is written against the block
 invariants, never against particular entries.
 
+All nodes are decomposed in one stacked pass (`decompose_nodes`): one
+sequence of n - 1 products of the stacked outputs with A gives every
+node's observability rows, nodes that share a row count and a count of
+seen coordinates take one batched SVD, and the rotations and their checks
+run on (N, n, n) stacks. The rank decisions stay per node: each node's
+threshold is read off its own observability matrix. `decompose_node` is
+the one-node case of the same routine.
+
 The network observes the span of the per-node observable bases, so joint
 observability is read off those bases (`joint_observability_rank`).
 """
@@ -95,94 +103,169 @@ class NodeDecomposition:
 
 
 def observability_matrix(H, A):
-    """Stack H, H A, ..., H A**(n-1) into the (n p) x n observability matrix."""
-    H = numerics.as_matrix(H, "H")
-    A = numerics.as_square(A, "A")
-    if H.shape[1] != A.shape[0]:
-        raise DimensionError(
-            f"H has {H.shape[1]} columns but A is {A.shape[0]}x{A.shape[0]}"
-        )
+    """Stack H, H A, ..., H A**(n-1) into the (n p) x n observability matrix.
+
+    H and A may also be a (k, p, n) and a (k, n, n) stack; the result is
+    then the (k, n p, n) stack of their observability matrices. The n - 1
+    products with A are made once for all rows of H.
+    """
+    A = numerics._as_squares(A, "A")
+    H = np.asarray(H, dtype=float)
+    if H.ndim != A.ndim or H.shape[:-2] + H.shape[-1:] != A.shape[:-1]:
+        raise DimensionError(f"H has shape {H.shape} but A has shape {A.shape}")
+    if H.size and not np.isfinite(H).all():
+        raise NumericalFailureError("H contains non-finite entries")
     rows = [H]
-    for _ in range(A.shape[0] - 1):
+    for _ in range(A.shape[-1] - 1):
         rows.append(rows[-1] @ A)
-    return np.vstack(rows)
+    return np.concatenate(rows, axis=-2)
+
+
+def _observable_bases(outputs, A, rtol):
+    """Orthogonal T_i = [T_i1 T_i2] and v_i for every node at once, as an
+    (N, n, n) stack and an (N,) array; the first v_i columns of T_i span
+    the row space of node i's observability matrix.
+
+    The observability rows of every node come from one sequence of n - 1
+    products of the stacked outputs [H_1; ...; H_N] with A. Nodes with
+    the same row count p_i take one `numerics.orthonormal_row_space_basis`
+    call, which splits them further by the number of coordinates they
+    see. Raises `NumericalFailureError`, naming the first such node, when
+    a kernel basis T_i2 leaves a residual ||O_i T_i2|| above ten times the
+    node's rank threshold (at least 1e-12).
+    """
+    N, n = len(outputs), A.shape[0]
+    rows = np.array([H.shape[0] for H in outputs])
+    starts = np.cumsum(rows) - rows
+    # krylov[k] = [H_1; ...; H_N] A**k
+    krylov = observability_matrix(np.vstack(outputs), A).reshape(n, -1, n)
+    T = np.empty((N, n, n))
+    v = np.empty(N, dtype=int)
+    kernel, bound = np.empty(N), np.empty(N)
+    for p in sorted(set(rows.tolist())):
+        nodes = np.flatnonzero(rows == p)
+        O = krylov[:, starts[nodes, None] + np.arange(p)]
+        O = O.transpose(1, 0, 2, 3).reshape(len(nodes), n * p, n)
+        V, r, thresh = numerics.orthonormal_row_space_basis(O, rtol)
+        T[nodes], v[nodes] = V, r
+        kernel_sq = np.where(np.arange(n) >= r[:, None], np.square(O @ V).sum(axis=1), 0.0)
+        kernel[nodes] = np.sqrt(kernel_sq.sum(axis=1))
+        bound[nodes] = np.maximum(10.0 * thresh, 1e-12)
+    bad = kernel > bound
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalFailureError(
+            f"node {i}: kernel basis residual {kernel[i]:.3e} above tolerance"
+        )
+    return T, v
+
+
+def decompose_nodes(outputs, A, rtol=numerics.RANK_RTOL):
+    """Observability decomposition of every pair (H_i, A), i = 1..N.
+
+    ``outputs`` are the N validated p_i x n output blocks (p_i may be 0)
+    and A the validated n x n plant. The orthonormal bases come from
+    `_observable_bases`: SVD bases of the row space and the kernel of each
+    node's observability matrix, all nodes from one Krylov sequence.
+    Every node's A and H are then rotated into those coordinates on
+    (N, n, n) stacks, and every structural invariant is verified before
+    returning: T_i orthogonal, the upper-right block of T_i.T A T_i
+    (numerically) zero, H_i zero on the kernel, and the observable
+    sub-pair actually observable, by a rank recheck that takes one
+    stacked SVD per distinct v_i > 0. A failure raises
+    `NumericalFailureError` that names the first failing node.
+
+    A plant coordinate whose column of a node's observability matrix is
+    exactly zero, one the node never sees, is a unit column of its T2,
+    and the SVD covers the other columns only. No column of T then mixes
+    it with the seen coordinates, which keeps the gains free of the 1e-17
+    entries that would couple it to them and lets `verify` and
+    `compute_epsilon` split the network along coordinate groups. A pair
+    with no zero column keeps the SVD basis of the whole matrix.
+
+    The fully observable (v = n) and fully unobservable (v = 0, e.g.
+    H = 0) cases are both admitted; the corresponding blocks come back
+    empty. Returns a tuple of N `NodeDecomposition`s.
+    """
+    N, n = len(outputs), A.shape[0]
+    T, v = _observable_bases(outputs, A, rtol)
+    At = T.swapaxes(-1, -2) @ A @ T
+    # the output blocks, padded with zero rows to the largest p_i
+    rows = np.array([H.shape[0] for H in outputs])
+    H = np.zeros((N, rows.max(), n))
+    for H_pad, H_i in zip(H, outputs):
+        H_pad[: len(H_i)] = H_i
+    HT = H @ T
+
+    kernel_cols = np.arange(n) >= v[:, None]
+    upper_right = ~kernel_cols[:, :, None] & kernel_cols[:, None, :]
+    norm_A = max(np.linalg.norm(A, "fro"), 1e-300)
+    norm_H = np.maximum(np.linalg.norm(H, axis=(-2, -1)), 1e-300)
+    orth = np.linalg.norm(T.swapaxes(-1, -2) @ T - np.eye(n), axis=(-2, -1))
+    cross = np.linalg.norm(np.where(upper_right, At, 0.0), axis=(-2, -1))
+    kern = np.linalg.norm(np.where(kernel_cols[:, None, :], HT, 0.0), axis=(-2, -1))
+    failed = (orth > 1e-10) | (cross > 1e-8 * norm_A) | (kern > 1e-8 * norm_H)
+    if failed.any():
+        i = int(np.argmax(failed))
+        problems = []
+        if orth[i] > 1e-10:
+            problems.append(f"||T.T T - I|| = {orth[i]:.3e}")
+        if cross[i] > 1e-8 * norm_A:
+            problems.append(f"upper-right block residual {cross[i]:.3e}")
+        if kern[i] > 1e-8 * norm_H[i]:
+            problems.append(f"||H T2|| = {kern[i]:.3e}")
+        raise NumericalFailureError(
+            f"node {i}: observability decomposition violated its invariants: "
+            + "; ".join(problems)
+        )
+
+    short = []
+    for k in sorted(set(v.tolist()) - {0}):
+        nodes = np.flatnonzero(v == k)
+        p = rows[nodes]
+        O = observability_matrix(HT[nodes, : p.max(), :k], At[nodes, :k, :k])
+        try:
+            s = np.linalg.svd(O, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
+        # the padding rows are zero: the threshold counts node i's own rows
+        thresh = s[:, :1] * np.maximum(k * p, k)[:, None] * rtol
+        short += nodes[(s > thresh).sum(axis=1) != k].tolist()
+    if short:
+        raise NumericalFailureError(
+            f"node {min(short)}: observable sub-pair failed its rank recheck; the "
+            f"rank decision at tolerance {rtol:g} is inconsistent"
+        )
+    return tuple(
+        NodeDecomposition(
+            v=int(v[i]), T=T[i], A_io=At[i, : v[i], : v[i]], A_ir=At[i, v[i] :, : v[i]],
+            A_iu=At[i, v[i] :, v[i] :], H_io=HT[i, : rows[i], : v[i]],
+        )
+        for i in range(N)
+    )
 
 
 def decompose_node(H, A, rtol=numerics.RANK_RTOL):
-    """Observability decomposition of the pair (H, A).
-
-    Builds SVD-based orthonormal bases for the row space and kernel of the
-    stacked observability matrix, rotates A and H into those coordinates
-    and verifies every structural invariant before returning: T orthogonal,
-    the upper-right block of the rotated A (numerically) zero, H zero on
-    the kernel and the observable sub-pair actually observable by a rank
-    recheck.
-
-    A plant coordinate whose column of the observability matrix is exactly
-    zero, one the node never sees, is a unit column of T2, and the SVD
-    covers the other columns only (`numerics.orthonormal_row_space_basis`).
-    No column of T then mixes it with the seen coordinates, which keeps the
-    gains free of the 1e-17 entries that would couple it to them and lets
-    `verify` and `compute_epsilon` split the network along coordinate
-    groups. A pair with no zero column keeps the SVD basis of the whole
-    matrix.
-
-    The fully observable (v = n) and fully unobservable (v = 0, i.e. H = 0)
-    cases are both admitted; the corresponding blocks come back empty.
-    """
+    """Observability decomposition of the single pair (H, A): the
+    one-node case of `decompose_nodes`, whose checks it runs; a failure
+    names the pair node 0."""
     H = numerics.as_matrix(H, "H")
     A = numerics.as_square(A, "A")
-    O = observability_matrix(H, A)
-    B1, B2 = numerics.orthonormal_row_space_basis(O, rtol)
-    v = B1.shape[1]
-    n = A.shape[0]
-    T = np.hstack([B1, B2])
-
-    At = T.T @ A @ T
-    A_io = At[:v, :v]
-    A_ir = At[v:, :v]
-    A_iu = At[v:, v:]
-    H_io = H @ B1
-
-    norm_A = max(np.linalg.norm(A, "fro"), 1e-300)
-    norm_H = max(np.linalg.norm(H, "fro"), 1e-300)
-    problems = []
-    orth = np.linalg.norm(T.T @ T - np.eye(n), "fro")
-    if orth > 1e-10:
-        problems.append(f"||T.T T - I|| = {orth:.3e}")
-    cross = np.linalg.norm(At[:v, v:], "fro")
-    if cross > 1e-8 * norm_A:
-        problems.append(f"upper-right block residual {cross:.3e}")
-    kern = np.linalg.norm(H @ B2, "fro")
-    if kern > 1e-8 * norm_H:
-        problems.append(f"||H T2|| = {kern:.3e}")
-    if problems:
-        raise NumericalFailureError(
-            "observability decomposition violated its invariants: "
-            + "; ".join(problems)
-        )
-    if v > 0 and numerics.rank(observability_matrix(H_io, A_io), rtol) != v:
-        raise NumericalFailureError(
-            "observable sub-pair failed its rank recheck; the rank decision "
-            f"at tolerance {rtol:g} is inconsistent"
-        )
-    return NodeDecomposition(v=v, T=T, A_io=A_io, A_ir=A_ir, A_iu=A_iu, H_io=H_io)
+    return decompose_nodes((H,), A, rtol)[0]
 
 
 def joint_observability_rank(model, decomps=None, rtol=numerics.RANK_RTOL):
     """Rank of [T_11 ... T_N1], the per-node observable bases side by side.
 
     The network can reconstruct the full state exactly when this equals
-    the state dimension. Without ``decomps`` each basis comes from the
-    row-space split that `decompose_node` starts with. No rank is taken of
-    all nodes' observability matrices stacked: its threshold grows like
+    the state dimension. Without ``decomps`` the bases come from the basis
+    step of `decompose_nodes`. No rank is taken of all nodes'
+    observability matrices stacked: its threshold grows like
     norm(A)**(n-1).
     """
     if decomps is None:
-        bases = [
-            numerics.orthonormal_row_space_basis(observability_matrix(H, model.A), rtol)[0]
-            for H in model.outputs
-        ]
+        T, v = _observable_bases(model.outputs, model.A, rtol)
+        bases = [T_i[:, :v_i] for T_i, v_i in zip(T, v)]
     else:
         bases = [d.T1 for d in decomps]
     return numerics.rank(np.hstack(bases), rtol)

@@ -269,40 +269,44 @@ def solve_lyapunov(F, Q, residual_rtol=1e-8):
 
 
 def orthonormal_row_space_basis(M, rtol=RANK_RTOL):
-    """Orthonormal bases for the row space of M and for its kernel.
+    """Orthonormal bases for the row space and the kernel of each matrix of
+    a (c, m, n) stack.
 
-    Returns (B1, B2) where the columns of B1 span im M.T, the columns of
-    B2 span ker M, and [B1 B2] is square orthogonal. B1 has rank(M)
-    columns; either block may be empty. A coordinate whose column of M is
-    exactly zero lies in the kernel: it becomes a unit column at the end
-    of B2, and the SVD is taken of the other columns only, so no basis
-    vector mixes it with the coordinates M sees. Without such columns
-    [B1 B2] is the right singular basis of M itself.
+    Returns (V, r, thresh). V is a (c, n, n) stack of orthogonal matrices:
+    the first r[j] columns of V[j] span im M[j].T and the others span
+    ker M[j]. r[j] counts the singular values of M[j] above the rank
+    threshold thresh[j] = sigma_max * max(m, n) * rtol, so a kernel
+    column's residual ||M[j] V[j][:, k]|| is about a singular value below
+    thresh[j]. A coordinate whose column of M[j] is exactly zero lies in
+    the kernel: it becomes a unit column at the end of V[j], and the SVD
+    is taken of the other columns only, so no basis vector mixes it with
+    the coordinates M[j] sees. Without such columns V[j] is the right
+    singular basis of M[j] itself. The matrices that see the same number
+    of columns take one stacked SVD.
     """
-    M = as_matrix(M)
-    seen = M.any(axis=0)
-    every = seen.all()
-    U, s, Vt = svd(M if every else M[:, seen])
-    if s.size == 0 or s[0] == 0.0:
-        r, thresh = 0, 0.0
-    else:
-        thresh = s[0] * max(M.shape) * rtol
-        r = int(np.sum(s > thresh))
-    if every:
-        V = Vt.T
-    else:
-        n, k = M.shape[1], len(Vt)
-        V = np.zeros((n, n))
-        V[np.flatnonzero(seen), :k] = Vt.T
-        V[np.flatnonzero(~seen), k:] = np.eye(n - k)
-    B1, B2 = V[:, :r], V[:, r:]
-    if B2.size:
-        kernel_residual = np.linalg.norm(M @ B2, "fro")
-        if kernel_residual > max(10.0 * thresh, 1e-12):
-            raise NumericalFailureError(
-                f"kernel basis residual {kernel_residual:.3e} above tolerance"
-            )
-    return B1, B2
+    c, m, n = M.shape
+    seen = M.any(axis=1)
+    counts = seen.sum(axis=1)
+    # per matrix: its seen coordinates ascending, then the unseen ones
+    order = np.argsort(~seen, axis=1, kind="stable")
+    stack = np.arange(c)[:, None]
+    M = M[stack[:, :, None], np.arange(m)[:, None], order[:, None, :]]
+    # in that order, V[j] = blockdiag(right singular basis, I)
+    V = np.repeat(np.eye(n)[None], c, axis=0)
+    r = np.zeros(c, dtype=int)
+    thresh = np.zeros(c)
+    for k in sorted(set(counts.tolist()) - {0}):
+        sel = np.flatnonzero(counts == k)
+        try:
+            _, s, Vt = np.linalg.svd(M[sel, :, :k], full_matrices=m < k)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
+        thresh[sel] = s[:, 0] * max(m, n) * rtol
+        r[sel] = (s > thresh[sel, None]).sum(axis=1)
+        V[sel, :k, :k] = Vt.swapaxes(-1, -2)
+    # back to plant coordinate order
+    V[stack, order] = V.copy()
+    return V, r, thresh
 
 
 def coordinate_groups(*stacks):

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics, verify
-from .decomp import NORM_WARN, decompose_node, joint_observability_rank
+from .decomp import NORM_WARN, decompose_nodes, joint_observability_rank
 from .errors import AssumptionViolationError, DimensionError, NumericalFailureError
 from .graph import _balance_connected, is_strongly_connected
 
@@ -225,7 +225,7 @@ def place_observer_poles(A_io, H_io, alpha):
     `numerics.solve_lyapunov` call. Returns (L_io, P_io), stacked as the
     input is.
 
-    `decomp.decompose_node` has confirmed the rank of the block's
+    `decomp.decompose_nodes` has confirmed the rank of the block's
     observability matrix, so an X too ill-conditioned to invert raises
     `NumericalFailureError`, not a violated assumption.
     """
@@ -442,7 +442,7 @@ def check_assumptions(model, g_net, rtol=numerics.RANK_RTOL):
             norm_A,
             model.n - 1,
         )
-    decomps = tuple(decompose_node(H, model.A, rtol) for H in model.outputs)
+    decomps = decompose_nodes(model.outputs, model.A, rtol)
     return AssumptionCheck(
         decomps=decomps,
         strongly_connected=is_strongly_connected(g_net),

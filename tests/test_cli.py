@@ -280,6 +280,22 @@ class TestSynthesize:
         assert main(["check", str(cfg)]) == 0
         assert main(["synthesize", str(cfg), "-o", str(tmp_path / "d.json")]) == 4
 
+    @pytest.mark.parametrize("command", ["check", "synthesize"])
+    def test_decomposition_failure_names_the_node(self, tmp_path, capsys, command):
+        # node 0 measures the sum of diag(1..9), node 1 nothing: the rank
+        # decision on node 0's observability matrix reads its 9 modes as
+        # fewer, and the rotated blocks miss their invariants
+        cfg = write_config(
+            tmp_path / "sum9.json",
+            A=np.diag(np.arange(1.0, 10.0)).tolist(),
+            outputs=[[[1.0] * 9], [[0.0] * 9]],
+        )
+        args = [command, str(cfg)] + (["-o", str(tmp_path / "d.json")] if command == "synthesize" else [])
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "node 0: observability decomposition violated its invariants: " in err
+        assert "upper-right block residual 1.501e+00; ||H T2|| = 1.909e-02" in err
+
     @pytest.mark.parametrize("g", [[2.0, 3.0], [True], "weights"], ids=["weights", "bool", "string"])
     def test_keys_of_older_configs_are_ignored(self, config_path, design_path, tmp_path, g):
         # params.g and params.margins.epsilon size nothing any more: a config

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
-from conftest import battery_instances, kalman_rank, random_dense_model, random_partial_model
+from conftest import (
+    battery_instances,
+    kalman_rank,
+    partial_instance,
+    random_dense_model,
+    random_partial_model,
+)
+from observer_kit import numerics
 from observer_kit.decomp import (
     SystemModel,
     decompose_node,
+    decompose_nodes,
     joint_observability_rank,
     observability_matrix,
 )
-from observer_kit.errors import DimensionError
+from observer_kit.errors import DimensionError, NumericalFailureError
 
 SHIFT = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -50,6 +58,16 @@ class TestObservabilityMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             observability_matrix(np.ones((1, 3)), np.eye(2))
+        with pytest.raises(DimensionError):
+            observability_matrix(np.ones(2), np.eye(2))
+
+    def test_stack_matches_one_pair_at_a_time(self):
+        rng = np.random.default_rng(4)
+        H, A = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 4))
+        O = observability_matrix(H, A)
+        assert O.shape == (3, 8, 4)
+        for k in range(3):
+            assert np.allclose(O[k], observability_matrix(H[k], A[k]), rtol=1e-14, atol=0)
 
 
 class TestDecomposeNode:
@@ -173,3 +191,87 @@ class TestJointObservability:
             decomps = [decompose_node(H, model.A) for H in model.outputs]
             r = joint_observability_rank(model, decomps)
             assert r == joint_observability_rank(model) == kalman_rank(model)
+
+
+def mixed_stack():
+    """(outputs, A): integer data, so every product H_i A**k is exact and
+    its rounding cannot depend on how many rows are stacked. Coordinates
+    4 and 5 (before a permutation) never reach 0..3, so a node that
+    measures only 0..3 never sees them. The nodes: a (0, n) block, an
+    all-zero row, one row seeing all coordinates (v = n), two rows and one
+    row on 0..3 (v = 4), three rows, and one row on 4..5 that sees all."""
+    rng = np.random.default_rng(3)
+    B = np.zeros((6, 6))
+    B[:4, :4] = rng.integers(-2, 3, (4, 4))
+    B[4:] = rng.integers(-2, 3, (2, 6))
+    P = np.eye(6)[rng.permutation(6)]
+
+    def rows(p, cols):
+        H = np.zeros((p, 6))
+        H[:, cols] = rng.integers(-2, 3, (p, len(cols)))
+        return H @ P.T
+
+    outputs = (
+        np.zeros((0, 6)), np.zeros((1, 6)), rows(1, range(6)), rows(2, range(4)),
+        rows(1, range(4)), rows(3, range(6)), rows(1, range(4, 6)),
+    )
+    return outputs, P @ B @ P.T, P
+
+
+class TestDecomposeNodes:
+    def test_stack_matches_one_node_at_a_time(self):
+        outputs, A, P = mixed_stack()
+        stacked = decompose_nodes(outputs, A)
+        assert [d.v for d in stacked] == [0, 0, 6, 4, 4, 6, 6]
+        scale = 1e-12 * np.linalg.norm(A)
+        for H, d in zip(outputs, stacked):
+            one = decompose_node(H, A)
+            assert d.v == one.v and np.array_equal(d.T, one.T)
+            for block in ("A_io", "A_ir", "A_iu", "H_io"):
+                assert getattr(d, block).shape == getattr(one, block).shape
+                assert np.abs(getattr(d, block) - getattr(one, block)).max(initial=0.0) <= scale
+        # coordinates 4 and 5 are exact unit columns of T2 for nodes 3 and 4
+        unseen = np.flatnonzero(P[:, 4] + P[:, 5])
+        for d in stacked[3:5]:
+            assert np.array_equal(d.T[:, 4:], np.eye(6)[:, unseen])
+            assert not d.T[unseen, :4].any()
+        assert np.array_equal(stacked[0].T, np.eye(6)) and stacked[0].H_io.shape == (0, 0)
+        assert np.array_equal(stacked[1].T, np.eye(6)) and stacked[1].H_io.shape == (1, 0)
+
+    def test_planted_unobservable_subspace_is_found(self):
+        # x' = A x with A = Q [[A11, 0], [A21, A22]] Q.T and outputs
+        # [H_i1, 0] Q.T: every node sees exactly the first 4 columns of Q
+        rng = np.random.default_rng(11)
+        n, v = 7, 4
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        local = rng.normal(size=(n, n))
+        local[:v, v:] = 0.0
+        outputs = []
+        for p in (1, 2, 3, 1):
+            H = np.zeros((p, n))
+            H[:, :v] = rng.normal(size=(p, v))
+            outputs.append(H @ Q.T)
+        for d in decompose_nodes(tuple(outputs), Q @ local @ Q.T):
+            assert d.v == v
+            assert np.linalg.norm(Q[:, v:].T @ d.T1) <= 1e-10
+
+    def test_forty_node_rung_splits_into_single_coordinates(self):
+        model, _ = partial_instance(40)
+        decomps = decompose_nodes(model.outputs, model.A)
+        for H, d in zip(model.outputs, decomps):
+            # the coordinates a node never sees, in ascending order
+            assert np.array_equal(d.T2, np.eye(40)[:, ~H.any(axis=0)])
+        projectors = np.stack([d.T1 @ d.T1.T for d in decomps])
+        groups = numerics.coordinate_groups(projectors)
+        assert len(groups) == 1 and groups[0].shape == (40, 1)
+
+    def test_failure_names_the_first_failing_node(self):
+        # one output summing diag(1..9): the rank decision on its
+        # observability matrix reads the 9 modes as fewer
+        A = np.diag(np.arange(1.0, 10.0))
+        total = np.ones((1, 9))
+        outputs = (np.eye(9)[:1], np.zeros((1, 9)), total, total)
+        with pytest.raises(NumericalFailureError, match=r"^node 2: observability decomposition"):
+            decompose_nodes(outputs, A)
+        with pytest.raises(NumericalFailureError, match=r"^node 0: observability decomposition"):
+            decompose_node(total, A)

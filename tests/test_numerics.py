@@ -318,24 +318,30 @@ class TestSolveLyapunov:
             assert np.linalg.eigvalsh(P)[0] > 0
 
 
+def row_space_split(M):
+    """(B1, B2) of a single matrix: its row space and kernel bases."""
+    V, r, _ = orthonormal_row_space_basis(np.asarray(M, dtype=float)[None])
+    return V[0, :, : r[0]], V[0, :, r[0] :]
+
+
 class TestRowSpaceBasis:
     def test_coordinate_projector(self):
-        B1, B2 = orthonormal_row_space_basis(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        B1, B2 = row_space_split(np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert B1.shape == (2, 1) and B2.shape == (2, 1)
         assert abs(B1[:, 0] @ [1.0, 0.0]) == pytest.approx(1.0)
         assert abs(B2[:, 0] @ [0.0, 1.0]) == pytest.approx(1.0)
 
     def test_trivial_kernel(self):
-        B1, B2 = orthonormal_row_space_basis(np.eye(2))
+        B1, B2 = row_space_split(np.eye(2))
         assert B1.shape == (2, 2) and B2.shape == (2, 0)
 
     def test_nilpotent_shift(self):
-        B1, B2 = orthonormal_row_space_basis(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        B1, B2 = row_space_split(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert abs(B1[:, 0] @ [0.0, 1.0]) == pytest.approx(1.0)
         assert abs(B2[:, 0] @ [1.0, 0.0]) == pytest.approx(1.0)
 
     def test_zero_rows(self):
-        B1, B2 = orthonormal_row_space_basis(np.zeros((0, 3)))
+        B1, B2 = row_space_split(np.zeros((0, 3)))
         assert B1.shape == (3, 0) and B2.shape == (3, 3)
 
     def test_unseen_coordinates_become_unit_kernel_columns(self):
@@ -343,7 +349,7 @@ class TestRowSpaceBasis:
         rng = np.random.default_rng(7)
         M = np.zeros((4, 5))
         M[:, [0, 2, 4]] = np.outer(rng.normal(size=4), rng.normal(size=3))
-        B1, B2 = orthonormal_row_space_basis(M)
+        B1, B2 = row_space_split(M)
         assert B1.shape == (5, 1) and B2.shape == (5, 4)
         assert np.array_equal(B2[:, 2:], np.eye(5)[:, [1, 3]])
         assert not np.hstack([B1, B2[:, :2]])[[1, 3]].any()
@@ -352,7 +358,7 @@ class TestRowSpaceBasis:
 
     def test_dense_input_keeps_its_singular_basis(self):
         M = np.random.default_rng(8).normal(size=(6, 4))
-        B1, B2 = orthonormal_row_space_basis(M)
+        B1, B2 = row_space_split(M)
         assert np.array_equal(np.hstack([B1, B2]), np.linalg.svd(M)[2].T)
 
     def test_random_orthogonality_and_kernel(self):
@@ -361,12 +367,28 @@ class TestRowSpaceBasis:
             m, n = rng.integers(1, 6, 2)
             r = int(rng.integers(0, min(m, n) + 1))
             M = (rng.normal(size=(m, r)) @ rng.normal(size=(r, n))) if r else np.zeros((m, n))
-            B1, B2 = orthonormal_row_space_basis(M)
+            B1, B2 = row_space_split(M)
             Q = np.hstack([B1, B2])
             assert np.linalg.norm(Q.T @ Q - np.eye(n), "fro") <= 1e-9
             assert B1.shape[1] == rank(M)
             if B2.size:
                 assert np.linalg.norm(M @ B2) <= 1e-10 * max(1.0, np.linalg.norm(M))
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        # one stack of matrices that see 0, 2, 3 and all 5 coordinates
+        rng = np.random.default_rng(9)
+        M = rng.normal(size=(6, 4, 5))
+        M[0] = 0.0
+        M[1, :, [0, 2, 4]] = 0.0
+        M[2, :, [1, 3]] = 0.0
+        M[3, :, [1, 3]] = 0.0
+        M[4] = np.outer(rng.normal(size=4), rng.normal(size=5))
+        V, r, thresh = orthonormal_row_space_basis(M)
+        assert r.tolist() == [0, 2, 3, 3, 1, 4]
+        assert np.array_equal(V[0], np.eye(5))
+        for j in range(len(M)):
+            V_j, r_j, thresh_j = orthonormal_row_space_basis(M[j : j + 1])
+            assert np.array_equal(V[j], V_j[0]) and r[j] == r_j[0] and thresh[j] == thresh_j[0]
 
 
 class TestStacks:

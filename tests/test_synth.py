@@ -21,7 +21,7 @@ from conftest import (
     select_gamma,
 )
 from observer_kit import decomp, numerics, synth, verify
-from observer_kit.decomp import NodeDecomposition, SystemModel, decompose_node
+from observer_kit.decomp import NodeDecomposition, SystemModel, decompose_node, decompose_nodes
 from observer_kit.errors import AssumptionViolationError, DimensionError, NumericalFailureError
 from observer_kit.graph import Digraph, balance
 from observer_kit.synth import (
@@ -569,20 +569,26 @@ class TestSynthesize:
         # any orthonormal basis of each observable subspace must do
         model, g_net = battery_instances(seed, count=index + 1)[index]
         rng = np.random.default_rng(seed)
+        rotations = []
 
-        def rotated(H, A, rtol):
-            d = decompose_node(H, A, rtol)
-            Q = np.linalg.qr(rng.normal(size=(d.v, d.v)))[0]
-            return dataclasses.replace(
-                d, T=np.hstack([d.T1 @ Q, d.T2]), A_io=Q.T @ d.A_io @ Q,
-                A_ir=d.A_ir @ Q, H_io=d.H_io @ Q,
-            )
+        def rotated(outputs, A, rtol):
+            decomps = []
+            for d in decompose_nodes(outputs, A, rtol):
+                Q = np.linalg.qr(rng.normal(size=(d.v, d.v)))[0]
+                rotations.append(d.v)
+                decomps.append(dataclasses.replace(
+                    d, T=np.hstack([d.T1 @ Q, d.T2]), A_io=Q.T @ d.A_io @ Q,
+                    A_ir=d.A_ir @ Q, H_io=d.H_io @ Q,
+                ))
+            return tuple(decomps)
 
-        monkeypatch.setattr(synth, "decompose_node", rotated)
+        monkeypatch.setattr(synth, "decompose_nodes", rotated)
         for _ in range(20):
             design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
             report = verify_design(model, g_net, design)
             assert report.passed and report.lyapunov_passed
+        # synthesize read the rotated bases of every node in every round
+        assert len(rotations) == 20 * model.node_count and max(rotations) > 1
 
     # the multi-node cases; the single node there is not jointly observable
     @pytest.mark.parametrize("n, owned", MIXED_OBSERVABILITY_CASES[:2])
@@ -619,18 +625,27 @@ class TestSynthesize:
         for d in observable:
             assert sum(solves(d, F, Q) for F, Q in solved) == 1
 
-    def test_two_observability_matrices_per_node(self, monkeypatch):
-        # one for the decomposition, one for its rank recheck (v_i > 0);
-        # the joint rank is read off the decompositions
+    @pytest.mark.parametrize("n, owned", MIXED_OBSERVABILITY_CASES[:2])
+    def test_one_krylov_sequence_per_model(self, monkeypatch, n, owned):
+        # the observability rows of every node come from one sequence of
+        # n - 1 products of the stacked outputs with A, and the rank recheck
+        # takes one stack per distinct v_i > 0; the joint rank is read off
+        # the decompositions
+        rng = np.random.default_rng(5)
+        model = rotated_partial_model(rng, n, owned)
+        g_net = graph_for(rng, len(owned))
         original, calls = decomp.observability_matrix, []
 
         def counting(H, A):
-            calls.append(H.shape)
+            calls.append((H.shape, A.shape))
             return original(H, A)
 
         monkeypatch.setattr(decomp, "observability_matrix", counting)
-        synthesize(SPREAD_MODEL, RING_8, SynthesisParams(alpha=1.0))
-        assert len(calls) == 2 * SPREAD_MODEL.node_count
+        synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        rows = sum(max(len(idx), 1) for idx in owned)
+        assert calls[0] == ((rows, n), (n, n))
+        v = [len(idx) for idx in owned]
+        assert [A for _, A in calls[1:]] == [(v.count(k), k, k) for k in sorted(set(v) - {0})]
 
 
 @pytest.fixture(scope="module")
