@@ -58,9 +58,7 @@ def _emit(report, path=None):
 
 def cmd_check(args):
     loaded = load_config(args.config)
-    decomps, connected, joint = check_assumptions(
-        loaded.model, loaded.graph, loaded.params.rank_rtol
-    )
+    decomps, connected, joint = check_assumptions(loaded.model, loaded.graph)
     report = {
         "strongly_connected": connected,
         "joint_rank": joint,

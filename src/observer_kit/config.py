@@ -7,16 +7,17 @@ Config layout (all node indices 0-based, matrices row-major)::
                  "outputs": [{"H": [[..]]}, {"H": [[..]]}]},
       "graph":  {"N": 2, "edges": [{"from": 0, "to": 1, "weight": 1.0}, ..]},
       "params": {"alpha": 1.0,
-                 "margins": {"gamma": 1.1},        # optional
-                 "rank_rtol": 1e-10,               # optional
                  "seed": 0,                        # optional
                  "sim": {"t_final": 10.0, "dt": 1e-3, ...}}  # optional
     }
 
 An edge (from, to, weight) means information flows from ``from`` to
-``to``; the loader stores the weight at adjacency[to][from]. Keys the
-loader does not read are ignored, among them the ``params.g`` and
-``params.margins.epsilon`` of older configs.
+``to``; the loader stores the weight at adjacency[to][from]. The decay
+rate alpha is the one design input; the seed of the random initial
+conditions is ``params.seed``, which the command line's ``--seed``
+overrides. Keys the loader does not read are ignored, among them the
+``params.g``, ``params.margins``, ``params.rank_rtol`` and
+``params.sim.seed`` of older configs.
 """
 
 import json
@@ -130,16 +131,9 @@ def load_config(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad graph section: {exc}") from exc
 
-    margins = _typed(params_sec.get("margins", {}), dict, "params.margins")
-    _require(params_sec, "alpha", "params")
-    _typed_fields(params_sec, ("alpha", "rank_rtol"), float, "params")
-    _typed_fields(margins, ("gamma",), float, "params.margins")
+    alpha = _typed(_require(params_sec, "alpha", "params"), float, "params.alpha")
     try:
-        params = SynthesisParams(
-            alpha=float(params_sec["alpha"]),
-            gamma_margin=float(margins.get("gamma", 1.1)),
-            rank_rtol=float(params_sec.get("rank_rtol", 1e-10)),
-        )
+        params = SynthesisParams(alpha=float(alpha))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params section: {exc}") from exc
 
@@ -147,7 +141,7 @@ def load_config(path):
     _typed_fields(
         sim_settings, ("t_final", "dt", "x0", "xhat0", "fit_window"), float, "params.sim"
     )
-    _typed_fields(sim_settings, ("seed", "record_stride"), int, "params.sim")
+    _typed_fields(sim_settings, ("record_stride",), int, "params.sim")
     seed = _typed(params_sec.get("seed", 0), int, "params.seed")
     return LoadedConfig(
         model=model, graph=g_net, params=params,
@@ -171,7 +165,7 @@ def build_sim_config(loaded, t_final=None, dt=None, seed=None):
             dt=float(settings["dt"]),
             x0=settings.get("x0"),
             xhat0=settings.get("xhat0"),
-            seed=seed if seed is not None else settings.get("seed", loaded.seed),
+            seed=seed if seed is not None else loaded.seed,
             record_stride=settings.get("record_stride", 1),
             fit_window=tuple(fit_window) if fit_window is not None else None,
         )

@@ -121,7 +121,7 @@ def observability_matrix(H, A):
     return np.concatenate(rows, axis=-2)
 
 
-def _observable_bases(outputs, A, rtol):
+def _observable_bases(outputs, A):
     """Orthogonal T_i = [T_i1 T_i2] and v_i for every node at once, as an
     (N, n, n) stack and an (N,) array; the first v_i columns of T_i span
     the row space of node i's observability matrix.
@@ -146,7 +146,7 @@ def _observable_bases(outputs, A, rtol):
         nodes = np.flatnonzero(rows == p)
         O = krylov[:, starts[nodes, None] + np.arange(p)]
         O = O.transpose(1, 0, 2, 3).reshape(len(nodes), n * p, n)
-        V, r, thresh = numerics.orthonormal_row_space_basis(O, rtol)
+        V, r, thresh = numerics.orthonormal_row_space_basis(O)
         T[nodes], v[nodes] = V, r
         kernel_sq = np.where(np.arange(n) >= r[:, None], np.square(O @ V).sum(axis=1), 0.0)
         kernel[nodes] = np.sqrt(kernel_sq.sum(axis=1))
@@ -160,7 +160,7 @@ def _observable_bases(outputs, A, rtol):
     return T, v
 
 
-def decompose_nodes(outputs, A, rtol=numerics.RANK_RTOL):
+def decompose_nodes(outputs, A):
     """Observability decomposition of every pair (H_i, A), i = 1..N.
 
     ``outputs`` are the N validated p_i x n output blocks (p_i may be 0)
@@ -188,7 +188,7 @@ def decompose_nodes(outputs, A, rtol=numerics.RANK_RTOL):
     empty. Returns a tuple of N `NodeDecomposition`s.
     """
     N, n = len(outputs), A.shape[0]
-    T, v = _observable_bases(outputs, A, rtol)
+    T, v = _observable_bases(outputs, A)
     At = T.swapaxes(-1, -2) @ A @ T
     # the output blocks, padded with zero rows to the largest p_i
     rows = np.array([H.shape[0] for H in outputs])
@@ -229,12 +229,12 @@ def decompose_nodes(outputs, A, rtol=numerics.RANK_RTOL):
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
         # the padding rows are zero: the threshold counts node i's own rows
-        thresh = s[:, :1] * np.maximum(k * p, k)[:, None] * rtol
+        thresh = s[:, :1] * np.maximum(k * p, k)[:, None] * numerics.RANK_RTOL
         short += nodes[(s > thresh).sum(axis=1) != k].tolist()
     if short:
         raise NumericalFailureError(
             f"node {min(short)}: observable sub-pair failed its rank recheck; the "
-            f"rank decision at tolerance {rtol:g} is inconsistent"
+            f"rank decision at tolerance {numerics.RANK_RTOL:g} is inconsistent"
         )
     return tuple(
         NodeDecomposition(
@@ -245,16 +245,16 @@ def decompose_nodes(outputs, A, rtol=numerics.RANK_RTOL):
     )
 
 
-def decompose_node(H, A, rtol=numerics.RANK_RTOL):
+def decompose_node(H, A):
     """Observability decomposition of the single pair (H, A): the
     one-node case of `decompose_nodes`, whose checks it runs; a failure
     names the pair node 0."""
     H = numerics.as_matrix(H, "H")
     A = numerics.as_square(A, "A")
-    return decompose_nodes((H,), A, rtol)[0]
+    return decompose_nodes((H,), A)[0]
 
 
-def joint_observability_rank(model, decomps=None, rtol=numerics.RANK_RTOL):
+def joint_observability_rank(model, decomps=None):
     """Rank of [T_11 ... T_N1], the per-node observable bases side by side.
 
     The network can reconstruct the full state exactly when this equals
@@ -264,8 +264,8 @@ def joint_observability_rank(model, decomps=None, rtol=numerics.RANK_RTOL):
     norm(A)**(n-1).
     """
     if decomps is None:
-        T, v = _observable_bases(model.outputs, model.A, rtol)
+        T, v = _observable_bases(model.outputs, model.A)
         bases = [T_i[:, :v_i] for T_i, v_i in zip(T, v)]
     else:
         bases = [d.T1 for d in decomps]
-    return numerics.rank(np.hstack(bases), rtol)
+    return numerics.rank(np.hstack(bases))

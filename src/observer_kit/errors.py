@@ -14,8 +14,8 @@ class AssumptionViolationError(ObserverKitError):
 
     Raised when the communication graph is not strongly connected, the
     system is not jointly observable, or a derived quantity that those
-    assumptions guarantee (a positive coupling bound epsilon, a coupling
-    gain above 2*alpha) fails to materialize. An observable block whose
+    assumptions guarantee (a positive coupling bound epsilon) fails to
+    materialize. An observable block whose
     Gramian is too ill-conditioned to invert meets both assumptions and
     raises `NumericalFailureError` instead.
     """

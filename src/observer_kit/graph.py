@@ -43,15 +43,20 @@ class Digraph:
 
     @classmethod
     def from_edges(cls, node_count, edges):
-        """Build a digraph from (from, to, weight) triples, 0-based indices."""
+        """Build a digraph from (from, to, weight) triples, 0-based indices,
+        each pair listed once with a finite positive weight."""
         A = np.zeros((node_count, node_count))
         for src, dst, weight in edges:
             if not (0 <= src < node_count and 0 <= dst < node_count):
                 raise ConfigError(f"edge ({src}, {dst}) references a node outside 0..{node_count - 1}")
             if src == dst:
                 raise ConfigError(f"self-loop on node {src} is not allowed")
-            if not (weight > 0):
-                raise ConfigError(f"edge ({src}, {dst}) must have positive weight, got {weight}")
+            if A[dst, src]:
+                raise ConfigError(f"edge ({src}, {dst}) is listed twice")
+            if not 0 < weight < math.inf:
+                raise ConfigError(
+                    f"edge ({src}, {dst}) must have a finite positive weight, got {weight}"
+                )
             A[dst, src] = weight
         return cls(A)
 

@@ -23,7 +23,7 @@ from .errors import DimensionError, NumericalFailureError, SingularEquationError
 # Relative asymmetry below which a matrix is treated as symmetric.
 SYMMETRY_RTOL = 1e-10
 
-# Default relative factor for numerical-rank decisions:
+# Relative factor of every numerical-rank decision:
 # sigma > sigma_max * max(rows, cols) * RANK_RTOL counts toward the rank.
 RANK_RTOL = 1e-10
 
@@ -45,13 +45,14 @@ def as_square(M, name="matrix"):
     return M
 
 
-def is_symmetric(M, rtol=SYMMETRY_RTOL):
+def is_symmetric(M):
     """True when the relative asymmetry (Frobenius norms) of a square
-    matrix is below rtol; for a (k, m, m) stack, a boolean array of one
-    such verdict per matrix. A zero or empty matrix is symmetric."""
+    matrix is below ``SYMMETRY_RTOL``; for a (k, m, m) stack, a boolean
+    array of one such verdict per matrix. A zero or empty matrix is
+    symmetric."""
     M = _as_squares(M)
     asymmetry = np.linalg.norm(M - M.swapaxes(-1, -2), axis=(-2, -1))
-    return asymmetry <= rtol * np.linalg.norm(M, axis=(-2, -1))
+    return asymmetry <= SYMMETRY_RTOL * np.linalg.norm(M, axis=(-2, -1))
 
 
 def _as_squares(M, name="matrix"):
@@ -100,15 +101,16 @@ def svd(M):
         raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
 
 
-def rank(M, rtol=RANK_RTOL):
-    """Numerical rank: count of singular values above the relative threshold."""
+def rank(M):
+    """Numerical rank: count of singular values above the relative
+    threshold sigma_max * max(rows, cols) * RANK_RTOL."""
     M = as_matrix(M)
     if M.size == 0:
         return 0
     s = svd(M)[1]
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > s[0] * max(M.shape) * rtol))
+    return int(np.sum(s > s[0] * max(M.shape) * RANK_RTOL))
 
 
 class Definiteness(NamedTuple):
@@ -185,7 +187,7 @@ def _sign_solve(steps, C):
     return 0.25 * (C + C.swapaxes(-1, -2))
 
 
-def solve_lyapunov(F, Q, residual_rtol=1e-8):
+def solve_lyapunov(F, Q):
     """Solve F.T @ P + P @ F = -Q for symmetric P, or each equation of a
     stack of them.
 
@@ -206,13 +208,12 @@ def solve_lyapunov(F, Q, residual_rtol=1e-8):
         near the imaginary axis) `SingularEquationError` is raised.
     Q : array of F's shape
         Symmetric right-hand sides.
-    residual_rtol : float
-        Acceptance bound: each Frobenius residual must satisfy
-        ``norm(F.T P + P F + Q) <= residual_rtol * max(1, norm(Q))``.
 
     Returns
     -------
-    P : array of F's shape, symmetric. Where F is Hurwitz and Q is
+    P : array of F's shape, symmetric. Each Frobenius residual must
+        satisfy ``norm(F.T P + P F + Q) <= 1e-8 * max(1, norm(Q))``, or
+        `NumericalFailureError` is raised. Where F is Hurwitz and Q is
         positive definite, or -F is Hurwitz and Q is negative definite, P
         is verified positive definite before returning.
     """
@@ -253,7 +254,7 @@ def solve_lyapunov(F, Q, residual_rtol=1e-8):
         raise NumericalFailureError(f"Lyapunov solve failed: {exc}") from exc
 
     residual = np.linalg.norm(F.swapaxes(-1, -2) @ P + P @ F + Q, axis=(-2, -1))
-    bound = residual_rtol * np.maximum(1.0, np.linalg.norm(Q, axis=(-2, -1)))
+    bound = 1e-8 * np.maximum(1.0, np.linalg.norm(Q, axis=(-2, -1)))
     if not (residual <= bound).all():
         raise NumericalFailureError(
             f"Lyapunov residual {residual[~(residual <= bound)][0]:.3e} exceeds tolerance"
@@ -268,14 +269,14 @@ def solve_lyapunov(F, Q, residual_rtol=1e-8):
     return P.reshape(shape)
 
 
-def orthonormal_row_space_basis(M, rtol=RANK_RTOL):
+def orthonormal_row_space_basis(M):
     """Orthonormal bases for the row space and the kernel of each matrix of
     a (c, m, n) stack.
 
     Returns (V, r, thresh). V is a (c, n, n) stack of orthogonal matrices:
     the first r[j] columns of V[j] span im M[j].T and the others span
     ker M[j]. r[j] counts the singular values of M[j] above the rank
-    threshold thresh[j] = sigma_max * max(m, n) * rtol, so a kernel
+    threshold thresh[j] = sigma_max * max(m, n) * RANK_RTOL, so a kernel
     column's residual ||M[j] V[j][:, k]|| is about a singular value below
     thresh[j]. A coordinate whose column of M[j] is exactly zero lies in
     the kernel: it becomes a unit column at the end of V[j], and the SVD
@@ -301,7 +302,7 @@ def orthonormal_row_space_basis(M, rtol=RANK_RTOL):
             _, s, Vt = np.linalg.svd(M[sel, :, :k], full_matrices=m < k)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
-        thresh[sel] = s[:, 0] * max(m, n) * rtol
+        thresh[sel] = s[:, 0] * max(m, n) * RANK_RTOL
         r[sel] = (s > thresh[sel, None]).sum(axis=1)
         V[sel, :k, :k] = Vt.swapaxes(-1, -2)
     # back to plant coordinate order

@@ -16,8 +16,9 @@ gamma, so the smallest certifying q and gamma are generalized eigenvalue
 problems (Boyd, El Ghaoui, Feron and Balakrishnan, "Linear Matrix
 Inequalities in System and Control Theory", SIAM 1994, section 2.2.3),
 each split along the coordinate groups of the plant. The design takes
-q = 2 max(q*, alpha) and gamma = gamma_margin * max(gamma*, alpha); the
-floors at alpha keep the rule covariant under a scaling of time. The
+q = 2 max(q*, alpha) and gamma = 1.1 max(gamma*, alpha); the floors at
+alpha keep the rule covariant under a scaling of time. The decay rate
+alpha is the one input of the design; the factors 2 and 1.1 are fixed. The
 design is returned only when the global certificate, computed from its
 L_i and M_i exactly as `verify` computes it, is negative definite.
 
@@ -47,29 +48,22 @@ _EPSILON_MARGIN = 0.9
 # consensus block of the certificate then has room for a moderate gamma.
 _SCALE_FACTOR = 2.0
 
+# The design's coupling gain gamma, as a multiple of the threshold gamma*.
+_GAMMA_MARGIN = 1.1
+
 
 @dataclass
 class SynthesisParams:
-    """Tunable inputs of the design pipeline.
-
-    alpha is the prescribed error decay rate. gamma_margin inflates the
-    coupling gain above its certified minimum; rank_rtol is the relative
-    threshold of the rank decisions.
+    """The one input of the design pipeline: alpha, the prescribed error
+    decay rate, finite and positive. Once alpha is given the gains are
+    fixed.
     """
 
     alpha: float
-    gamma_margin: float = 1.1
-    rank_rtol: float = numerics.RANK_RTOL
 
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if not 1 < self.gamma_margin < math.inf:
-            raise ValueError(
-                f"gamma_margin must be finite and exceed 1, got {self.gamma_margin}"
-            )
-        if not 0 < self.rank_rtol < 1:
-            raise ValueError(f"rank_rtol must lie in (0, 1), got {self.rank_rtol}")
 
 
 @dataclass(frozen=True)
@@ -421,7 +415,7 @@ class AssumptionCheck(NamedTuple):
     joint_rank: int
 
 
-def check_assumptions(model, g_net, rtol=numerics.RANK_RTOL):
+def check_assumptions(model, g_net):
     """Decompose every node and test both standing assumptions.
 
     Draws no verdict: the command-line ``check`` and `synthesize` each
@@ -442,11 +436,11 @@ def check_assumptions(model, g_net, rtol=numerics.RANK_RTOL):
             norm_A,
             model.n - 1,
         )
-    decomps = decompose_nodes(model.outputs, model.A, rtol)
+    decomps = decompose_nodes(model.outputs, model.A)
     return AssumptionCheck(
         decomps=decomps,
         strongly_connected=is_strongly_connected(g_net),
-        joint_rank=joint_observability_rank(model, decomps, rtol),
+        joint_rank=joint_observability_rank(model, decomps),
     )
 
 
@@ -469,7 +463,7 @@ def synthesize(model, g_net, params):
     -------
     ObserverDesign
     """
-    decomps, connected, joint = check_assumptions(model, g_net, params.rank_rtol)
+    decomps, connected, joint = check_assumptions(model, g_net)
     if not connected:
         raise AssumptionViolationError("communication graph is not strongly connected")
     if joint != model.n:
@@ -485,7 +479,7 @@ def synthesize(model, g_net, params):
     groups = numerics.coordinate_groups(D0, C)
     q = _SCALE_FACTOR * max(_scale_threshold(D0, C, groups), alpha)
     gamma_star = _coupling_threshold(D0 + q * C, balanced.mirror, groups)
-    gamma = params.gamma_margin * max(gamma_star, alpha)
+    gamma = _GAMMA_MARGIN * max(gamma_star, alpha)
     logger.info(
         "q = %.6g, gamma* = %.6g, gamma = %.6g, epsilon = %.6g, per-node v = %s",
         q, gamma_star, gamma, epsilon, [d.v for d in decomps],

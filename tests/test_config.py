@@ -4,7 +4,7 @@ import pytest
 
 from observer_kit.config import build_sim_config, load_config, load_design
 from observer_kit.errors import ConfigError
-from observer_kit.synth import synthesize
+from observer_kit.synth import SynthesisParams, synthesize
 
 
 def write(path, doc):
@@ -43,28 +43,25 @@ class TestLoadConfig:
 
     def test_optional_params(self, tmp_path):
         doc = base_doc()
-        doc["params"].update(
-            {
-                "margins": {"gamma": 1.25},
-                "rank_rtol": 1e-9,
-                "seed": 42,
-                "sim": {"t_final": 4.0, "dt": 0.01},
-            }
-        )
+        doc["params"].update({"seed": 42, "sim": {"t_final": 4.0, "dt": 0.01}})
         loaded = load_config(write(tmp_path / "c.json", doc))
-        assert loaded.params.gamma_margin == 1.25
-        assert loaded.params.rank_rtol == 1e-9
+        assert loaded.params == SynthesisParams(alpha=2.0)
         assert loaded.seed == 42
         assert loaded.sim_settings == {"t_final": 4.0, "dt": 0.01}
 
     def test_keys_of_older_configs_are_ignored(self, tmp_path):
-        # params.g and params.margins.epsilon size nothing any more: the
-        # loader ignores them, as it ignores every key it does not read
+        # params.g, params.margins, params.rank_rtol and params.sim.seed set
+        # nothing any more: the loader ignores them, as it ignores every key
+        # it does not read, and the seed of a run is params.seed
         clean = load_config(write(tmp_path / "clean.json", base_doc()))
         doc = base_doc()
-        doc["params"].update({"g": [2.0, 3.0], "margins": {"epsilon": 0.8}})
+        doc["params"].update({
+            "g": [2.0, 3.0], "margins": {"epsilon": 0.8, "gamma": 1.1},
+            "rank_rtol": 1e-10, "sim": {"seed": 3},
+        })
         older = load_config(write(tmp_path / "older.json", doc))
         assert older.params == clean.params
+        assert build_sim_config(older) == build_sim_config(clean)
         design = synthesize(older.model, older.graph, older.params)
         expected = synthesize(clean.model, clean.graph, clean.params)
         assert json.dumps(design.to_dict()) == json.dumps(expected.to_dict())

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,17 @@ class TestDigraph:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ConfigError):
             Digraph.from_edges(2, [(0, 1, 0.0)])
+
+    def test_rejects_infinite_weight(self):
+        # an infinite weight once passed here and failed the adjacency's
+        # finiteness check as a numerical failure
+        with pytest.raises(ConfigError, match="finite positive weight"):
+            Digraph.from_edges(2, [(0, 1, math.inf)])
+
+    def test_rejects_repeated_edge(self):
+        # the weight listed last once overwrote the first
+        with pytest.raises(ConfigError, match=r"edge \(0, 1\) is listed twice"):
+            Digraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0), (0, 1, 5.0)])
 
     def test_rejects_negative_adjacency(self):
         with pytest.raises(DimensionError):

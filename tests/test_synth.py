@@ -571,9 +571,9 @@ class TestSynthesize:
         rng = np.random.default_rng(seed)
         rotations = []
 
-        def rotated(outputs, A, rtol):
+        def rotated(outputs, A):
             decomps = []
-            for d in decompose_nodes(outputs, A, rtol):
+            for d in decompose_nodes(outputs, A):
                 Q = np.linalg.qr(rng.normal(size=(d.v, d.v)))[0]
                 rotations.append(d.v)
                 decomps.append(dataclasses.replace(
@@ -772,9 +772,13 @@ class TestSynthesisParams:
         with pytest.raises(ValueError):
             SynthesisParams(alpha=0.0)
 
-    def test_rejects_bad_margins(self):
-        with pytest.raises(ValueError):
-            SynthesisParams(alpha=1.0, gamma_margin=1.0)
+    @pytest.mark.parametrize(
+        "knob", [{"gamma_margin": 1.2}, {"rank_rtol": 1e-9}], ids=["gamma-margin", "rank-rtol"]
+    )
+    def test_alpha_is_the_only_input(self, knob):
+        # the coupling margin and the rank tolerance are fixed constants
+        with pytest.raises(TypeError):
+            SynthesisParams(alpha=1.0, **knob)
 
 
 class TestDesignSerialization:
