@@ -203,8 +203,13 @@ class TestCheck:
           "edge (0, 1) must have a finite positive weight, got inf"),
          ([{"from": 0, "to": 1, "weight": 1.0}, {"from": 0, "to": 1, "weight": 5.0},
            {"from": 1, "to": 0, "weight": 1.0}],
-          "edge (0, 1) is listed twice")],
-        ids=["weight-inf", "repeated-edge"],
+          "edge (0, 1) is listed twice"),
+         ([{"from": 0, "to": 1, "weight": math.nan}, {"from": 1, "to": 0, "weight": 1.0}],
+          "edge (0, 1) must have a finite positive weight, got nan"),
+         ([{"from": 0, "to": 1, "weight": 1.0}, {"from": 1, "to": 0, "weight": 1.0},
+           {"from": 1, "to": 0, "weight": 1.0}],
+          "edge (1, 0) is listed twice")],
+        ids=["weight-inf", "repeated-edge", "weight-nan", "repeated-edge-same-weight"],
     )
     def test_bad_edge_list(self, tmp_path, capsys, command, edges, message):
         # an infinite weight once exited 4 as a numerical failure, and a
@@ -212,6 +217,34 @@ class TestCheck:
         cfg = write_config(tmp_path / "cfg.json", edges=edges)
         assert main([command, str(cfg), "-o", str(tmp_path / "out.json")]) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "synthesize"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("margins", [1]), ("margins", None), ("margins", []), ("margins", {"gamma": "1.5"}),
+         ("margins", {"gamma": math.inf}), ("rank_rtol", "1e-10"), ("rank_rtol", math.nan),
+         ("rank_rtol", 10.0), ("rank_rtol", -1.0)],
+        ids=["margins-list", "margins-null", "margins-empty-list", "gamma-margin-string",
+             "gamma-margin-inf", "rank-rtol-string", "rank-rtol-nan", "rank-rtol-10",
+             "rank-rtol-negative"],
+    )
+    def test_retired_knobs_of_any_value_are_ignored(self, config_path, design_path, tmp_path,
+                                                     capsys, command, key, value):
+        # params.margins and params.rank_rtol are read by nothing, so values
+        # the loader once rejected with exit 3 give the report and the design
+        # of a config without them
+        assert main(["check", str(config_path)]) == 0
+        clean_report = capsys.readouterr().out
+        doc = json.loads(config_path.read_text())
+        doc["params"][key] = value
+        cfg = tmp_path / "retired.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "retired_design.json"
+        assert main([command, str(cfg), "-o", str(out)]) == 0
+        if command == "check":
+            assert capsys.readouterr().out == clean_report
+        else:
+            assert out.read_bytes() == design_path.read_bytes()
 
     @pytest.mark.parametrize("key", ["A", "H"])
     def test_system_matrix_not_finite(self, tmp_path, key, capsys):
@@ -580,6 +613,18 @@ class TestSimulate:
             "simulate", str(cfg), str(design_path), "-o", str(tmp_path / "t.csv"), *argv
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("seed", [1.5, "abc", -1, 3], ids=["1.5", "string", "negative", "3"])
+    def test_sim_seed_of_any_value_is_ignored(self, config_path, design_path, tmp_path, seed):
+        # the seed of a run is --seed, else params.seed: params.sim.seed,
+        # once a second way to set it, changes no trace
+        traces = []
+        for sim in ({}, {"seed": seed}):
+            cfg = write_config(tmp_path / f"cfg{len(traces)}.json", sim=sim)
+            traces.append(tmp_path / f"t{len(traces)}.csv")
+            assert main(["simulate", str(cfg), str(design_path), "--t-final", "1.0",
+                         "-o", str(traces[-1])]) == 0
+        assert traces[0].read_bytes() == traces[1].read_bytes()
 
     def test_certified_ladder_rung_past_runge_kutta_limit(self, tmp_path, capsys):
         # the seed-1 n = N = 30 partial instance certifies with

@@ -40,6 +40,17 @@ class TestDigraph:
         with pytest.raises(ConfigError, match="finite positive weight"):
             Digraph.from_edges(2, [(0, 1, math.inf)])
 
+    @pytest.mark.parametrize("weight", [math.nan, -math.inf, -1.0], ids=["nan", "-inf", "negative"])
+    def test_rejects_weight_not_finite_positive(self, weight):
+        with pytest.raises(ConfigError, match="finite positive weight"):
+            Digraph.from_edges(2, [(0, 1, weight)])
+
+    def test_bad_index_after_a_valid_edge_is_not_a_repeat(self):
+        # the index check runs before the repeat check, which would index
+        # the adjacency out of range
+        with pytest.raises(ConfigError, match="outside 0..1"):
+            Digraph.from_edges(2, [(0, 1, 1.0), (0, 2, 1.0)])
+
     def test_rejects_repeated_edge(self):
         # the weight listed last once overwrote the first
         with pytest.raises(ConfigError, match=r"edge \(0, 1\) is listed twice"):
