@@ -139,7 +139,13 @@ def _balance_connected(g):
     drawn once; raises `NumericalFailureError` as `balance` does.
     """
     N = g.node_count
-    L = laplacian(g)
+    # weights near the top of the float range overflow L, the mirror or
+    # their norms: that is named here, not passed on as inf and nan
+    with np.errstate(over="ignore"):
+        L = laplacian(g)
+        norm_L = np.linalg.norm(L, "fro")
+    if not np.isfinite(norm_L):
+        raise NumericalFailureError(_overflow_message(g))
 
     _, _, Vt = numerics.svd(L.T)
     v = Vt[-1]
@@ -152,14 +158,17 @@ def _balance_connected(g):
         )
     r = v * (N / v.sum())
 
-    norm_L = np.linalg.norm(L, "fro")
     if np.linalg.norm(r @ L) > 1e-10 * norm_L:
         raise NumericalFailureError("balance residual ||r L|| above tolerance")
 
     RL = r[:, None] * L
-    mirror = RL + RL.T
+    with np.errstate(over="ignore"):
+        mirror = RL + RL.T
+        norm_mirror = np.linalg.norm(mirror, "fro")
+    if not np.isfinite(norm_mirror):
+        raise NumericalFailureError(_overflow_message(g))
     w = np.linalg.eigvalsh(mirror)
-    if w[0] < -1e-10 * max(1.0, np.linalg.norm(mirror, "fro")):
+    if w[0] < -1e-10 * max(1.0, norm_mirror):
         raise NumericalFailureError(f"mirror Laplacian is not PSD (lambda_min = {w[0]:.3e})")
     if int(np.sum(np.abs(w) <= 1e-10)) != 1:
         raise NumericalFailureError(
@@ -175,4 +184,11 @@ def _balance_connected(g):
         )
     return BalancedStructure(
         laplacian=L, r=r, mirror=mirror, lambda2=lambda2, eigenvalues=w
+    )
+
+
+def _overflow_message(g):
+    return (
+        "edge weights too large for the mirror Laplacian: the norm of the "
+        f"Laplacian or of its mirror overflows (largest weight {g.adjacency.max():.3g})"
     )

@@ -10,6 +10,19 @@ definiteness and Lyapunov routines take a square matrix or a (k, m, m)
 stack of them; a stack costs one numpy call per step for all k
 matrices, where a loop would cost k.
 
+On the smallest designs (n and N of a few) each numpy call costs more
+than its arithmetic, so no question is asked twice of one array: the
+public routines validate their input once, and the solver's own calls
+(`_eigenvalues`, `_is_symmetric`) skip that; `_solve_lyapunov` hands on
+the spectrum of P that its definiteness check takes; `coordinate_groups`
+reads the nonzero patterns of all its stacks in one pass and returns a
+fully linked pattern as one group without any closure;
+`orthonormal_row_space_basis` takes a stack whose every column is seen
+as it is; `rank` takes singular values only; and norms that are only
+compared are compared squared, one einsum each. Stacks of equal-shape
+arrays are built with np.array, one C call, where np.stack makes a
+Python-level call per array.
+
 Only numpy is used. Importing scipy.linalg would take about 0.3 s, about
 half the start-up of a command-line call.
 """
@@ -50,9 +63,19 @@ def is_symmetric(M):
     matrix is below ``SYMMETRY_RTOL``; for a (k, m, m) stack, a boolean
     array of one such verdict per matrix. A zero or empty matrix is
     symmetric."""
-    M = _as_squares(M)
-    asymmetry = np.linalg.norm(M - M.swapaxes(-1, -2), axis=(-2, -1))
-    return asymmetry <= SYMMETRY_RTOL * np.linalg.norm(M, axis=(-2, -1))
+    return _is_symmetric(_as_squares(M))
+
+
+def _is_symmetric(M):
+    """`is_symmetric` of a validated square matrix or stack, on squared
+    norms."""
+    asymmetry = _frobenius_squared(M - M.swapaxes(-1, -2))
+    return asymmetry <= SYMMETRY_RTOL**2 * _frobenius_squared(M)
+
+
+def _frobenius_squared(M):
+    """Squared Frobenius norm of a matrix, or of each matrix of a stack."""
+    return np.einsum("...ij,...ij->...", M, M)
 
 
 def _as_squares(M, name="matrix"):
@@ -74,11 +97,15 @@ def eigenvalues(M):
     values in ascending order. General input yields complex values in no
     particular order.
     """
-    M = _as_squares(M)
+    return _eigenvalues(_as_squares(M))
+
+
+def _eigenvalues(M):
+    """`eigenvalues` of a validated square matrix or stack."""
     if M.size == 0:
         return np.zeros(M.shape[:-1])
     try:
-        if is_symmetric(M).all():
+        if _is_symmetric(M).all():
             return np.linalg.eigvalsh(0.5 * (M + M.swapaxes(-1, -2)))
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
@@ -107,8 +134,11 @@ def rank(M):
     M = as_matrix(M)
     if M.size == 0:
         return 0
-    s = svd(M)[1]
-    if s.size == 0 or s[0] == 0.0:
+    try:
+        s = np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
+    if s[0] == 0.0:
         return 0
     return int(np.sum(s > s[0] * max(M.shape) * RANK_RTOL))
 
@@ -159,17 +189,20 @@ def _sign_steps(G, lam):
     has converged; a matrix that converged earlier sits at its sign,
     where a step with c = 1 changes it by rounding only.
     """
+    m = G.shape[-1]
     steps = []
     for _ in range(_SIGN_MAX_STEPS):
         G_inv = np.linalg.inv(G)
-        c = np.exp(np.log(np.abs(lam)).mean(axis=-1, keepdims=True))
-        steps.append((c[..., None], G_inv))
-        G_next = (0.5 / c[..., None]) * G + (0.5 * c[..., None]) * G_inv
-        lam = 0.5 * (lam / c + c / lam)
-        change = np.linalg.norm(G_next - G, axis=(-2, -1))
+        # the mean of log|lam|, summed and divided as ndarray.mean does
+        c = np.exp(np.add.reduce(np.log(np.abs(lam)), axis=-1, keepdims=True) / m)
+        c_mat = c[..., None]
+        steps.append((c_mat, G_inv))
+        G_next = (0.5 / c_mat) * G + (0.5 * c_mat) * G_inv
+        change = _frobenius_squared(G_next - G)
         G = G_next
-        if (change <= _SIGN_STEP_RTOL * np.linalg.norm(G, axis=(-2, -1))).all():
+        if (change <= _SIGN_STEP_RTOL**2 * _frobenius_squared(G)).all():
             return steps
+        lam = 0.5 * (lam / c + c / lam)
     raise NumericalFailureError(
         f"sign iteration did not converge in {_SIGN_MAX_STEPS} steps"
     )
@@ -217,13 +250,19 @@ def solve_lyapunov(F, Q):
         positive definite, or -F is Hurwitz and Q is negative definite, P
         is verified positive definite before returning.
     """
+    return _solve_lyapunov(F, Q)[0]
+
+
+def _solve_lyapunov(F, Q):
+    """`solve_lyapunov`, returning (P, w) with w the ascending eigenvalues
+    of each P, which its definiteness check takes anyway."""
     F = _as_squares(F, "F")
     Q = _as_squares(Q, "Q")
     if F.shape != Q.shape:
         raise DimensionError(f"F and Q shapes differ: {F.shape} vs {Q.shape}")
     if F.size == 0:
-        return np.zeros(F.shape)
-    if not is_symmetric(Q).all():
+        return np.zeros(F.shape), np.zeros(F.shape[:-1])
+    if not _is_symmetric(Q).all():
         raise DimensionError("Q must be symmetric")
     shape = F.shape
     F = F.reshape(-1, *shape[-2:])
@@ -232,7 +271,7 @@ def solve_lyapunov(F, Q):
 
     # 2 Re(lam) is the sum of lam and its conjugate; max(1, norm) so that
     # F = 0 is rejected too
-    lam = eigenvalues(F)
+    lam = _eigenvalues(F)
     tol = 1e-9 * np.maximum(1.0, np.linalg.norm(F, axis=(-2, -1)))[:, None]
     hurwitz = (2.0 * lam.real < -tol).all(axis=-1)
     if not (hurwitz | (2.0 * lam.real > tol).all(axis=-1)).all():
@@ -253,20 +292,22 @@ def solve_lyapunov(F, Q):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"Lyapunov solve failed: {exc}") from exc
 
-    residual = np.linalg.norm(F.swapaxes(-1, -2) @ P + P @ F + Q, axis=(-2, -1))
-    bound = 1e-8 * np.maximum(1.0, np.linalg.norm(Q, axis=(-2, -1)))
-    if not (residual <= bound).all():
+    # the residual bound of the docstring, on squared norms
+    residual = _frobenius_squared(F.swapaxes(-1, -2) @ P + P @ F + Q)
+    inaccurate = ~(residual <= 1e-16 * np.maximum(1.0, _frobenius_squared(Q)))
+    if inaccurate.any():
         raise NumericalFailureError(
-            f"Lyapunov residual {residual[~(residual <= bound)][0]:.3e} exceeds tolerance"
+            f"Lyapunov residual {np.sqrt(residual[inaccurate][0]):.3e} exceeds tolerance"
         )
 
-    definite = np.linalg.eigvalsh(sign * Q)[:, 0] > 0
-    if (definite & (np.linalg.eigvalsh(P)[:, 0] <= 0)).any():
+    # one stacked call for the spectra of sign*Q and of P
+    w_Q, w = np.linalg.eigvalsh(np.array([sign * Q, P]))
+    if ((w_Q[:, 0] > 0) & (w[:, 0] <= 0)).any():
         raise NumericalFailureError(
             "Lyapunov solution lost positive definiteness despite a definite "
             "right-hand side"
         )
-    return P.reshape(shape)
+    return P.reshape(shape), w.reshape(shape[:-1])
 
 
 def orthonormal_row_space_basis(M):
@@ -283,10 +324,13 @@ def orthonormal_row_space_basis(M):
     is taken of the other columns only, so no basis vector mixes it with
     the coordinates M[j] sees. Without such columns V[j] is the right
     singular basis of M[j] itself. The matrices that see the same number
-    of columns take one stacked SVD.
+    of columns take one stacked SVD; when every matrix sees every
+    coordinate, that is one SVD of the stack as it is, unpermuted.
     """
     c, m, n = M.shape
     seen = M.any(axis=1)
+    if seen.all():
+        return _right_singular_bases(M, max(m, n))
     counts = seen.sum(axis=1)
     # per matrix: its seen coordinates ascending, then the unseen ones
     order = np.argsort(~seen, axis=1, kind="stable")
@@ -298,16 +342,22 @@ def orthonormal_row_space_basis(M):
     thresh = np.zeros(c)
     for k in sorted(set(counts.tolist()) - {0}):
         sel = np.flatnonzero(counts == k)
-        try:
-            _, s, Vt = np.linalg.svd(M[sel, :, :k], full_matrices=m < k)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
-        thresh[sel] = s[:, 0] * max(m, n) * RANK_RTOL
-        r[sel] = (s > thresh[sel, None]).sum(axis=1)
-        V[sel, :k, :k] = Vt.swapaxes(-1, -2)
+        V[sel, :k, :k], r[sel], thresh[sel] = _right_singular_bases(M[sel, :, :k], max(m, n))
     # back to plant coordinate order
     V[stack, order] = V.copy()
     return V, r, thresh
+
+
+def _right_singular_bases(M, size):
+    """(V, r, thresh) of a (c, m, k) stack: V[j] the k x k right singular
+    basis of M[j], r[j] the count of its singular values above
+    thresh[j] = sigma_max * size * RANK_RTOL."""
+    try:
+        _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[1] < M.shape[2])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
+    thresh = s[:, 0] * size * RANK_RTOL
+    return Vt.swapaxes(-1, -2).copy(), (s > thresh[:, None]).sum(axis=1), thresh
 
 
 def coordinate_groups(*stacks):
@@ -316,17 +366,21 @@ def coordinate_groups(*stacks):
 
     Coordinates j and k are linked when some matrix of some stack has a
     nonzero entry at (j, k) or (k, j); the groups are the connected
-    components of that relation, read off its `_reachability`. After one
-    permutation of its rows and columns every matrix of the stacks is
-    block diagonal, one block per group, exactly.
+    components of that relation, read off its `_reachability`. When every
+    pair is linked, as on a dense plant, that is the single group, and no
+    closure is taken. After one permutation of its rows and columns every
+    matrix of the stacks is block diagonal, one block per group, exactly.
 
     Returns one (k, m) integer array per group size m, ascending in m,
     whose k rows are the groups of that size, each in ascending order. A
     single group comes back as [arange(n)[None]].
     """
     n = stacks[0].shape[-1]
-    reach = np.any([(stack != 0).any(axis=0) for stack in stacks], axis=0)
-    reach = _reachability(reach | reach.T)
+    links = np.concatenate(stacks).any(axis=0)
+    links = links | links.T
+    if links.all():
+        return [np.arange(n)[None]]
+    reach = _reachability(links)
     # one row per group: the row of its first coordinate
     members = reach[reach.argmax(axis=1) == np.arange(n)]
     sizes = members.sum(axis=1)

@@ -176,7 +176,7 @@ def compute_epsilon(decomps, balanced):
     positive, which signals that one of the two standing assumptions
     failed numerically; `synthesize` computes epsilon for this check only.
     """
-    projectors = np.stack([d.T1 @ d.T1.T for d in decomps])
+    projectors = np.array([d.T1 @ d.T1.T for d in decomps])
     lam_min = math.inf
     for idx in numerics.coordinate_groups(projectors):
         unit = np.eye(idx.shape[1])[None, None]
@@ -216,8 +216,9 @@ def place_observer_poles(A_io, H_io, alpha):
 
     A_io is v x v and H_io p x v, or a (k, v, v) and a (k, p, v) stack:
     beta is taken per block, and the k Bass equations are one stacked
-    `numerics.solve_lyapunov` call. Returns (L_io, P_io), stacked as the
-    input is.
+    `numerics.solve_lyapunov` call, whose eigenvalues of X, taken for its
+    definiteness check, serve the conditioning check and the scale of
+    P_io here too. Returns (L_io, P_io), stacked as the input is.
 
     `decomp.decompose_nodes` has confirmed the rank of the block's
     observability matrix, so an X too ill-conditioned to invert raises
@@ -236,8 +237,7 @@ def place_observer_poles(A_io, H_io, alpha):
     else:
         beta = 1.0 + np.linalg.norm(A_io, axis=(-2, -1)) + alpha
         F = A_io + (alpha + beta)[:, None, None] * np.eye(v)
-        X = numerics.solve_lyapunov(F, -2.0 * (H_io.swapaxes(-1, -2) @ H_io))
-        w = np.linalg.eigvalsh(X)
+        X, w = numerics._solve_lyapunov(F, -2.0 * (H_io.swapaxes(-1, -2) @ H_io))
         singular = w[:, 0] <= 1e-10 * w[:, -1]
         if singular.any():
             lo, hi = w[singular][0, [0, -1]]
@@ -250,7 +250,7 @@ def place_observer_poles(A_io, H_io, alpha):
             )
         L_io = np.linalg.solve(X, H_io.swapaxes(-1, -2))
 
-        abscissa = float(np.max(numerics.eigenvalues(A_io - L_io @ H_io).real))
+        abscissa = float(np.max(numerics._eigenvalues(A_io - L_io @ H_io).real))
         if abscissa >= -alpha - 1e-8:
             raise NumericalFailureError(
                 f"pole placement landed at spectral abscissa {abscissa:.6g}, "
@@ -274,7 +274,7 @@ def _place_all_poles(decomps, alpha):
         H_io = np.zeros((len(nodes), max(rows), v))
         for j, i in enumerate(nodes):
             H_io[j, : rows[j]] = decomps[i].H_io
-        A_io = np.stack([decomps[i].A_io for i in nodes])
+        A_io = np.array([decomps[i].A_io for i in nodes])
         L_io, P_io = place_observer_poles(A_io, H_io, alpha)
         for j, i in enumerate(nodes):
             L_blocks[i], P_blocks[i] = L_io[j, :, : rows[j]], P_io[j]
@@ -290,7 +290,7 @@ def _certificate_pencil(decomps, L_blocks, P_blocks, alpha):
         C  = [[Sym(P_io (A_io - L_io H_io + alpha*I)), 0], [0, 0]] <= -diag(I, 0)
 
     for the unit-scale P_io of `place_observer_poles`."""
-    T = np.stack([d.T for d in decomps])
+    T = np.array([d.T for d in decomps])
     local = np.zeros((2, *T.shape))
     for i, (d, L_io, P_io) in enumerate(zip(decomps, L_blocks, P_blocks)):
         v = d.v
@@ -373,20 +373,21 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
     Frobenius norm squared is ||P_io||_F^2 + n - v. Each M_i is verified
     positive definite, one coordinate group of the M_i at a time.
     """
-    T = np.stack([d.T for d in decomps])
+    T = np.array([d.T for d in decomps])
     n = T.shape[-1]
     local = np.broadcast_to(np.eye(n), T.shape).copy()
     for v in sorted({d.v for d in decomps} - {0}):
         nodes = [i for i, d in enumerate(decomps) if d.v == v]
-        P_io = np.stack([P_blocks[i] for i in nodes])
+        P_io = np.array([P_blocks[i] for i in nodes])
         local[nodes, :v, :v] = inv_P_io = np.linalg.inv(P_io)
-        inv_residual = np.linalg.norm(inv_P_io @ P_io - np.eye(v), axis=(-2, -1))
-        scale = np.sqrt(np.linalg.norm(P_io, axis=(-2, -1)) ** 2 + n - v)
-        inaccurate = ~(inv_residual <= 1e-8 * np.maximum(1.0, scale))
+        # on squared norms: residual <= 1e-8 max(1, scale)
+        inv_residual = numerics._frobenius_squared(inv_P_io @ P_io - np.eye(v))
+        scale = numerics._frobenius_squared(P_io) + n - v
+        inaccurate = ~(inv_residual <= 1e-16 * np.maximum(1.0, scale))
         if inaccurate.any():
             j = int(np.argmax(inaccurate))
             raise NumericalFailureError(
-                f"node {nodes[j]}: inverse certificate residual {inv_residual[j]:.3e}"
+                f"node {nodes[j]}: inverse certificate residual {np.sqrt(inv_residual[j]):.3e}"
             )
     M = T @ local @ T.swapaxes(-1, -2)
     M = 0.5 * (M + M.swapaxes(-1, -2))
@@ -428,14 +429,17 @@ def check_assumptions(model, g_net):
             f"model has {model.node_count} output blocks but the graph has "
             f"{g_net.node_count} nodes"
         )
-    norm_A = np.linalg.norm(model.A, 2)
-    if norm_A > NORM_WARN:
-        logger.warning(
-            "norm(A) = %.3e; powers up to A**%d make the observability "
-            "matrices badly conditioned and the rank decisions unreliable",
-            norm_A,
-            model.n - 1,
-        )
+    # norm(A, 2) <= norm(A, "fro"): the SVD only runs when the Frobenius
+    # norm, which needs none, is within rounding of the bound or above it
+    if np.linalg.norm(model.A) > (1.0 - 1e-12) * NORM_WARN:
+        norm_A = np.linalg.norm(model.A, 2)
+        if norm_A > NORM_WARN:
+            logger.warning(
+                "norm(A) = %.3e; powers up to A**%d make the observability "
+                "matrices badly conditioned and the rank decisions unreliable",
+                norm_A,
+                model.n - 1,
+            )
     decomps = decompose_nodes(model.outputs, model.A)
     return AssumptionCheck(
         decomps=decomps,

@@ -106,23 +106,37 @@ def build_global_error_matrix(model, balanced, design):
     from the graph, which is what makes the result depend on the graph
     only through the product R L.
     """
+    return _error_matrix(model, balanced, design, check_weightings=False)
+
+
+def _error_matrix(model, balanced, design, check_weightings):
+    """`build_global_error_matrix`, which with ``check_weightings`` also
+    raises `DimensionError` for an M_i that is not symmetric positive
+    definite: the symmetry test takes the whole stack of M_i at once, and
+    definiteness is tested on the group blocks of the M_i that are
+    inverted."""
     _check_compatible(model, design)
     if balanced.laplacian.shape[0] != design.node_count:
         raise DimensionError("graph size does not match the design")
-    Lambda_blocks = np.stack([model.A - nd.L @ H for nd, H in zip(design.nodes, model.outputs)])
-    Ms = np.stack([node.M for node in design.nodes])
+    Lambda_blocks = np.array([model.A - nd.L @ H for nd, H in zip(design.nodes, model.outputs)])
+    Ms = np.array([node.M for node in design.nodes])
     groups = numerics.coordinate_groups(Lambda_blocks, Ms)
+    M_blocks = [numerics.restrict(Ms, idx) for idx in groups]
+    if check_weightings:
+        smallest = np.min([np.linalg.eigvalsh(M_g)[..., 0].min(axis=1) for M_g in M_blocks], axis=0)
+        rejected = ~numerics.is_symmetric(Ms) | (smallest <= 0)
+        if rejected.any():
+            raise DimensionError(
+                f"node {int(np.argmax(rejected))}: M is not symmetric positive definite"
+            )
     P = np.zeros_like(Ms)
-    for idx in groups:
-        P_g = np.linalg.inv(numerics.restrict(Ms, idx))
+    for idx, M_g in zip(groups, M_blocks):
+        P_g = np.linalg.inv(M_g)
         P[:, idx[:, :, None], idx[:, None, :]] = 0.5 * (P_g + np.swapaxes(P_g, -1, -2))
     RL = balanced.R @ balanced.laplacian
     E_blocks = tuple(
-        numerics.coupled_blocks(
-            numerics.restrict(Lambda_blocks, idx), RL, numerics.restrict(Ms, idx),
-            design.gamma,
-        )
-        for idx in groups
+        numerics.coupled_blocks(numerics.restrict(Lambda_blocks, idx), RL, M_g, design.gamma)
+        for idx, M_g in zip(groups, M_blocks)
     )
     return GlobalErrorSystem(E_blocks, tuple(groups), Lambda_blocks, P)
 
@@ -134,18 +148,15 @@ def error_system(model, g_net, design):
     design whose r is not the graph's balancing (rtol 1e-9), whose gains
     do not fit the model or whose M_i is not symmetric positive definite,
     so `verify_design` and `sim.integrate` reject the same designs. The
-    symmetry test takes the whole stack of M_i at once, and definiteness
-    is tested one coordinate group of the M_i at a time.
+    definiteness test reads the coordinate groups that the error system
+    is built on.
     """
     balanced = balance(g_net)
-    if design.r.shape != balanced.r.shape or not np.allclose(design.r, balanced.r, 1e-9, 0):
+    if design.r.shape != balanced.r.shape or not (
+        np.abs(design.r - balanced.r) <= 1e-9 * np.abs(balanced.r)
+    ).all():
         raise DimensionError(f"design r = {design.r} does not balance the graph")
-    _check_compatible(model, design)
-    Ms = np.stack([node.M for node in design.nodes])
-    rejected = ~numerics.is_symmetric(Ms) | (numerics._smallest_eigenvalues(Ms) <= 0)
-    if rejected.any():
-        raise DimensionError(f"node {int(np.argmax(rejected))}: M is not symmetric positive definite")
-    return balanced, build_global_error_matrix(model, balanced, design)
+    return balanced, _error_matrix(model, balanced, design, check_weightings=True)
 
 
 class AbscissaCertificate(NamedTuple):
@@ -263,7 +274,7 @@ def verify_design(model, g_net, design, alpha=None):
     note = ""
     if spect.passed and not lyap.passed:
         note = f"stable but uncertified at rate {alpha:g}"
-    conds = np.linalg.cond(np.stack([node.M for node in design.nodes]))
+    conds = np.linalg.cond(np.array([node.M for node in design.nodes]))
     return VerificationReport(
         abscissa=spect.abscissa,
         alpha=float(alpha),

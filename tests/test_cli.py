@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +369,29 @@ class TestSynthesize:
         restored = load_design(second)
         for a, b in zip(restored.nodes, design.nodes):
             assert np.array_equal(a.L, b.L) and np.array_equal(a.M, b.M)
+
+
+    @pytest.mark.parametrize("command", ["synthesize", "verify", "simulate"])
+    def test_huge_edge_weights_name_the_overflow(self, config_path, design_path, tmp_path,
+                                                 capsys, command):
+        # both arc weights 1e308 pass check, but the mirror Laplacian
+        # overflows: each command that balances the graph exits 4 naming
+        # that, where numpy once printed RuntimeWarnings and the message
+        # blamed a zero eigenvalue that is not simple
+        huge = [{"from": 0, "to": 1, "weight": 1e308}, {"from": 1, "to": 0, "weight": 1e308}]
+        cfg = write_config(tmp_path / "huge.json", edges=huge)
+        assert main(["check", str(cfg)]) == 0
+        args = {
+            "synthesize": [str(cfg), "-o", str(tmp_path / "out.json")],
+            "verify": [str(cfg), str(design_path)],
+            "simulate": [str(cfg), str(design_path), "-o", str(tmp_path / "t.csv")],
+        }[command]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, *args]) == 4
+        err = capsys.readouterr().err
+        assert "edge weights too large for the mirror Laplacian" in err and "nan" not in err
 
 
 class TestVerify:
@@ -745,6 +769,16 @@ class TestDesignR:
     def test_short_r_is_an_input_error(self, config_path, design_path, tmp_path, capsys):
         tampered = with_r(design_path, tmp_path, [1.0])
         assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
+
+    @pytest.mark.parametrize("rel, codes", [(1e-12, [0, 0]), (1e-8, [3, 3])], ids=["1e-12", "1e-8"])
+    def test_r_agrees_with_the_graph_to_1e_9(self, config_path, design_path, tmp_path, capsys,
+                                             rel, codes):
+        # the README graph balances to r = [1, 1]; a design's r may differ
+        # from it by 1e-9 relative, no more
+        tampered = with_r(design_path, tmp_path, [1.0 + rel, 1.0 - rel])
+        assert verify_and_simulate(config_path, tampered, tmp_path) == codes
+        if codes[0]:
+            assert "does not balance the graph" in capsys.readouterr().err
 
 
 class TestArguments:

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import random_sc_digraph, random_undirected_graph
-from observer_kit.errors import AssumptionViolationError, ConfigError, DimensionError
+from observer_kit.errors import (
+    AssumptionViolationError,
+    ConfigError,
+    DimensionError,
+    NumericalFailureError,
+)
 from observer_kit.graph import Digraph, balance, is_strongly_connected, laplacian
 
 
@@ -197,3 +202,20 @@ class TestBalance:
         with caplog.at_level(logging.WARNING, logger="observer_kit.graph"):
             balance(g)
         assert any("close to losing strong connectivity" in m for m in caplog.messages)
+
+    @pytest.mark.parametrize(
+        "node_count, edges",
+        [(2, [(0, 1, 1e308), (1, 0, 1e308)]),
+         (2, [(0, 1, 5e153), (1, 0, 5e153)]),
+         (3, [(0, 2, 1e308), (1, 2, 1e308), (2, 0, 1.0), (2, 1, 1.0)])],
+        ids=["norm-of-L", "norm-of-mirror", "row-sum-of-L"],
+    )
+    def test_huge_finite_weights_name_the_overflow(self, node_count, edges):
+        # these once overflowed with RuntimeWarnings into a mirror of inf
+        # and a spectrum of nan, reported as a zero eigenvalue that is not
+        # simple; at 5e153 only the mirror's norm overflows, and at the
+        # third graph the row sum of node 2's two in-edges
+        g = Digraph.from_edges(node_count, edges)
+        assert is_strongly_connected(g)
+        with pytest.raises(NumericalFailureError, match="edge weights too large for the mirror"):
+            balance(g)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from observer_kit.errors import (
     DimensionError,
@@ -215,6 +216,17 @@ class TestSolveLyapunov:
         assert np.linalg.norm(P - expected) <= 1e-8 * np.linalg.norm(expected)
         assert np.linalg.eigvalsh(P)[0] > 0
 
+    def test_residual_above_its_bound_is_rejected(self, monkeypatch):
+        # every solve of the sign steps comes back off by 1e-6 I, so the
+        # refined P is too, and its residual -2e-6 I, of Frobenius norm
+        # 2.8e-6, exceeds 1e-8 * max(1, ||Q||)
+        real_solve = numerics._sign_solve
+        monkeypatch.setattr(
+            numerics, "_sign_solve", lambda steps, C: real_solve(steps, C) + 1e-6 * np.eye(2)
+        )
+        with pytest.raises(NumericalFailureError, match="Lyapunov residual 2.828e-06 exceeds"):
+            solve_lyapunov(-np.eye(2), np.eye(2))
+
     def test_scaling_keeps_wide_spectra_to_few_steps(self, monkeypatch):
         # eigenvalues over six decades: unscaled Newton needs 25 steps here,
         # the determinant-scaled iteration 8
@@ -391,6 +403,32 @@ class TestRowSpaceBasis:
             assert np.array_equal(V[j], V_j[0]) and r[j] == r_j[0] and thresh[j] == thresh_j[0]
 
 
+    @pytest.mark.parametrize("m", [3, 6], ids=["wide", "tall"])
+    def test_all_seen_stack_is_the_plain_svd(self, m):
+        # every matrix sees every coordinate: V is the right singular basis
+        # of each matrix itself, bit for bit, as one matrix at a time
+        M = np.random.default_rng(11).normal(size=(4, m, 5))
+        V, r, thresh = orthonormal_row_space_basis(M)
+        for M_j, V_j, r_j, thresh_j in zip(M, V, r, thresh):
+            _, s, Vt = np.linalg.svd(M_j, full_matrices=m < 5)
+            expected = s[0] * max(m, 5) * numerics.RANK_RTOL
+            assert np.array_equal(V_j, Vt.T) and thresh_j == expected
+            assert r_j == np.sum(s > expected)
+
+    def test_mixed_stack_puts_unseen_coordinates_last(self):
+        # next to a matrix that sees everything, one that never sees
+        # coordinates 1 and 3 gets e_1 and e_3 as its last two columns
+        rng = np.random.default_rng(12)
+        M = rng.normal(size=(2, 3, 5))
+        M[1, :, [1, 3]] = 0.0
+        V, r, _ = orthonormal_row_space_basis(M)
+        assert r.tolist() == [3, 3]
+        assert np.array_equal(V[1][:, 3:], np.eye(5)[:, [1, 3]])
+        assert not V[1][[1, 3], :3].any()
+        _, _, Vt = np.linalg.svd(M[0], full_matrices=True)
+        assert np.array_equal(V[0], Vt.T)
+
+
 class TestStacks:
     def test_eigenvalues_of_a_stack(self):
         rng = np.random.default_rng(9)
@@ -445,9 +483,83 @@ class TestCoordinateGroups:
         assert len(members) == len(set(labels.tolist()))
 
 
+    @staticmethod
+    def oracle(n, *stacks):
+        """The groups as connected components of the undirected link graph,
+        by scipy: one (k, m) array per size m ascending, rows by their first
+        coordinate."""
+        links = np.zeros((n, n), dtype=bool)
+        for stack in stacks:
+            links |= (stack != 0).any(axis=0)
+        _, labels = connected_components(links, directed=False)
+        groups = sorted((np.flatnonzero(labels == c) for c in np.unique(labels)),
+                        key=lambda g: (len(g), g[0]))
+        sizes = sorted({len(g) for g in groups})
+        return [np.array([g for g in groups if len(g) == m]) for m in sizes]
+
+    @staticmethod
+    def assert_matches_oracle(n, *stacks):
+        groups = coordinate_groups(*stacks)
+        expected = TestCoordinateGroups.oracle(n, *stacks)
+        assert [g.shape for g in groups] == [g.shape for g in expected]
+        assert all(np.array_equal(g, e) for g, e in zip(groups, expected))
+        sizes = [g.shape[1] for g in groups]
+        assert sizes == sorted(set(sizes))
+        assert all((np.diff(row) > 0).all() for g in groups for row in g)
+        return groups
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_stacks_are_one_group(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        stacks = [rng.normal(size=(int(rng.integers(1, 4)), n, n)) for _ in range(2)]
+        groups = self.assert_matches_oracle(n, *stacks)
+        assert len(groups) == 1 and np.array_equal(groups[0], [np.arange(n)])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_permuted_blocks_linked_by_chains(self, seed):
+        # random blocks of a random permutation, each held together by a
+        # chain of single links spread over two stacks of different sizes
+        # and both sides of the diagonal, plus random entries inside blocks
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+        blocks = np.split(rng.permutation(n), cuts)
+        stacks = [np.zeros((int(rng.integers(1, 4)), n, n)) for _ in range(2)]
+        for block in blocks:
+            for j, k in zip(block[:-1], block[1:]):
+                stack = stacks[int(rng.integers(2))]
+                pair = (j, k) if rng.integers(2) else (k, j)
+                stack[(int(rng.integers(len(stack))), *pair)] = rng.normal()
+            stack = stacks[int(rng.integers(2))]
+            inside = np.ix_(range(len(stack)), block, block)
+            stack[inside] += rng.normal(size=stack[inside].shape) * (rng.random(stack[inside].shape) < 0.2)
+        groups = self.assert_matches_oracle(n, *stacks)
+        assert sum(g.shape[0] for g in groups) == len(blocks)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_diagonal_stacks_are_single_coordinates(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        stacks = [np.stack([np.diag(d) for d in rng.normal(size=(k, n)) * (rng.random((k, n)) < 0.5)])
+                  for k in (1, 3)]
+        groups = self.assert_matches_oracle(n, *stacks)
+        assert len(groups) == 1 and np.array_equal(groups[0], np.arange(n)[:, None])
+
+
 def test_is_symmetric_tolerance():
     assert is_symmetric(np.eye(3))
     assert not is_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_is_symmetric_at_its_relative_tolerance(scale):
+    # relative asymmetry ||M - M.T||_F / ||M||_F against SYMMETRY_RTOL =
+    # 1e-10, at any scale whose squares stay in range; here it is
+    # sqrt(2) * eps to first order
+    for eps, symmetric in ((0.6e-10, True), (0.8e-10, False)):
+        M = scale * np.array([[1.0, 1.0 + eps], [1.0 - eps, 1.0]])
+        assert bool(is_symmetric(M)) is symmetric
 
 
 def test_is_symmetric_gives_one_verdict_per_matrix_of_a_stack():

@@ -599,13 +599,14 @@ class TestSynthesize:
         rng = np.random.default_rng(5)
         model = rotated_partial_model(rng, n, owned)
         g_net = graph_for(rng, len(owned))
-        original, stacks = numerics.solve_lyapunov, []
+        # every solve, public or not, runs numerics._solve_lyapunov
+        original, stacks = numerics._solve_lyapunov, []
 
         def counting(F, Q, *args, **kwargs):
             stacks.append((F, Q))
             return original(F, Q, *args, **kwargs)
 
-        monkeypatch.setattr(numerics, "solve_lyapunov", counting)
+        monkeypatch.setattr(numerics, "_solve_lyapunov", counting)
         synthesize(model, g_net, SynthesisParams(alpha=1.0))
         assert all(F.ndim == 3 for F, _ in stacks)
         assert sorted(F.shape[-1] for F, _ in stacks) == sorted({len(i) for i in owned if i})
@@ -765,6 +766,19 @@ class TestCheckAssumptions:
             check_assumptions(model, UNIT_2CYCLE)
         assert len(caplog.records) == 1
         assert "badly conditioned" in caplog.messages[0]
+
+    @pytest.mark.parametrize(
+        "A, warns",
+        [(900.0 * np.eye(4), False), (np.diag([1000.001, 0.0, 0.0, 0.0]), True)],
+        ids=["2-norm-900-frobenius-1800", "rank-one-just-above"],
+    )
+    def test_norm_warning_reads_the_2_norm(self, caplog, A, warns):
+        # norm(A, 2) decides the warning; norm(A, "fro"), its upper bound,
+        # only decides whether the SVD for it is taken
+        model = SystemModel(A=A, outputs=(np.eye(4)[:2], np.eye(4)[2:]))
+        with caplog.at_level(logging.WARNING, logger="observer_kit"):
+            check_assumptions(model, UNIT_2CYCLE)
+        assert ["badly conditioned" in m for m in caplog.messages] == ([True] if warns else [])
 
 
 class TestSynthesisParams:

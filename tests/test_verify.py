@@ -299,14 +299,15 @@ class TestVerifyDesign:
         model = random_model(rng, 3, 3)
         g_net = random_sc_digraph(rng, 3)
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        # every build, checked or not, runs verify._error_matrix
         calls = []
-        real = verify.build_global_error_matrix
+        real = verify._error_matrix
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "build_global_error_matrix", spy)
+        monkeypatch.setattr(verify, "_error_matrix", spy)
         verify_design(model, g_net, design)
         assert len(calls) == 1
 
