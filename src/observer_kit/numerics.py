@@ -2,8 +2,10 @@
 
 Thin, defensive wrappers around numpy dense routines: eigenvalues,
 SVD-based rank and subspace bases, symmetry and definiteness tests, and
-a small-scale Lyapunov solver (a scaled Newton iteration for the matrix
-sign function). Everything here is a pure function sized for desk-scale
+a small-scale Lyapunov solver (one LU solve of the Kronecker system for
+equations of size up to 6, where that is the cheaper method, and a
+scaled Newton iteration for the matrix sign function above it).
+Everything here is a pure function sized for desk-scale
 problems (a few dozen states), where exactness and clear failure modes
 matter more than asymptotic speed. The symmetry, eigenvalue,
 definiteness and Lyapunov routines take a square matrix or a (k, m, m)
@@ -18,10 +20,14 @@ the spectrum of P that its definiteness check takes; `coordinate_groups`
 reads the nonzero patterns of all its stacks in one pass and returns a
 fully linked pattern as one group without any closure;
 `orthonormal_row_space_basis` takes a stack whose every column is seen
-as it is; `rank` takes singular values only; and norms that are only
-compared are compared squared, one einsum each. Stacks of equal-shape
-arrays are built with np.array, one C call, where np.stack makes a
-Python-level call per array.
+as it is; `rank` takes singular values only; the small Lyapunov
+equations take a direct solve, a few numpy calls, where the sign
+iteration takes 2-5 steps of several calls each; and norms that are
+only compared are compared squared, one einsum each, unless a square
+overflows (entries above about 1e154), where `_is_symmetric` and the
+solver's half-plane tolerance scale by the largest entry. Stacks of
+equal-shape arrays are built with np.array, one C call, where np.stack
+makes a Python-level call per array.
 
 Only numpy is used. Importing scipy.linalg would take about 0.3 s, about
 half the start-up of a command-line call.
@@ -68,14 +74,36 @@ def is_symmetric(M):
 
 def _is_symmetric(M):
     """`is_symmetric` of a validated square matrix or stack, on squared
-    norms."""
-    asymmetry = _frobenius_squared(M - M.swapaxes(-1, -2))
-    return asymmetry <= SYMMETRY_RTOL**2 * _frobenius_squared(M)
+    norms. Where a squared norm overflows (entries above about 1e154),
+    every matrix is compared scaled by its largest entry."""
+    size = _frobenius_squared(M)
+    if np.isinf(size).any():
+        M = _unit_scaled(M)[1]
+        size = _frobenius_squared(M)
+    return _frobenius_squared(M - M.swapaxes(-1, -2)) <= SYMMETRY_RTOL**2 * size
 
 
 def _frobenius_squared(M):
     """Squared Frobenius norm of a matrix, or of each matrix of a stack."""
     return np.einsum("...ij,...ij->...", M, M)
+
+
+def _unit_scaled(M):
+    """(peak, M / peak) with peak the largest |entry| of the matrix, or of
+    each matrix of a stack; a zero matrix keeps its zeros."""
+    peak = np.abs(M).max(axis=(-2, -1), keepdims=True)
+    return peak, M / np.where(peak > 0.0, peak, 1.0)
+
+
+def _frobenius_norm(M):
+    """Frobenius norm of a matrix, or of each matrix of a stack, without
+    overflow: where a square overflows (entries above about 1e154),
+    max|M| times the norm of M / max|M|."""
+    squared = _frobenius_squared(M)
+    if np.isinf(squared).any():
+        peak, unit = _unit_scaled(M)
+        return peak[..., 0, 0] * np.sqrt(_frobenius_squared(unit))
+    return np.sqrt(squared)
 
 
 def _as_squares(M, name="matrix"):
@@ -167,9 +195,32 @@ def is_negative_definite(M):
     return Definiteness(margin < 0.0, margin)
 
 
-# Cap on Newton steps for the matrix sign function. With determinant
-# scaling it converges in at most 5 steps on every block of the benchmark
-# battery and ladder; the cap only stops a runaway loop.
+def _is_positive_definite(M):
+    """True when every matrix of a symmetric (..., m, m) stack has a
+    Cholesky factor, the cheapest test of definiteness. numpy factors inf
+    and nan entries without complaint, so a stack with one is False."""
+    if not np.isfinite(M).all():
+        return False
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+# Largest size m of a Lyapunov equation solved directly, as its
+# m^2 x m^2 Kronecker system. That system costs m^4 memory and m^6 work
+# against the sign iteration's few m^3 steps. Timed on stacks of 1, 3 and
+# 10 Bass equations (2-core VM, one BLAS thread), the direct solve was the
+# faster one at every m <= 6, by 1.4-9x; at m = 7 and 8 it still won on
+# stacks of 1 and 3 but lost by 1.4-2.7x on stacks of 10.
+_DIRECT_MAX = 6
+
+# Cap on Newton steps for the matrix sign function. The iteration runs
+# only on equations larger than _DIRECT_MAX, which no observable block of
+# the benchmark battery (m <= 6) or ladder (m <= 5) is; with determinant
+# scaling it takes 8 steps on the tests' spectra over six decades.
+# The cap only stops a runaway loop.
 _SIGN_MAX_STEPS = 50
 
 # Relative change (Frobenius norm) of the sign iterate below which it has
@@ -220,16 +271,36 @@ def _sign_solve(steps, C):
     return 0.25 * (C + C.swapaxes(-1, -2))
 
 
+def _kronecker_solve(F, Q):
+    """Solutions P of F.T P + P F = -Q for a (k, m, m) stack F and a
+    symmetric stack Q, from the m^2 x m^2 Kronecker systems
+    (I x F.T + F.T x I) vec P = -vec Q, one stacked LU solve."""
+    k, m = F.shape[:2]
+    Ft = F.swapaxes(-1, -2)
+    eye = np.eye(m)
+    # entry (a, i), (b, j) of the system: delta_ab F.T[i, j] + F.T[a, b] delta_ij
+    K = eye[None, :, None, :, None] * Ft[:, None, :, None, :]
+    K = K + Ft[:, :, None, :, None] * eye[None, None, :, None, :]
+    # row a m + i of vec Q is Q[i, a], which is Q[a, i] for symmetric Q
+    X = np.linalg.solve(K.reshape(k, m * m, m * m), -Q.reshape(k, m * m, 1))
+    X = X.reshape(k, m, m)
+    return 0.5 * (X + X.swapaxes(-1, -2))
+
+
 def solve_lyapunov(F, Q):
     """Solve F.T @ P + P @ F = -Q for symmetric P, or each equation of a
     stack of them.
 
-    Method: the Newton iteration for the matrix sign function of
-    G = +-F, whichever sign makes G Hurwitz (Roberts, Int. J. Control
-    32(4), 1980), with determinant scaling (Byers, Linear Algebra Appl.
-    85, 1987). The same steps then solve the equation again for the
-    residual, one step of iterative refinement. A stack runs one
-    iteration for all its equations; every check below still applies to
+    Method, by the size m of the equations: up to ``_DIRECT_MAX``, one
+    LU solve of the m^2 x m^2 Kronecker system
+    (I x F.T + F.T x I) vec P = -vec Q, where a handful of numpy calls
+    cost less than any iteration. Above it, the Newton iteration for the
+    matrix sign function of G = +-F, whichever sign makes G Hurwitz
+    (Roberts, Int. J. Control 32(4), 1980), with determinant scaling
+    (Byers, Linear Algebra Appl. 85, 1987); the same steps then solve
+    the equation again for the residual, one step of iterative
+    refinement. A stack takes one stacked solve, or runs one iteration,
+    for all its equations; every check below applies on both paths, to
     each equation on its own.
 
     Parameters
@@ -272,7 +343,7 @@ def _solve_lyapunov(F, Q):
     # 2 Re(lam) is the sum of lam and its conjugate; max(1, norm) so that
     # F = 0 is rejected too
     lam = _eigenvalues(F)
-    tol = 1e-9 * np.maximum(1.0, np.linalg.norm(F, axis=(-2, -1)))[:, None]
+    tol = 1e-9 * np.maximum(1.0, _frobenius_norm(F))[:, None]
     hurwitz = (2.0 * lam.real < -tol).all(axis=-1)
     if not (hurwitz | (2.0 * lam.real > tol).all(axis=-1)).all():
         raise SingularEquationError(
@@ -284,11 +355,14 @@ def _solve_lyapunov(F, Q):
     # G = sign*F is Hurwitz and G.T P + P G = -sign*Q
     sign = np.where(hurwitz, 1.0, -1.0)[:, None, None]
     try:
-        steps = _sign_steps(sign * F, sign[:, 0] * lam)
-        P = _sign_solve(steps, sign * Q)
-        # one step of iterative refinement; cheap at this scale and shaves
-        # an order of magnitude off the residual of hard problems
-        P = P + _sign_solve(steps, sign * (F.swapaxes(-1, -2) @ P + P @ F + Q))
+        if shape[-1] <= _DIRECT_MAX:
+            P = _kronecker_solve(F, Q)
+        else:
+            steps = _sign_steps(sign * F, sign[:, 0] * lam)
+            P = _sign_solve(steps, sign * Q)
+            # one step of iterative refinement; cheap at this scale and
+            # shaves an order of magnitude off the residual of hard problems
+            P = P + _sign_solve(steps, sign * (F.swapaxes(-1, -2) @ P + P @ F + Q))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"Lyapunov solve failed: {exc}") from exc
 
@@ -385,22 +459,6 @@ def coordinate_groups(*stacks):
     members = reach[reach.argmax(axis=1) == np.arange(n)]
     sizes = members.sum(axis=1)
     return [np.nonzero(members[sizes == m])[1].reshape(-1, m) for m in sorted(set(sizes.tolist()))]
-
-
-def _smallest_eigenvalues(stack):
-    """Smallest eigenvalue of each matrix of a symmetric (N, n, n) stack.
-
-    Every matrix is block diagonal in the stack's `coordinate_groups`, so
-    its spectrum is the union of its blocks'; each group size takes one
-    stacked eigvalsh of N k blocks of size m, not N of size n.
-    """
-    return np.min(
-        [
-            np.linalg.eigvalsh(restrict(stack, idx))[..., 0].min(axis=1)
-            for idx in coordinate_groups(stack)
-        ],
-        axis=0,
-    )
 
 
 def _reachability(links):

@@ -16,11 +16,17 @@ gamma, so the smallest certifying q and gamma are generalized eigenvalue
 problems (Boyd, El Ghaoui, Feron and Balakrishnan, "Linear Matrix
 Inequalities in System and Control Theory", SIAM 1994, section 2.2.3),
 each split along the coordinate groups of the plant. The design takes
-q = 2 max(q*, alpha) and gamma = 1.1 max(gamma*, alpha); the floors at
-alpha keep the rule covariant under a scaling of time. The decay rate
+q = 2 max(q*, alpha) and gamma = 1.1 max(gamma*, alpha). The decay rate
 alpha is the one input of the design; the factors 2 and 1.1 are fixed. The
 design is returned only when the global certificate, computed from its
-L_i and M_i exactly as `verify` computes it, is negative definite.
+L_i and M_i exactly as `verify` computes it, is negative definite, which
+a Cholesky factorization of its negative confirms without eigenvalues.
+
+The rule commutes with a relabeling of the nodes and with an orthogonal
+change of state coordinates. It is not covariant under a change of time
+unit (A -> sA, alpha -> s alpha): the constant 1 in the shift beta of step
+2 does not scale, and gamma and the abscissa have been measured to miss
+s times their values by up to 71 % (s = 0.1).
 
 The epsilon of the paper's constructive bound sizes nothing here; it is
 computed as the numerical check of the standing assumptions and reported.
@@ -235,7 +241,15 @@ def place_observer_poles(A_io, H_io, alpha):
     if v == 0:
         L_io, P_io = np.zeros((k, 0, H_io.shape[1])), np.zeros((k, 0, 0))
     else:
-        beta = 1.0 + np.linalg.norm(A_io, axis=(-2, -1)) + alpha
+        norms = np.linalg.norm(A_io, axis=(-2, -1))
+        # the largest shift alpha + beta, in the order of operations below,
+        # on Python floats, which overflow to inf without a warning
+        if alpha + (1.0 + float(norms.max()) + alpha) == math.inf:
+            raise NumericalFailureError(
+                f"the pole-placement shift alpha + beta = 2 alpha + 1 + ||A_io||_F "
+                f"overflows at alpha = {alpha:.6g}"
+            )
+        beta = 1.0 + norms + alpha
         F = A_io + (alpha + beta)[:, None, None] * np.eye(v)
         X, w = numerics._solve_lyapunov(F, -2.0 * (H_io.swapaxes(-1, -2) @ H_io))
         singular = w[:, 0] <= 1e-10 * w[:, -1]
@@ -371,7 +385,8 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
     verified as the inverse of P_io: T_i is orthogonal, so that residual
     is the one of M_i against T_i @ diag(P_io, I) @ T_i.T, whose
     Frobenius norm squared is ||P_io||_F^2 + n - v. Each M_i is verified
-    positive definite, one coordinate group of the M_i at a time.
+    positive definite by one Cholesky factorization of the (N, n, n)
+    stack; only when it fails are the eigenvalues taken, to name the node.
     """
     T = np.array([d.T for d in decomps])
     n = T.shape[-1]
@@ -391,10 +406,12 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
             )
     M = T @ local @ T.swapaxes(-1, -2)
     M = 0.5 * (M + M.swapaxes(-1, -2))
-    indefinite = numerics._smallest_eigenvalues(M) <= 0
-    if indefinite.any():
+    if not numerics._is_positive_definite(M):
+        # the first node with a non-positive eigenvalue, else the least one
+        smallest = np.linalg.eigvalsh(M)[:, 0]
+        node = int(np.argmax(smallest <= max(smallest.min(), 0.0)))
         raise NumericalFailureError(
-            f"node {int(np.argmax(indefinite))}: consensus weighting M is not positive definite"
+            f"node {node}: consensus weighting M is not positive definite"
         )
     nodes = tuple(
         NodeGains(L=d.T1 @ L_io, M=M_i) for d, L_io, M_i in zip(decomps, L_blocks, M)
@@ -454,7 +471,8 @@ def synthesize(model, g_net, params):
     Checks the standing assumptions (strongly connected graph, jointly
     observable system) with `check_assumptions`, runs the construction
     steps of the module docstring and returns the assembled design only when
-    `verify`'s Lyapunov certificate Z(gamma) < 0 holds on it.
+    `verify`'s Lyapunov certificate Z(gamma) < 0 holds on it: a Cholesky
+    factorization of -Z, on the blocks of `verify.certificate_blocks`.
 
     Parameters
     ----------
@@ -493,13 +511,13 @@ def synthesize(model, g_net, params):
         decomps, L_blocks, [q * P for P in P_blocks], gamma, epsilon, balanced.r, alpha
     )
 
-    cert = verify.lyapunov_certificate(
-        verify.build_global_error_matrix(model, balanced, design),
-        balanced.mirror, gamma, alpha,
-    )
-    logger.debug("certificate margin %s", cert.margin)
-    if not cert.passed:
+    # verify reads the eigenvalues of (Z + Z.T)/2; Z < 0 exactly when that
+    # matrix times -2 has a Cholesky factor
+    err_sys = verify.build_global_error_matrix(model, balanced, design)
+    blocks = verify.certificate_blocks(err_sys, balanced.mirror, gamma, alpha)
+    if not all(numerics._is_positive_definite(-(Z + Z.swapaxes(-1, -2))) for Z in blocks):
+        margin = verify.lyapunov_certificate(err_sys, balanced.mirror, gamma, alpha).margin
         raise NumericalFailureError(
-            f"assembled design fails its certificate (margin {cert.margin:.3e})"
+            f"assembled design fails its certificate (margin {margin:.3e})"
         )
     return design

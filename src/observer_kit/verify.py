@@ -13,7 +13,8 @@ false, abscissa pass); the reverse disagreement would mean one of the
 two computations is wrong and is treated as a hard error.
 `error_system` reads and builds the error matrix for both
 `verify_design` and `sim`; `synth.synthesize` returns a design only when
-the same Lyapunov certificate holds on it.
+the same Lyapunov certificate holds on it, which it proves by a Cholesky
+factorization of the same blocks, without forming the blocks of E.
 
 Neither certificate forms a dense nN x nN matrix. The graph couples each
 plant coordinate only to the same coordinate of the other nodes, so the
@@ -29,6 +30,7 @@ group.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -62,14 +64,29 @@ class GlobalErrorSystem:
     the symmetrized P_i = inv(M_i), the blocks of the certificate's
     quadratic form. M_i is block diagonal in the groups, so P_i is too:
     it is inverted one group at a time, one stacked call per group size,
+    from the group blocks M_blocks[c] of the M_i, an (N, k, m, m) array,
     and scattered into P_blocks. Building the system costs
-    O(sum_g (N |g|)^2) plus N sum_g |g|^3 for the inversions.
+    N sum_g |g|^3 for the inversions. E_blocks is formed from
+    Lambda_blocks, M_blocks, the balanced Laplacian RL = R L and gamma
+    when it is first read, at O(sum_g (N |g|)^2); the Lyapunov
+    certificate never reads it.
     """
 
-    E_blocks: tuple
     groups: tuple
     Lambda_blocks: np.ndarray
     P_blocks: np.ndarray
+    M_blocks: tuple
+    RL: np.ndarray
+    gamma: float
+
+    @cached_property
+    def E_blocks(self):
+        return tuple(
+            numerics.coupled_blocks(
+                numerics.restrict(self.Lambda_blocks, idx), self.RL, M_g, self.gamma
+            )
+            for idx, M_g in zip(self.groups, self.M_blocks)
+        )
 
     def group_rows(self):
         """One (k, Nm) array per entry of groups: the rows of E that each
@@ -101,8 +118,9 @@ def build_global_error_matrix(model, balanced, design):
 
     Block (i, j) of E is delta_ij (A - L_i H_i) - gamma (R L)_ij M_i,
     formed directly from the blocks instead of multiplying blockdiag(M_i)
-    by kron(R L, I_n), and only inside each coordinate group of Lambda_i
-    and M_i. The coupling term uses the balancing weights recomputed
+    by kron(R L, I_n), only inside each coordinate group of Lambda_i and
+    M_i, and only when `GlobalErrorSystem.E_blocks` is first read. The
+    coupling term uses the balancing weights recomputed
     from the graph, which is what makes the result depend on the graph
     only through the product R L.
     """
@@ -134,11 +152,7 @@ def _error_matrix(model, balanced, design, check_weightings):
         P_g = np.linalg.inv(M_g)
         P[:, idx[:, :, None], idx[:, None, :]] = 0.5 * (P_g + np.swapaxes(P_g, -1, -2))
     RL = balanced.R @ balanced.laplacian
-    E_blocks = tuple(
-        numerics.coupled_blocks(numerics.restrict(Lambda_blocks, idx), RL, M_g, design.gamma)
-        for idx, M_g in zip(groups, M_blocks)
-    )
-    return GlobalErrorSystem(E_blocks, tuple(groups), Lambda_blocks, P)
+    return GlobalErrorSystem(tuple(groups), Lambda_blocks, P, tuple(M_blocks), RL, design.gamma)
 
 
 def error_system(model, g_net, design):

@@ -393,6 +393,30 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert "edge weights too large for the mirror Laplacian" in err and "nan" not in err
 
+    def test_huge_alpha_certifies_without_warnings(self, config_path, tmp_path, capsys):
+        # at alpha = 1e160 the squared norm of F overflowed, and synthesize
+        # printed a RuntimeWarning and exited 4 blaming F's spectrum; the
+        # squared norms of E overflowed too, and verify read E as symmetric
+        out = tmp_path / "huge-alpha.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synthesize", str(config_path), "--alpha", "1e160", "-o", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["verify", str(config_path), str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is True and report["lyapunov_pass"] is True
+        assert report["abscissa"] <= -1e160
+
+    def test_overflowing_shift_is_named(self, config_path, tmp_path, capsys):
+        # alpha + beta = 2 alpha + 1 + ||A_io||_F passes the largest float
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synthesize", str(config_path), "--alpha", "1e308", "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "pole-placement shift alpha + beta" in err and "overflows at alpha = 1e+308" in err
+        assert "non-finite" not in err and not out.exists()
+
 
 class TestVerify:
     def test_fresh_design_passes(self, config_path, design_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
 from observer_kit.errors import (
@@ -217,19 +218,21 @@ class TestSolveLyapunov:
         assert np.linalg.eigvalsh(P)[0] > 0
 
     def test_residual_above_its_bound_is_rejected(self, monkeypatch):
-        # every solve of the sign steps comes back off by 1e-6 I, so the
-        # refined P is too, and its residual -2e-6 I, of Frobenius norm
-        # 2.8e-6, exceeds 1e-8 * max(1, ||Q||)
+        # above the direct cutoff: every solve of the sign steps comes back
+        # off by 1e-6 I, so the refined P is too, and its residual -2e-6 I,
+        # of Frobenius norm 2e-6 sqrt(7) = 5.3e-6, exceeds 1e-8 * max(1, ||Q||)
+        m = numerics._DIRECT_MAX + 1
+        assert m == 7
         real_solve = numerics._sign_solve
         monkeypatch.setattr(
-            numerics, "_sign_solve", lambda steps, C: real_solve(steps, C) + 1e-6 * np.eye(2)
+            numerics, "_sign_solve", lambda steps, C: real_solve(steps, C) + 1e-6 * np.eye(m)
         )
-        with pytest.raises(NumericalFailureError, match="Lyapunov residual 2.828e-06 exceeds"):
-            solve_lyapunov(-np.eye(2), np.eye(2))
+        with pytest.raises(NumericalFailureError, match="Lyapunov residual 5.292e-06 exceeds"):
+            solve_lyapunov(-np.eye(m), np.eye(m))
 
     def test_scaling_keeps_wide_spectra_to_few_steps(self, monkeypatch):
-        # eigenvalues over six decades: unscaled Newton needs 25 steps here,
-        # the determinant-scaled iteration 8
+        # above the direct cutoff, eigenvalues over six decades: unscaled
+        # Newton needs 25 steps here, the determinant-scaled iteration 8
         counts = []
         real_steps = numerics._sign_steps
 
@@ -239,22 +242,26 @@ class TestSolveLyapunov:
             return steps
 
         monkeypatch.setattr(numerics, "_sign_steps", spy)
-        F = -np.diag([1.0, 1e3, 1e6]) + np.triu(np.ones((3, 3)), 1)
-        P = solve_lyapunov(F, np.eye(3))
-        expected = kron_lyapunov_oracle(F, np.eye(3))
+        m = numerics._DIRECT_MAX + 1
+        F = -np.diag(np.logspace(0.0, 6.0, m)) + np.triu(np.ones((m, m)), 1)
+        P = solve_lyapunov(F, np.eye(m))
+        expected = kron_lyapunov_oracle(F, np.eye(m))
         assert np.linalg.norm(P - expected) <= 1e-8 * np.linalg.norm(expected)
         assert counts == [8]
 
     @staticmethod
-    def mixed_stack():
-        """Three equations of one size whose sign iterations need 8, 1 and
-        4 steps: a Hurwitz F with a spectrum over six decades, F = -I,
-        and an anti-Hurwitz Bass equation of a Jordan-like block."""
+    def mixed_stack(m=3):
+        """Three m x m equations whose sign iterations need 8, 1 and 4
+        steps (at m = 3 and at the first size above the direct cutoff): a
+        Hurwitz F with a spectrum over six decades, F = -I, and an
+        anti-Hurwitz Bass equation of a Jordan-like block seen through
+        every third coordinate."""
         bass = TestSolveLyapunov.bass_equation(
-            np.diag([1.0, 2.0, 3.0]) + np.diag(np.ones(2), 1), np.array([[1.0, 0.0, 0.0]])
+            np.diag(np.arange(1.0, m + 1)) + np.diag(np.ones(m - 1), 1), np.eye(m)[::3]
         )
-        F = np.stack([-np.diag([1.0, 1e3, 1e6]) + np.triu(np.ones((3, 3)), 1), -np.eye(3), bass[0]])
-        Q = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), bass[1]])
+        wide = -np.diag(np.logspace(0.0, 6.0, m)) + np.triu(np.ones((m, m)), 1)
+        F = np.stack([wide, -np.eye(m), bass[0]])
+        Q = np.stack([np.eye(m), np.diag(np.arange(1.0, m + 1)), bass[1]])
         return F, Q
 
     def test_stack_matches_kronecker_oracle_per_matrix(self, monkeypatch):
@@ -267,7 +274,7 @@ class TestSolveLyapunov:
             return steps
 
         monkeypatch.setattr(numerics, "_sign_steps", spy)
-        F, Q = self.mixed_stack()
+        F, Q = self.mixed_stack(numerics._DIRECT_MAX + 1)
         alone = [solve_lyapunov(F_j, Q_j) for F_j, Q_j in zip(F, Q)]
         assert counts == [8, 1, 4]
         P = solve_lyapunov(F, Q)
@@ -278,6 +285,86 @@ class TestSolveLyapunov:
             expected = kron_lyapunov_oracle(F_j, Q_j)
             assert np.linalg.norm(P_j - expected) <= 1e-10 * np.linalg.norm(expected)
             assert np.linalg.norm(P_j - P_alone) <= 1e-10 * np.linalg.norm(expected)
+
+    @staticmethod
+    def path_spy(monkeypatch):
+        """Record 'direct' or 'sign' for each solve of the two paths."""
+        paths = []
+        real_direct, real_steps = numerics._kronecker_solve, numerics._sign_steps
+
+        def direct(*args):
+            paths.append("direct")
+            return real_direct(*args)
+
+        def steps(*args):
+            paths.append("sign")
+            return real_steps(*args)
+
+        monkeypatch.setattr(numerics, "_kronecker_solve", direct)
+        monkeypatch.setattr(numerics, "_sign_steps", steps)
+        return paths
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("hurwitz", [True, False], ids=["hurwitz", "anti-hurwitz"])
+    @pytest.mark.parametrize("above", [False, True], ids=["at-cutoff", "above-cutoff"])
+    def test_both_paths_match_scipy(self, monkeypatch, above, hurwitz, k):
+        # scipy's Bartels-Stewart solver is the oracle; sizes _DIRECT_MAX
+        # and _DIRECT_MAX + 1 take the two paths
+        m = numerics._DIRECT_MAX + above
+        rng = np.random.default_rng(100 * m + k)
+        A = rng.normal(size=(k, m, m))
+        F = A + (1.0 + np.linalg.norm(A, axis=(-2, -1)))[:, None, None] * np.eye(m)
+        B = rng.normal(size=(k, m, m))
+        Q = B @ B.swapaxes(-1, -2) + 0.1 * np.eye(m)
+        if hurwitz:
+            F = -F
+        else:
+            Q = -Q
+        paths = self.path_spy(monkeypatch)
+        P = solve_lyapunov(F, Q)
+        assert paths == ["sign" if above else "direct"]
+        assert P.shape == (k, m, m)
+        for F_j, Q_j, P_j in zip(F, Q, P):
+            expected = scipy.linalg.solve_continuous_lyapunov(F_j.T, -Q_j)
+            assert np.linalg.norm(P_j - expected) <= 1e-10 * np.linalg.norm(expected)
+            assert np.array_equal(P_j, P_j.T)
+            assert np.linalg.eigvalsh(P_j)[0] > 0
+
+    @pytest.mark.parametrize("above", [False, True], ids=["direct", "sign"])
+    def test_each_path_rejects_a_residual_above_its_bound(self, monkeypatch, above):
+        # each path's solve comes back off by 1e-6 I: the residual -2e-6 I
+        # has Frobenius norm 2e-6 sqrt(m)
+        m = numerics._DIRECT_MAX + above
+        name = "_sign_solve" if above else "_kronecker_solve"
+        real = getattr(numerics, name)
+        monkeypatch.setattr(numerics, name, lambda *args: real(*args) + 1e-6 * np.eye(m))
+        with pytest.raises(NumericalFailureError,
+                           match=f"Lyapunov residual {2e-6 * np.sqrt(m):.3e} exceeds"):
+            solve_lyapunov(-np.eye(m), np.eye(m))
+
+    @pytest.mark.parametrize("above", [False, True], ids=["direct", "sign"])
+    def test_each_path_rejects_a_solution_that_lost_definiteness(self, monkeypatch, above):
+        # Q = 1e-12 I is definite, P = 5e-13 I; each solve comes back off by
+        # -1e-10 I, a residual of 2e-10 sqrt(m), inside 1e-8 * max(1, ||Q||),
+        # but P is then negative definite
+        m = numerics._DIRECT_MAX + above
+        name = "_sign_solve" if above else "_kronecker_solve"
+        real = getattr(numerics, name)
+        monkeypatch.setattr(numerics, name, lambda *args: real(*args) - 1e-10 * np.eye(m))
+        with pytest.raises(NumericalFailureError, match="lost positive definiteness"):
+            solve_lyapunov(-np.eye(m), 1e-12 * np.eye(m))
+        monkeypatch.undo()
+        assert np.allclose(solve_lyapunov(-np.eye(m), 1e-12 * np.eye(m)), 5e-13 * np.eye(m),
+                           rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_half_plane_tolerance_does_not_overflow(self, scale):
+        # the norm of F overflows when squared; the tolerance of the
+        # half-plane test is taken without squaring it
+        F = scale * np.array([[2.0, 1.0], [0.0, 3.0]])
+        P = solve_lyapunov(F, -np.eye(2))
+        expected = scipy.linalg.solve_continuous_lyapunov(F.T, np.eye(2))
+        assert np.linalg.norm(P - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_random_stack_matches_kronecker_oracle(self):
         rng = np.random.default_rng(8)
@@ -560,6 +647,32 @@ def test_is_symmetric_at_its_relative_tolerance(scale):
     for eps, symmetric in ((0.6e-10, True), (0.8e-10, False)):
         M = scale * np.array([[1.0, 1.0 + eps], [1.0 - eps, 1.0]])
         assert bool(is_symmetric(M)) is symmetric
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_is_symmetric_where_squares_overflow(scale):
+    # the squared norms overflow to inf, and inf <= inf once read every
+    # such matrix as symmetric, so eigenvalues took the symmetric solver
+    # for a triangular one; a zero matrix next to it stays symmetric
+    for eps, symmetric in ((0.6e-10, True), (0.8e-10, False)):
+        M = scale * np.array([[1.0, 1.0 + eps], [1.0 - eps, 1.0]])
+        assert bool(is_symmetric(M)) is symmetric
+    triangular = scale * np.array([[-2.0, 1.0], [0.0, -3.0]])
+    assert is_symmetric(np.stack([triangular, np.zeros((2, 2))])).tolist() == [False, True]
+    assert sorted(eigenvalues(triangular).real) == [-3.0 * scale, -2.0 * scale]
+
+
+@pytest.mark.parametrize("M, definite", [
+    ([[2.0, 1.0], [1.0, 2.0]], True),
+    ([[1.0, 2.0], [2.0, 1.0]], False),
+    ([[np.inf, 0.0], [0.0, 1.0]], False),
+    ([[np.inf, -np.inf], [-np.inf, np.inf]], False),
+    ([[np.nan, 0.0], [0.0, 1.0]], False),
+], ids=["definite", "indefinite", "inf-diagonal", "inf-block", "nan"])
+def test_is_positive_definite_by_cholesky(M, definite):
+    # numpy's Cholesky factors the inf and nan cases without an error
+    stack = np.stack([np.eye(2), np.array(M)])
+    assert numerics._is_positive_definite(stack) is definite
 
 
 def test_is_symmetric_gives_one_verdict_per_matrix_of_a_stack():

@@ -365,6 +365,21 @@ class TestAssembleGains:
         assert np.allclose(w, [0.25, 1.0], atol=1e-12)
 
 
+    def test_indefinite_weighting_names_its_node(self):
+        # P_io = -4 of node 1 inverts accurately, but M_1 = -0.25 is no
+        # consensus weighting; the Cholesky factorization of the stack fails
+        # and the eigenvalues name the node
+        dec = NodeDecomposition(
+            v=1, T=np.eye(1), A_io=np.zeros((1, 1)), A_ir=np.zeros((0, 1)),
+            A_iu=np.zeros((0, 0)), H_io=np.eye(1),
+        )
+        with pytest.raises(NumericalFailureError,
+                           match="node 1: consensus weighting M is not positive definite"):
+            assemble_gains(
+                [dec, dec, dec], [np.eye(1)] * 3, [np.eye(1), -4.0 * np.eye(1), -np.eye(1)],
+                gamma=3.0, epsilon=0.9, r=np.ones(3), alpha=1.0,
+            )
+
     def test_rejects_certificate_without_an_accurate_inverse(self):
         # cond(P_io) = 1e16: inv(P_io) @ P_io misses the identity by far
         # more than the 1e-8 residual bound
@@ -475,18 +490,72 @@ class TestSynthesize:
             synthesize(TWO_MODES, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
 
     def test_checks_the_certificate_that_verify_reports(self, monkeypatch):
-        # one certificate, computed the same way by synthesize and verify
-        original, certs = verify.lyapunov_certificate, []
+        # one certificate: the Z blocks that synthesize factors are the ones
+        # whose eigenvalues verify reads
+        original, blocks = verify.certificate_blocks, []
 
         def recording(*args):
-            certs.append(original(*args))
-            return certs[-1]
+            blocks.append(original(*args))
+            return blocks[-1]
 
-        monkeypatch.setattr(verify, "lyapunov_certificate", recording)
+        monkeypatch.setattr(verify, "certificate_blocks", recording)
         model, g_net = battery_instances(20240817, count=12)[11]
         design = synthesize(model, g_net, SynthesisParams(alpha=10.0))
-        verify_design(model, g_net, design)
-        assert len(certs) == 2 and certs[0] == certs[1] and certs[0].passed
+        report = verify_design(model, g_net, design)
+        assert len(blocks) == 2 and len(blocks[0]) == len(blocks[1])
+        assert all(np.array_equal(a, b) for a, b in zip(*blocks))
+        assert report.lyapunov_passed
+
+    def test_final_certificate_reads_no_error_matrix(self, monkeypatch):
+        # the Cholesky verdict reads the certificate blocks only, so the
+        # blocks of E are never formed on the synthesize path
+        def unread(self):
+            raise AssertionError("synthesize formed the blocks of E")
+
+        monkeypatch.setattr(verify.GlobalErrorSystem, "E_blocks", property(unread))
+        model, g_net = battery_instances(20240817, count=12)[11]
+        design = synthesize(model, g_net, SynthesisParams(alpha=10.0))
+        assert design.gamma > 0
+
+    def test_final_certificate_rejects_non_finite_blocks(self, monkeypatch):
+        # numpy's Cholesky factors a matrix with an inf diagonal entry, so
+        # the verdict must test finiteness itself, as verify's eigvalsh does
+        original = verify.certificate_blocks
+
+        def overflowed(*args):
+            blocks = original(*args)
+            blocks[0][0, 0, 0] = -np.inf
+            return blocks
+
+        monkeypatch.setattr(verify, "certificate_blocks", overflowed)
+        with pytest.raises(NumericalFailureError, match="non-finite entries"):
+            synthesize(TWO_MODES, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
+
+    def test_block_above_the_direct_cutoff_certifies(self, monkeypatch):
+        # node 0 measures all 12 states: its Bass equation is larger than
+        # numerics._DIRECT_MAX and takes the sign iteration
+        n = 12
+        assert n > numerics._DIRECT_MAX
+        calls, real_steps = [], numerics._sign_steps
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return real_steps(*args)
+
+        monkeypatch.setattr(numerics, "_sign_steps", spy)
+        model = SystemModel(A=np.diag(-1.0 + 0.25 * np.arange(n)),
+                            outputs=(np.eye(n), np.zeros((1, n))))
+        design = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
+        report = verify_design(model, UNIT_2CYCLE, design)
+        assert calls == [(1, n, n)] and report.passed and report.lyapunov_passed
+
+    @pytest.mark.parametrize("alpha", [1e160, 1e300])
+    def test_huge_alpha_certifies(self, alpha):
+        # the squared norms of F and E overflow above about 1e154; the
+        # solver's tolerance and the symmetry test no longer square them
+        design = synthesize(TWO_MODES, UNIT_2CYCLE, SynthesisParams(alpha=alpha))
+        report = verify_design(TWO_MODES, UNIT_2CYCLE, design)
+        assert report.passed and report.lyapunov_passed
 
     def test_singular_gramian_reports_condition_and_v(self):
         # one output summing diag(1..5) is observable, but its Bass Gramian
