@@ -11,7 +11,6 @@ simulates the networked error dynamics.
 from .decomp import (
     NodeDecomposition,
     SystemModel,
-    decompose_node,
     joint_observability_rank,
     observability_matrix,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "build_global_error_matrix",
     "check_assumptions",
     "compute_epsilon",
-    "decompose_node",
     "estimate_decay_rate",
     "integrate",
     "is_strongly_connected",

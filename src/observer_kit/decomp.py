@@ -13,8 +13,7 @@ sequence of n - 1 products of the stacked outputs with A gives every
 node's observability rows, nodes that share a row count and a count of
 seen coordinates take one batched SVD, and the rotations and their checks
 run on (N, n, n) stacks. The rank decisions stay per node: each node's
-threshold is read off its own observability matrix. `decompose_node` is
-the one-node case of the same routine.
+threshold is read off its own observability matrix.
 
 The network observes the span of the per-node observable bases, so joint
 observability is read off those bases (`joint_observability_rank`).
@@ -243,15 +242,6 @@ def decompose_nodes(outputs, A):
         )
         for i in range(N)
     )
-
-
-def decompose_node(H, A):
-    """Observability decomposition of the single pair (H, A): the
-    one-node case of `decompose_nodes`, whose checks it runs; a failure
-    names the pair node 0."""
-    H = numerics.as_matrix(H, "H")
-    A = numerics.as_square(A, "A")
-    return decompose_nodes((H,), A)[0]
 
 
 def joint_observability_rank(model, decomps=None):

@@ -251,7 +251,7 @@ def place_observer_poles(A_io, H_io, alpha):
             )
         beta = 1.0 + norms + alpha
         F = A_io + (alpha + beta)[:, None, None] * np.eye(v)
-        X, w = numerics._solve_lyapunov(F, -2.0 * (H_io.swapaxes(-1, -2) @ H_io))
+        X, w = numerics.solve_lyapunov(F, -2.0 * (H_io.swapaxes(-1, -2) @ H_io))
         singular = w[:, 0] <= 1e-10 * w[:, -1]
         if singular.any():
             lo, hi = w[singular][0, [0, -1]]
@@ -264,7 +264,7 @@ def place_observer_poles(A_io, H_io, alpha):
             )
         L_io = np.linalg.solve(X, H_io.swapaxes(-1, -2))
 
-        abscissa = float(np.max(numerics._eigenvalues(A_io - L_io @ H_io).real))
+        abscissa = float(np.max(numerics.eigenvalues(A_io - L_io @ H_io).real))
         if abscissa >= -alpha - 1e-8:
             raise NumericalFailureError(
                 f"pole placement landed at spectral abscissa {abscissa:.6g}, "
@@ -384,9 +384,10 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
     the P_io inverted in one stack per distinct v_i. Each inv(P_io) is
     verified as the inverse of P_io: T_i is orthogonal, so that residual
     is the one of M_i against T_i @ diag(P_io, I) @ T_i.T, whose
-    Frobenius norm squared is ||P_io||_F^2 + n - v. Each M_i is verified
-    positive definite by one Cholesky factorization of the (N, n, n)
-    stack; only when it fails are the eigenvalues taken, to name the node.
+    Frobenius norm, taken without overflow, is hypot(||P_io||_F,
+    sqrt(n - v)). Each M_i is verified positive definite by one Cholesky
+    factorization of the (N, n, n) stack; only when it fails are the
+    eigenvalues taken, to name the node.
     """
     T = np.array([d.T for d in decomps])
     n = T.shape[-1]
@@ -395,14 +396,13 @@ def assemble_gains(decomps, L_blocks, P_blocks, gamma, epsilon, r, alpha):
         nodes = [i for i, d in enumerate(decomps) if d.v == v]
         P_io = np.array([P_blocks[i] for i in nodes])
         local[nodes, :v, :v] = inv_P_io = np.linalg.inv(P_io)
-        # on squared norms: residual <= 1e-8 max(1, scale)
-        inv_residual = numerics._frobenius_squared(inv_P_io @ P_io - np.eye(v))
-        scale = numerics._frobenius_squared(P_io) + n - v
-        inaccurate = ~(inv_residual <= 1e-16 * np.maximum(1.0, scale))
+        inv_residual = numerics._frobenius_norm(inv_P_io @ P_io - np.eye(v))
+        scale = np.hypot(numerics._frobenius_norm(P_io), math.sqrt(n - v))
+        inaccurate = ~(inv_residual <= 1e-8 * np.maximum(1.0, scale))
         if inaccurate.any():
             j = int(np.argmax(inaccurate))
             raise NumericalFailureError(
-                f"node {nodes[j]}: inverse certificate residual {np.sqrt(inv_residual[j]):.3e}"
+                f"node {nodes[j]}: inverse certificate residual {inv_residual[j]:.3e}"
             )
     M = T @ local @ T.swapaxes(-1, -2)
     M = 0.5 * (M + M.swapaxes(-1, -2))

@@ -11,10 +11,11 @@ from the gains L_i and M_i alone, the gains the observers run on. A
 design can be stable yet uncertified at the requested rate (Lyapunov
 false, abscissa pass); the reverse disagreement would mean one of the
 two computations is wrong and is treated as a hard error.
-`error_system` reads and builds the error matrix for both
-`verify_design` and `sim`; `synth.synthesize` returns a design only when
-the same Lyapunov certificate holds on it, which it proves by a Cholesky
-factorization of the same blocks, without forming the blocks of E.
+`build_global_error_matrix` is the one build of the error system; on
+top of it `error_system` checks the M_i for both `verify_design` and
+`sim`. `synth.synthesize` returns a design only when the same Lyapunov
+certificate holds on it, which it proves by a Cholesky factorization of
+the same blocks, without forming the blocks of E.
 
 Neither certificate forms a dense nN x nN matrix. The graph couples each
 plant coordinate only to the same coordinate of the other nodes, so the
@@ -22,11 +23,10 @@ error matrix and the quadratic form split exactly into one block per
 group of coordinates that no Lambda_i or M_i couples (inv(M_i) has the
 block structure of M_i, so it couples none either); the groups are read
 off the design's own gains, so a design file cannot buy itself a split.
-Each M_i is checked for definiteness and inverted one group at a time.
-The abscissa is the largest over the blocks and the Lyapunov margin the
-largest eigenvalue over them, one eigenvalue problem of size N |g| per
-group g, in one stacked call per group size. A dense plant is a single
-group.
+Each M_i is checked and inverted one group at a time. The abscissa is
+the largest over the blocks and the Lyapunov margin the largest
+eigenvalue over them, one eigenvalue problem of size N |g| per group g,
+in one stacked call per group size. A dense plant is a single group.
 """
 
 from dataclasses import dataclass
@@ -60,33 +60,46 @@ class GlobalErrorSystem:
     the (k, Nm, Nm) stack of their diagonal blocks of E. A dense plant is
     one group, whose block is E itself.
 
-    The (N, n, n) stacks Lambda_blocks and P_blocks hold the Lambda_i and
-    the symmetrized P_i = inv(M_i), the blocks of the certificate's
-    quadratic form. M_i is block diagonal in the groups, so P_i is too:
-    it is inverted one group at a time, one stacked call per group size,
-    from the group blocks M_blocks[c] of the M_i, an (N, k, m, m) array,
-    and scattered into P_blocks. Building the system costs
-    N sum_g |g|^3 for the inversions. E_blocks is formed from
-    Lambda_blocks, M_blocks, the balanced Laplacian RL = R L and gamma
-    when it is first read, at O(sum_g (N |g|)^2); the Lyapunov
-    certificate never reads it.
+    Lambda_blocks is the (N, n, n) stack of the Lambda_i and M_blocks[c]
+    the (N, k, m, m) array of the blocks of the M_i in the groups of size
+    m. P_blocks, the (N, n, n) stack of the symmetrized P_i = inv(M_i)
+    that are the blocks of the certificate's quadratic form, is formed
+    when first read: M_i is block diagonal in the groups, so it is
+    inverted in one stacked call per group size, at N sum_g |g|^3. So is
+    E_blocks, at O(sum_g (N |g|)^2), which the Lyapunov certificate never
+    reads; an entry of it beyond the float range raises
+    `NumericalFailureError`.
     """
 
     groups: tuple
     Lambda_blocks: np.ndarray
-    P_blocks: np.ndarray
     M_blocks: tuple
     RL: np.ndarray
     gamma: float
 
     @cached_property
+    def P_blocks(self):
+        P = np.zeros_like(self.Lambda_blocks)
+        for idx, M_g in zip(self.groups, self.M_blocks):
+            P_g = np.linalg.inv(M_g)
+            P[:, idx[:, :, None], idx[:, None, :]] = 0.5 * (P_g + np.swapaxes(P_g, -1, -2))
+        return P
+
+    @cached_property
     def E_blocks(self):
-        return tuple(
-            numerics.coupled_blocks(
-                numerics.restrict(self.Lambda_blocks, idx), self.RL, M_g, self.gamma
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = tuple(
+                numerics.coupled_blocks(
+                    numerics.restrict(self.Lambda_blocks, idx), self.RL, M_g, self.gamma
+                )
+                for idx, M_g in zip(self.groups, self.M_blocks)
             )
-            for idx, M_g in zip(self.groups, self.M_blocks)
-        )
+        if not all(np.isfinite(B).all() for B in blocks):
+            raise NumericalFailureError(
+                f"error matrix overflows: an entry of delta_ij Lambda_i - gamma (R L)_ij M_i "
+                f"is beyond the float range (gamma = {self.gamma:.6g})"
+            )
+        return blocks
 
     def group_rows(self):
         """One (k, Nm) array per entry of groups: the rows of E that each
@@ -119,40 +132,22 @@ def build_global_error_matrix(model, balanced, design):
     Block (i, j) of E is delta_ij (A - L_i H_i) - gamma (R L)_ij M_i,
     formed directly from the blocks instead of multiplying blockdiag(M_i)
     by kron(R L, I_n), only inside each coordinate group of Lambda_i and
-    M_i, and only when `GlobalErrorSystem.E_blocks` is first read. The
-    coupling term uses the balancing weights recomputed
-    from the graph, which is what makes the result depend on the graph
-    only through the product R L.
+    M_i, and only when `GlobalErrorSystem.E_blocks` is first read; the
+    same holds for P_i = inv(M_i). The coupling term uses the balancing
+    weights recomputed from the graph, which is what makes the result
+    depend on the graph only through the product R L.
     """
-    return _error_matrix(model, balanced, design, check_weightings=False)
-
-
-def _error_matrix(model, balanced, design, check_weightings):
-    """`build_global_error_matrix`, which with ``check_weightings`` also
-    raises `DimensionError` for an M_i that is not symmetric positive
-    definite: the symmetry test takes the whole stack of M_i at once, and
-    definiteness is tested on the group blocks of the M_i that are
-    inverted."""
     _check_compatible(model, design)
     if balanced.laplacian.shape[0] != design.node_count:
         raise DimensionError("graph size does not match the design")
-    Lambda_blocks = np.array([model.A - nd.L @ H for nd, H in zip(design.nodes, model.outputs)])
+    # an overflow here reaches E, whose first read names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        Lambda_blocks = np.array([model.A - nd.L @ H for nd, H in zip(design.nodes, model.outputs)])
     Ms = np.array([node.M for node in design.nodes])
     groups = numerics.coordinate_groups(Lambda_blocks, Ms)
-    M_blocks = [numerics.restrict(Ms, idx) for idx in groups]
-    if check_weightings:
-        smallest = np.min([np.linalg.eigvalsh(M_g)[..., 0].min(axis=1) for M_g in M_blocks], axis=0)
-        rejected = ~numerics.is_symmetric(Ms) | (smallest <= 0)
-        if rejected.any():
-            raise DimensionError(
-                f"node {int(np.argmax(rejected))}: M is not symmetric positive definite"
-            )
-    P = np.zeros_like(Ms)
-    for idx, M_g in zip(groups, M_blocks):
-        P_g = np.linalg.inv(M_g)
-        P[:, idx[:, :, None], idx[:, None, :]] = 0.5 * (P_g + np.swapaxes(P_g, -1, -2))
+    M_blocks = tuple(numerics.restrict(Ms, idx) for idx in groups)
     RL = balanced.R @ balanced.laplacian
-    return GlobalErrorSystem(tuple(groups), Lambda_blocks, P, tuple(M_blocks), RL, design.gamma)
+    return GlobalErrorSystem(tuple(groups), Lambda_blocks, M_blocks, RL, design.gamma)
 
 
 def error_system(model, g_net, design):
@@ -161,16 +156,26 @@ def error_system(model, g_net, design):
     Returns (balanced, GlobalErrorSystem). Raises `DimensionError` for a
     design whose r is not the graph's balancing (rtol 1e-9), whose gains
     do not fit the model or whose M_i is not symmetric positive definite,
-    so `verify_design` and `sim.integrate` reject the same designs. The
-    definiteness test reads the coordinate groups that the error system
-    is built on.
+    so `verify_design` and `sim.integrate` reject the same designs. M_i
+    passes when each of its blocks in the build's coordinate groups,
+    which `P_blocks` inverts, does; this is tested before any inversion.
     """
     balanced = balance(g_net)
     if design.r.shape != balanced.r.shape or not (
         np.abs(design.r - balanced.r) <= 1e-9 * np.abs(balanced.r)
     ).all():
         raise DimensionError(f"design r = {design.r} does not balance the graph")
-    return balanced, _error_matrix(model, balanced, design, check_weightings=True)
+    err_sys = build_global_error_matrix(model, balanced, design)
+    rejected = np.zeros(design.node_count, dtype=bool)
+    for M_g in err_sys.M_blocks:
+        N, k, m = M_g.shape[:3]
+        symmetric = numerics.is_symmetric(M_g.reshape(N * k, m, m)).reshape(N, k)
+        rejected |= ~(symmetric & (np.linalg.eigvalsh(M_g)[..., 0] > 0)).all(axis=1)
+    if rejected.any():
+        raise DimensionError(
+            f"node {int(np.argmax(rejected))}: M is not symmetric positive definite"
+        )
+    return balanced, err_sys
 
 
 class AbscissaCertificate(NamedTuple):
@@ -203,14 +208,16 @@ def lyapunov_certificate(err_sys, mirror, gamma, alpha):
     (see `certificate_blocks`) from the blocks of ``err_sys``, as built by
     `error_system`: P is the block diagonal of the inverted consensus
     weightings inv(M_i), and mirror is the mirror of the balanced graph.
-    Z is tested for negative definiteness, one block per coordinate group
-    of ``err_sys``; its margin is the largest eigenvalue over all blocks.
+    Each block of Z is symmetrized as (Z + Z.T)/2; the margin is the
+    largest eigenvalue over all blocks, and Z passes when it is negative.
+    A non-finite entry raises `NumericalFailureError`.
     """
-    verdicts = [
-        numerics.is_negative_definite(Z)
-        for Z in certificate_blocks(err_sys, mirror, gamma, alpha)
-    ]
-    margin = max(v.margin for v in verdicts)
+    margin = -np.inf
+    for Z in certificate_blocks(err_sys, mirror, gamma, alpha):
+        if not np.isfinite(Z).all():
+            raise NumericalFailureError("certificate matrix Z contains non-finite entries")
+        w = np.linalg.eigvalsh(0.5 * (Z + Z.swapaxes(-1, -2)))
+        margin = max(margin, float(w[..., -1].max()))
     return LyapunovCertificate(margin < 0.0, margin)
 
 

@@ -7,9 +7,10 @@ and no solver can meet the toolkit's residual contracts at double
 precision. The structured family below covers the genuinely partial
 observation cases instead, with perfect conditioning at any size.
 
-The oracles at the end state the observer network the plain way: `rhs`
-is the vector field of the stacked plant and observer states, and
-`dense_E` the error matrix as one nN x nN array, for comparison with the
+`decompose_node` is the one-node case of the package's stacked
+decomposition. The oracles at the end state the observer network the
+plain way: `rhs` is the vector field of the stacked plant and observer
+states, and `dense_E` the error matrix as one nN x nN array, for comparison with the
 coordinate-group blocks the package works on. `select_gamma` is the
 paper's constructive coupling gain, which the package replaced by the
 exact thresholds of its certificate; `paper_design` builds the design of
@@ -25,12 +26,20 @@ from observer_kit import (
     assemble_gains,
     balance,
     compute_epsilon,
-    decompose_node,
     joint_observability_rank,
     observability_matrix,
     place_observer_poles,
 )
+from observer_kit.decomp import decompose_nodes
 from observer_kit.errors import AssumptionViolationError, DimensionError, NumericalFailureError
+from observer_kit.numerics import as_matrix, as_square
+
+
+def decompose_node(H, A):
+    """Observability decomposition of the single pair (H, A): the one-node
+    case of `decomp.decompose_nodes`, whose checks it runs; a failure names
+    the pair node 0."""
+    return decompose_nodes((as_matrix(H, "H"),), as_square(A, "A"))[0]
 
 
 def random_sc_digraph(rng, n_nodes, weight_range=(0.5, 2.0), extra_edge_prob=0.3):

@@ -452,8 +452,9 @@ class TestVerify:
         "key, value",
         [("L", [[1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
          ("M", [[-1.0, 0.0], [0.0, 1.0]]), ("M", [[1.0, 0.5], [0.0, 1.0]]),
+         ("M", [[1.0, 1.0], [1.0, 1.0]]),
          ("L", [[math.nan], [0.0]]), ("M", [[math.nan, 0.0], [0.0, 1.0]])],
-        ids=["L-2x2", "M-2x3", "M-indefinite", "M-asymmetric", "L-nan", "M-nan"],
+        ids=["L-2x2", "M-2x3", "M-indefinite", "M-asymmetric", "M-singular", "L-nan", "M-nan"],
     )
     def test_tampered_node_gains(self, config_path, design_path, tmp_path, key, value):
         doc = json.loads(design_path.read_text())
@@ -461,6 +462,32 @@ class TestVerify:
         tampered = tmp_path / "tampered_node.json"
         tampered.write_text(json.dumps(doc))
         assert verify_and_simulate(config_path, tampered, tmp_path) == [3, 3]
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("term", ["coupling", "injection"])
+    def test_overflowing_error_matrix_is_named(self, tmp_path, capsys, command, term):
+        # gamma (R L)_ij M_i = 1e300 * 1e300, or L_0 H_0 = 1e308 * 10,
+        # overflows: numpy printed a RuntimeWarning, verify exited 4 with
+        # "non-finite entries" and simulate exited 1 at step 1
+        scale = 1e300 if term == "coupling" else 1.0
+        config_path = write_config(tmp_path / "config.json",
+                                   outputs=[[[10.0, 0.0]], [[0.0, 1.0]]])
+        M = (scale * np.eye(2)).tolist()
+        L_0 = [[1.0], [0.0]] if term == "coupling" else [[1e308], [0.0]]
+        design = tmp_path / "overflow.json"
+        design.write_text(json.dumps({
+            "gamma": scale, "epsilon": 0.9, "alpha": 1.0, "r": [1.0, 1.0],
+            "nodes": [{"L": L_0, "M": M}, {"L": [[0.0], [1.0]], "M": M}],
+        }))
+        args = [str(config_path), str(design)]
+        if command == "simulate":
+            args += ["-o", str(tmp_path / "t.csv")]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, *args]) == 4
+        err = capsys.readouterr().err
+        assert "error matrix overflows" in err and "non-finite" not in err
 
     def test_weighting_indefinite_in_one_coordinate_group(self, tmp_path, capsys):
         # the n = N = 10 ladder rung splits into ten single-coordinate

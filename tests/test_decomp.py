@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     battery_instances,
+    decompose_node,
     kalman_rank,
     partial_instance,
     random_dense_model,
@@ -11,7 +12,6 @@ from conftest import (
 from observer_kit import numerics
 from observer_kit.decomp import (
     SystemModel,
-    decompose_node,
     decompose_nodes,
     joint_observability_rank,
     observability_matrix,

@@ -146,15 +146,14 @@ class TestIntegrate:
         model = random_model(rng, 3, 3)
         g_net = random_sc_digraph(rng, 3)
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
-        # every build, checked or not, runs verify._error_matrix
         calls = []
-        real_build = verify._error_matrix
+        real_build = verify.build_global_error_matrix
 
         def build_spy(*args, **kwargs):
             calls.append(args)
             return real_build(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "_error_matrix", build_spy)
+        monkeypatch.setattr(verify, "build_global_error_matrix", build_spy)
         integrate(SimulationConfig(t_final=0.1, seed=0), model, g_net, design)
         assert len(calls) == 1
 

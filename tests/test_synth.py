@@ -9,6 +9,7 @@ from conftest import (
     BUDGET_FLOOR,
     MIXED_OBSERVABILITY_CASES,
     battery_instances,
+    decompose_node,
     dense_E,
     graph_for,
     min_coupling_budget,
@@ -21,7 +22,7 @@ from conftest import (
     select_gamma,
 )
 from observer_kit import decomp, numerics, synth, verify
-from observer_kit.decomp import NodeDecomposition, SystemModel, decompose_node, decompose_nodes
+from observer_kit.decomp import NodeDecomposition, SystemModel, decompose_nodes
 from observer_kit.errors import AssumptionViolationError, DimensionError, NumericalFailureError
 from observer_kit.graph import Digraph, balance
 from observer_kit.synth import (
@@ -39,6 +40,10 @@ from test_numerics import kron_lyapunov_oracle
 UNIT_2CYCLE = Digraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
 # the README plant: two unstable modes, each seen by one node
 TWO_MODES = SystemModel(A=np.diag([1.0, 2.0]), outputs=(np.eye(2)[:1], np.eye(2)[1:]))
+# node 0 measures all 12 states: its Bass equation is larger than
+# numerics._DIRECT_MAX and takes the sign iteration
+TWELVE_STATES = SystemModel(A=np.diag(-1.0 + 0.25 * np.arange(12)),
+                            outputs=(np.eye(12), np.zeros((1, 12))))
 
 # Modes 0.5 to 20 on a ring, node k measuring mode k: every v_i is 1, and
 # the observability matrices of all nodes stacked read rank 6 of 8 at the
@@ -394,6 +399,22 @@ class TestAssembleGains:
                 [dec], [np.eye(2)], [P_io], gamma=3.0, epsilon=0.9, r=np.ones(1), alpha=1.0
             )
 
+    def test_inverse_residual_bound_holds_where_squares_overflow(self, monkeypatch):
+        # P_io = 1e160 I with an "inverse" 1e160 times too large: the
+        # residual, about 1e160, exceeds its bound of 1e152. Above about 1e154
+        # both squared norms overflowed, and inf <= inf accepted it
+        dec = NodeDecomposition(
+            v=1, T=np.eye(1), A_io=np.zeros((1, 1)), A_ir=np.zeros((0, 1)),
+            A_iu=np.zeros((0, 0)), H_io=np.eye(1),
+        )
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda M: 1e160 * inv(M))
+        with pytest.raises(NumericalFailureError, match="inverse certificate residual 1.000e\\+160"):
+            assemble_gains(
+                [dec], [np.eye(1)], [1e160 * np.eye(1)], gamma=3.0, epsilon=0.9,
+                r=np.ones(1), alpha=1.0,
+            )
+
 def t_coordinate_lmi_margins(design, decomps):
     """Oracle: each node's certificate inequality of the paper, in its own
     coordinates T_i and with unit node weights,
@@ -532,9 +553,7 @@ class TestSynthesize:
             synthesize(TWO_MODES, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
 
     def test_block_above_the_direct_cutoff_certifies(self, monkeypatch):
-        # node 0 measures all 12 states: its Bass equation is larger than
-        # numerics._DIRECT_MAX and takes the sign iteration
-        n = 12
+        n = TWELVE_STATES.n
         assert n > numerics._DIRECT_MAX
         calls, real_steps = [], numerics._sign_steps
 
@@ -543,18 +562,24 @@ class TestSynthesize:
             return real_steps(*args)
 
         monkeypatch.setattr(numerics, "_sign_steps", spy)
-        model = SystemModel(A=np.diag(-1.0 + 0.25 * np.arange(n)),
-                            outputs=(np.eye(n), np.zeros((1, n))))
-        design = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
-        report = verify_design(model, UNIT_2CYCLE, design)
+        design = synthesize(TWELVE_STATES, UNIT_2CYCLE, SynthesisParams(alpha=1.0))
+        report = verify_design(TWELVE_STATES, UNIT_2CYCLE, design)
         assert calls == [(1, n, n)] and report.passed and report.lyapunov_passed
 
-    @pytest.mark.parametrize("alpha", [1e160, 1e300])
-    def test_huge_alpha_certifies(self, alpha):
+    @pytest.mark.parametrize(
+        "model, alpha",
+        [pytest.param(TWO_MODES, alpha, id=f"{alpha:g}") for alpha in (1e160, 1e300)]
+        + [pytest.param(TWELVE_STATES, alpha, id=f"sign-path-{alpha:g}")
+           for alpha in (1e160, 1e200, 1e307)],
+    )
+    def test_huge_alpha_certifies(self, model, alpha):
         # the squared norms of F and E overflow above about 1e154; the
-        # solver's tolerance and the symmetry test no longer square them
-        design = synthesize(TWO_MODES, UNIT_2CYCLE, SynthesisParams(alpha=alpha))
-        report = verify_design(TWO_MODES, UNIT_2CYCLE, design)
+        # solver's tolerance and the symmetry test no longer square them.
+        # On the sign path inv(G).T C inv(G) is about C / c^2 for a step
+        # scale c of about alpha: formed before c multiplied it, it fell
+        # into subnormals once alpha passed about 1e154
+        design = synthesize(model, UNIT_2CYCLE, SynthesisParams(alpha=alpha))
+        report = verify_design(model, UNIT_2CYCLE, design)
         assert report.passed and report.lyapunov_passed
 
     def test_singular_gramian_reports_condition_and_v(self):
@@ -668,14 +693,13 @@ class TestSynthesize:
         rng = np.random.default_rng(5)
         model = rotated_partial_model(rng, n, owned)
         g_net = graph_for(rng, len(owned))
-        # every solve, public or not, runs numerics._solve_lyapunov
-        original, stacks = numerics._solve_lyapunov, []
+        original, stacks = numerics.solve_lyapunov, []
 
         def counting(F, Q, *args, **kwargs):
             stacks.append((F, Q))
             return original(F, Q, *args, **kwargs)
 
-        monkeypatch.setattr(numerics, "_solve_lyapunov", counting)
+        monkeypatch.setattr(numerics, "solve_lyapunov", counting)
         synthesize(model, g_net, SynthesisParams(alpha=1.0))
         assert all(F.ndim == 3 for F, _ in stacks)
         assert sorted(F.shape[-1] for F, _ in stacks) == sorted({len(i) for i in owned if i})

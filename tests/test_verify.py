@@ -263,6 +263,45 @@ class TestLyapunovCertificate:
         )
 
 
+class TestLyapunovVerdict:
+    """The verdict that `lyapunov_certificate` draws from given blocks of Z,
+    fed in place of `certificate_blocks`: one (k, m, m) stack per entry."""
+
+    @staticmethod
+    def verdict(monkeypatch, *blocks):
+        monkeypatch.setattr(verify, "certificate_blocks", lambda *args: list(blocks))
+        return lyapunov_certificate(None, None, 1.0, 1.0)
+
+    def test_negative_identity(self, monkeypatch):
+        verdict = self.verdict(monkeypatch, -np.eye(2)[None])
+        assert verdict.passed
+        assert verdict.margin == pytest.approx(-1.0)
+
+    def test_semidefinite_boundary(self, monkeypatch):
+        # a zero margin certifies nothing
+        verdict = self.verdict(monkeypatch, np.diag([0.0, -1.0])[None])
+        assert not verdict.passed
+        assert verdict.margin == pytest.approx(0.0, abs=1e-14)
+
+    def test_strictly_negative(self, monkeypatch):
+        verdict = self.verdict(monkeypatch, np.array([[[-2.0, 1.0], [1.0, -2.0]]]))
+        assert verdict.passed
+        assert verdict.margin == pytest.approx(-1.0)
+
+    def test_symmetrizes_first(self, monkeypatch):
+        # asymmetric input whose symmetric part is -I
+        verdict = self.verdict(monkeypatch, np.array([[[-1.0, 5.0], [-5.0, -1.0]]]))
+        assert verdict.passed
+        assert verdict.margin == pytest.approx(-1.0)
+
+    def test_negative_only_when_every_block_is(self, monkeypatch):
+        stack = np.stack([-np.eye(2), np.diag([-3.0, 0.5])])
+        for blocks in ((stack,), (stack[:1], stack[1:]), (stack[1:], stack[:1])):
+            verdict = self.verdict(monkeypatch, *blocks)
+            assert not verdict.passed and verdict.margin == pytest.approx(0.5)
+        assert self.verdict(monkeypatch, stack[:1]).margin == pytest.approx(-1.0)
+
+
 class TestVerifyDesign:
     def test_report_on_synthesized_design(self):
         rng = np.random.default_rng(2)
@@ -299,15 +338,14 @@ class TestVerifyDesign:
         model = random_model(rng, 3, 3)
         g_net = random_sc_digraph(rng, 3)
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
-        # every build, checked or not, runs verify._error_matrix
         calls = []
-        real = verify._error_matrix
+        real = verify.build_global_error_matrix
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "_error_matrix", spy)
+        monkeypatch.setattr(verify, "build_global_error_matrix", spy)
         verify_design(model, g_net, design)
         assert len(calls) == 1
 
