@@ -35,7 +35,7 @@ import numbers
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -410,6 +410,8 @@ def write_csv(trace, stream, include_states=False):
 
     Columns: t, the global error norm, one error norm per node and, when
     include_states is set, the plant state and every observer state.
+    Every value is written byte for byte as CPython's ``'%.17g' % value``,
+    by `_csv_text`, a chunk of the table at a time.
     """
     N = trace.e_norms.shape[1]
     header = ["t", "e_global"] + [f"e_{i + 1}" for i in range(N)]
@@ -421,6 +423,228 @@ def write_csv(trace, stream, include_states=False):
         header += [f"xhat_{i + 1}_{j + 1}" for i in range(N) for j in range(n)]
         columns += [x, trace.xhat.reshape(trace.times.size, N * n)]
     stream.write(",".join(header) + "\n")
-    table = np.column_stack(columns)
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    stream.write(row_format * table.shape[0] % tuple(table.ravel().tolist()))
+    for text in _csv_text(np.column_stack(columns)):
+        stream.write(text)
+
+
+# Values formatted at a time: whole-table temporaries cost more than the
+# per-chunk calls they save.
+_CSV_CHUNK = 1 << 15
+# Bytes per value before the padding goes: the longest %.17g text,
+# "-1.2345678901234567e-308", and a separator.
+_CSV_SLOT = 25
+# Layout codes: 0 .. 20 fixed notation for the decimal exponents -4 .. 16,
+# then d.ddde+XX, then the values left to CPython.
+_EXPONENTIAL = 21
+_UNDECIDED = 22
+
+
+def _csv_text(table):
+    """The rows of the 2-D float table as CSV text, one string per
+    `_CSV_CHUNK` values."""
+    cols = table.shape[1]
+    values = table.astype(float, copy=False).ravel()
+    tables = _decimal_tables()
+    row_seps = np.full(cols, ord(","), np.uint8)
+    row_seps[-1] = ord("\n")
+    for start in range(0, values.size, _CSV_CHUNK):
+        chunk = values[start : start + _CSV_CHUNK]
+        seps = np.resize(np.roll(row_seps, -(start % cols)), chunk.size)
+        yield _format_chunk(chunk, seps, tables)
+
+
+def _format_chunk(x, seps, tables):
+    """``'%.17g' % v`` for each value v of x, each followed by its byte of
+    seps, as one string.
+
+    A finite nonzero v is written from D, its 17 significant digits, and
+    X, its decimal exponent: |v| rounds to D 10^(X - 16), 10^16 <= D <
+    10^17. The guess k = floor(log10 |v|) gives y = |v| 10^(16 - k) as the
+    double-double yh + yl of `_scale`, and k moves by one where yh falls
+    outside [10^16, 10^17). D is y rounded to an integer, and X = k. The
+    entries of 10^s are exact to 2^-105 and the product and its sum to
+    2^-104, relative, so yh + yl is within 2^-46 of y < 2^57. The rounding
+    is then CPython's, unless the fraction of y is within 2^-30 of 1/2,
+    as it is at every exact tie, or y is within a few units of 10^16 or
+    10^17, where the decade is in doubt. Those undecided values of the
+    chunk are formatted by one CPython ``%`` over their tuple, so their
+    text is CPython's correctly rounded one (Gay, AT&T report 90-10,
+    1990) by construction. Zeros, infinities and NaN are written directly.
+
+    The digits of D come from the table of the 10 000 four-digit strings,
+    its trailing zeros are dropped, and the values are stable-sorted by
+    layout, so that each layout is written by slices into a slot of
+    `_CSV_SLOT` zero bytes per value. Fixed notation serves -4 <= X < 17
+    and d.ddde+XX the rest, each without trailing zeros or a bare point.
+    One boolean mask drops the padding: the zero bytes, and the spaces
+    that pad CPython's text to a slot.
+    """
+    slots = np.zeros((x.size, _CSV_SLOT), np.uint8)
+    a = np.abs(x)
+    finite = np.isfinite(a) & (a != 0)
+    at = np.flatnonzero(finite)
+    a = a[at]
+    k = np.floor(np.log10(a)).astype(np.int64)
+    yh, yl = _scale(a, 16 - k, tables)
+    low, high = yh < 1e16, yh >= 1e17
+    moved = np.flatnonzero(low | high)
+    if moved.size:
+        k[moved] += high[moved].astype(np.int64) - low[moved]
+        yh[moved], yl[moved] = _scale(a[moved], 16 - k[moved], tables)
+    whole = np.floor(yl)
+    frac = yl - whole
+    code = np.where((k >= -4) & (k < 17), k + 4, _EXPONENTIAL).astype(np.int8)
+    edge = (np.abs(yh - 1e16) < 4) | (np.abs(yh - 1e17) < 32)
+    code[(np.abs(frac - 0.5) < 2.0**-30) | edge] = _UNDECIDED
+    order = np.argsort(code, kind="stable")
+    bounds = np.searchsorted(code[order], np.arange(_UNDECIDED + 1))
+    fast = order[: bounds[-1]]
+    D = yh[fast].astype(np.int64) + whole[fast].astype(np.int64) + (frac[fast] > 0.5)
+    X = k[fast]
+    digits, last = _digits(D, X, tables)
+    out = np.zeros((fast.size, _CSV_SLOT), np.uint8)
+    out[:, 0] = (x[at[fast]] < 0) * np.uint8(ord("-"))
+    for c in range(_UNDECIDED):
+        rows = slice(bounds[c], bounds[c + 1])
+        e = c - 4  # the exponent X of fixed notation
+        if c == _EXPONENTIAL:
+            out[rows, 1] = digits[rows, 0]
+            out[rows, 2] = (last[rows] > 0) * np.uint8(ord("."))
+            out[rows, 3:19] = digits[rows, 1:]
+            out[rows, 19:24] = tables.exponents[X[rows] - tables.X_MIN]
+        elif e < 0:
+            out[rows, 1:3] = np.frombuffer(b"0.", np.uint8)
+            out[rows, 3 : 2 - e] = ord("0")
+            out[rows, 2 - e : 19 - e] = digits[rows]
+        else:
+            out[rows, 1 : e + 2] = digits[rows, : e + 1]
+            out[rows, e + 2] = (last[rows] > e) * np.uint8(ord("."))
+            out[rows, e + 3 : 19] = digits[rows, e + 1 :]
+    slot = np.dtype((np.void, _CSV_SLOT))
+    slots.view(slot)[at[fast], 0] = out.view(slot)[:, 0]
+    special = np.flatnonzero(~finite)
+    if special.size:
+        v = x[special]
+        slots[special, 0] = (np.signbit(v) & ~np.isnan(v)) * np.uint8(ord("-"))
+        slots[special, 1] = ord("0")
+        slots[special[np.isinf(v)], 1:4] = np.frombuffer(b"inf", np.uint8)
+        slots[special[np.isnan(v)], 1:4] = np.frombuffer(b"nan", np.uint8)
+    undecided = at[order[bounds[-1] :]]
+    if undecided.size:
+        text = f"%-{_CSV_SLOT}.17g" * undecided.size % tuple(x[undecided].tolist())
+        slots.view(slot)[undecided, 0] = np.frombuffer(text.encode("ascii"), slot)
+    slots[:, -1] = seps
+    return slots[(slots != 0) & (slots != ord(" "))].tobytes().decode("ascii")
+
+
+def _scale(a, s, tables):
+    """a 10^s as the double-double yh + yl, |yl| <= ulp(yh) / 2, for
+    positive finite a and each a 10^s in [10^15, 10^18].
+
+    10^s = (t + t_lo) 2^E from the tables, a 2^E exact by `np.ldexp`, and
+    its product with t exact by Dekker's method (Numer. Math. 18, 1971)
+    with Veltkamp's split, its product with t_lo rounded once.
+    """
+    E, t, t_hi, t_mid, t_lo = tables.powers(s)
+    m = np.ldexp(a, E)
+    split = 134217729.0 * m  # 2^27 + 1
+    m_hi = split - (split - m)
+    m_lo = m - m_hi
+    p = m * t
+    err = ((m_hi * t_hi - p) + m_hi * t_mid + m_lo * t_hi) + m_lo * t_mid + m * t_lo
+    yh = p + err
+    return yh, err - (yh - p)
+
+
+def _digits(D, X, tables):
+    """The 17 digits of each D in [10^16, 10^17), one ASCII row each, with
+    the trailing zeros of the fraction of its %.17g text at exponent X
+    turned to zero bytes, and the index of each D's last nonzero digit."""
+    lead, rest = np.divmod(D, 10**16)
+    groups = np.empty((D.size, 4), np.int64)
+    high, low = np.divmod(rest, 10**8)
+    groups[:, 0], groups[:, 1] = np.divmod(high, 10**4)
+    groups[:, 2], groups[:, 3] = np.divmod(low, 10**4)
+    zeros = tables.trailing_zeros[groups]
+    count = zeros[:, 3].copy()
+    run = count == 4
+    for j in (2, 1, 0):
+        count += run * zeros[:, j]
+        run &= zeros[:, j] == 4
+    last = 16 - count
+    keep = np.where((X >= 0) & (X < 17), np.maximum(last, X), last)
+    # the lead digit is byte 7 of the first word, the others the next two
+    words = np.zeros((D.size, 6), np.uint32)
+    words[:, 2:] = tables.words[groups]
+    digits = words.view(np.uint8)[:, 7:]
+    digits[:, 0] = lead + ord("0")
+    pairs = words.view(np.uint64)
+    pairs[:, 1] &= tables.masks[np.clip(keep, 0, 8)]
+    pairs[:, 2] &= tables.masks[np.clip(keep - 8, 0, 8)]
+    return digits, last
+
+
+class _DecimalTables:
+    """The tables of `_format_chunk`.
+
+    10^s for s = 16 - k, each guess k of a decimal exponent of a float64,
+    as (t + t_lo) 2^E with t in [0.5, 1) and t = t_hi + t_mid split by
+    Veltkamp; each s is taken from Python ints on its first use. The
+    10 000 four-digit ASCII strings as uint32 words and their counts of
+    trailing zeros, the masks of the first c bytes of a uint64, and the
+    exponent suffixes e-324 .. e+308 padded with zero bytes.
+    """
+
+    # float64 decimal exponents run from -324 to 308, and a guess is off
+    # by at most one
+    X_MIN, X_MAX = -324, 308
+    S_MIN, S_MAX = 16 - (X_MAX + 1), 16 - (X_MIN - 1)
+
+    def __init__(self):
+        size = self.S_MAX - self.S_MIN + 1
+        self._known = np.zeros(size, bool)
+        self._exponent = np.zeros(size, np.intc)  # what np.ldexp takes
+        self._parts = np.zeros((4, size))
+        self.words = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode(), np.uint32)
+        self.trailing_zeros = np.zeros(10**4, np.int8)
+        for step in (10, 100, 1000, 10**4):
+            self.trailing_zeros[::step] += 1
+        masks = b"".join(b"\xff" * c + b"\0" * (8 - c) for c in range(9))
+        self.masks = np.frombuffer(masks, np.uint64)
+        self.exponents = np.zeros((self.X_MAX - self.X_MIN + 1, 5), np.uint8)
+        for X in range(self.X_MIN, self.X_MAX + 1):
+            text = f"e{X:+03d}".encode()
+            self.exponents[X - self.X_MIN, : len(text)] = np.frombuffer(text, np.uint8)
+
+    def powers(self, s):
+        """E, t, t_hi, t_mid and t_lo of 10^s for each entry of s."""
+        j = s - self.S_MIN
+        lo, hi = (int(j.min()), int(j.max()) + 1) if j.size else (0, 0)
+        if not self._known[lo:hi].all():
+            seen = np.zeros(hi - lo, bool)
+            seen[j - lo] = True
+            for i in lo + np.flatnonzero(seen & ~self._known[lo:hi]):
+                self._add(int(i))
+        return self._exponent[j], *(part[j] for part in self._parts)
+
+    def _add(self, i):
+        s = i + self.S_MIN
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        # 10^s = (num / den) 2^E with num / den in [0.5, 1)
+        E = num.bit_length() - den.bit_length()
+        num, den = (num, den << E) if E >= 0 else (num << -E, den)
+        if num >= den:
+            E, den = E + 1, 2 * den
+        t = num / den  # int division is correctly rounded
+        p, q = t.as_integer_ratio()
+        t_lo = (num * q - p * den) / (den * q)
+        split = 134217729.0 * t
+        t_hi = split - (split - t)
+        self._parts[:, i] = t, t_hi, t - t_hi, t_lo
+        self._exponent[i] = E
+        self._known[i] = True
+
+
+@cache
+def _decimal_tables():
+    return _DecimalTables()

@@ -243,11 +243,13 @@ def place_observer_poles(A_io, H_io, alpha):
     else:
         norms = np.linalg.norm(A_io, axis=(-2, -1))
         # the largest shift alpha + beta, in the order of operations below,
-        # on Python floats, which overflow to inf without a warning
-        if alpha + (1.0 + float(norms.max()) + alpha) == math.inf:
+        # and the diagonal 2 (alpha + beta) of the Bass equation's Kronecker
+        # form and of Sym(A_io - L_io H_io), on Python floats, which
+        # overflow to inf without a warning
+        if 2.0 * (alpha + (1.0 + float(norms.max()) + alpha)) == math.inf:
             raise NumericalFailureError(
-                f"the pole-placement shift alpha + beta = 2 alpha + 1 + ||A_io||_F "
-                f"overflows at alpha = {alpha:.6g}"
+                f"the pole-placement shift alpha + beta = 2 alpha + 1 + ||A_io||_F, "
+                f"or twice it, overflows at alpha = {alpha:.6g}"
             )
         beta = 1.0 + norms + alpha
         F = A_io + (alpha + beta)[:, None, None] * np.eye(v)
@@ -350,6 +352,7 @@ def _coupling_threshold(D, mirror, groups):
     diag(w[1:]) x I. With D_UU not negative definite, gamma* means
     nothing, and the final certificate of `synthesize` fails. One problem
     of size |g| (N - 1) per coordinate group g; a lone node has none.
+    gamma* is inf where the products that form S overflow.
     """
     N = D.shape[0]
     if N == 1:
@@ -366,10 +369,14 @@ def _coupling_threshold(D, mirror, groups):
             coupling = np.linalg.solve(Z[:, :m, :m], Z[:, :m, m:])
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"consensus block of the certificate: {exc}") from exc
-        schur = Z[:, m:, m:] - Z[:, m:, :m] @ coupling
-        scale = np.repeat(w[1:], m) ** -0.5
-        scaled = scale[:, None] * schur * scale
-        lam = np.linalg.eigvalsh(0.5 * (scaled + scaled.swapaxes(-1, -2)))[:, -1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            schur = Z[:, m:, m:] - Z[:, m:, :m] @ coupling
+            scale = np.repeat(w[1:], m) ** -0.5
+            scaled = scale[:, None] * schur * scale
+            symmetric = 0.5 * (scaled + scaled.swapaxes(-1, -2))
+        if not np.isfinite(symmetric).all():
+            return math.inf
+        lam = np.linalg.eigvalsh(symmetric)[:, -1]
         gamma_star = max(gamma_star, float(lam.max()))
     return gamma_star
 
@@ -502,6 +509,12 @@ def synthesize(model, g_net, params):
     q = _SCALE_FACTOR * max(_scale_threshold(D0, C, groups), alpha)
     gamma_star = _coupling_threshold(D0 + q * C, balanced.mirror, groups)
     gamma = _GAMMA_MARGIN * max(gamma_star, alpha)
+    # on Python floats, like the shift of `place_observer_poles`
+    if gamma == math.inf:
+        raise NumericalFailureError(
+            f"the coupling gain gamma = {_GAMMA_MARGIN} max(gamma*, alpha), or the "
+            f"products that give gamma*, overflows at alpha = {alpha:.6g}"
+        )
     logger.info(
         "q = %.6g, gamma* = %.6g, gamma = %.6g, epsilon = %.6g, per-node v = %s",
         q, gamma_star, gamma, epsilon, [d.v for d in decomps],
@@ -511,11 +524,12 @@ def synthesize(model, g_net, params):
         decomps, L_blocks, [q * P for P in P_blocks], gamma, epsilon, balanced.r, alpha
     )
 
-    # verify reads the eigenvalues of (Z + Z.T)/2; Z < 0 exactly when that
-    # matrix times -2 has a Cholesky factor
+    # verify reads the eigenvalues of Z/2 + Z.T/2; Z < 0 exactly when that
+    # matrix times -1 has a Cholesky factor
     err_sys = verify.build_global_error_matrix(model, balanced, design)
     blocks = verify.certificate_blocks(err_sys, balanced.mirror, gamma, alpha)
-    if not all(numerics._is_positive_definite(-(Z + Z.swapaxes(-1, -2))) for Z in blocks):
+    negated = (-0.5 * Z - 0.5 * Z.swapaxes(-1, -2) for Z in blocks)
+    if not all(numerics._is_positive_definite(H) for H in negated):
         margin = verify.lyapunov_certificate(err_sys, balanced.mirror, gamma, alpha).margin
         raise NumericalFailureError(
             f"assembled design fails its certificate (margin {margin:.3e})"

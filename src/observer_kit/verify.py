@@ -208,15 +208,16 @@ def lyapunov_certificate(err_sys, mirror, gamma, alpha):
     (see `certificate_blocks`) from the blocks of ``err_sys``, as built by
     `error_system`: P is the block diagonal of the inverted consensus
     weightings inv(M_i), and mirror is the mirror of the balanced graph.
-    Each block of Z is symmetrized as (Z + Z.T)/2; the margin is the
-    largest eigenvalue over all blocks, and Z passes when it is negative.
+    Each block of Z is symmetrized as Z/2 + Z.T/2, which overflows only
+    where Z does; the margin is the largest eigenvalue over all blocks,
+    and Z passes when it is negative.
     A non-finite entry raises `NumericalFailureError`.
     """
     margin = -np.inf
     for Z in certificate_blocks(err_sys, mirror, gamma, alpha):
         if not np.isfinite(Z).all():
             raise NumericalFailureError("certificate matrix Z contains non-finite entries")
-        w = np.linalg.eigvalsh(0.5 * (Z + Z.swapaxes(-1, -2)))
+        w = np.linalg.eigvalsh(0.5 * Z + 0.5 * Z.swapaxes(-1, -2))
         margin = max(margin, float(w[..., -1].max()))
     return LyapunovCertificate(margin < 0.0, margin)
 

@@ -417,6 +417,34 @@ class TestSynthesize:
         assert "pole-placement shift alpha + beta" in err and "overflows at alpha = 1e+308" in err
         assert "non-finite" not in err and not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["2e307", "4.4e307", "4.6e307", "8.98e307"])
+    def test_overflow_below_the_shift_limit_is_named(self, config_path, tmp_path, capsys, alpha):
+        # alpha + beta is finite here, but the certificate's products
+        # overflow (up to 4.4e307) or the diagonal 2 (alpha + beta) of the
+        # Bass equation does (from 4.5e307); numpy printed RuntimeWarnings,
+        # and the exit 4 blamed non-finite entries or a Lyapunov residual
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synthesize", str(config_path), "--alpha", alpha, "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"overflows at alpha = {float(alpha):.6g}" in err
+        assert "non-finite" not in err and "residual" not in err and not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1e307", "1.9e307"])
+    def test_huge_alpha_below_the_overflow_certifies(self, config_path, tmp_path, capsys, alpha):
+        # from 1.1e307 the sum Z + Z.T of the final certificate overflowed,
+        # with a RuntimeWarning and "fails its certificate (margin -inf)";
+        # Z/2 + Z.T/2 does not
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synthesize", str(config_path), "--alpha", alpha, "-o", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["verify", str(config_path), str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is True and report["lyapunov_pass"] is True
+
 
 class TestVerify:
     def test_fresh_design_passes(self, config_path, design_path, capsys):
@@ -886,6 +914,12 @@ def run_probe(*args):
 def test_import_loads_no_scipy():
     # importing scipy.linalg would add about 0.3 s to every command's start-up
     assert run_probe(f"import sys, observer_kit; print({SCIPY_MODULES})").strip() == "[]"
+
+
+def test_import_builds_no_csv_table():
+    # the CSV formatter's tables are made on the first write, not at import
+    probe = "import observer_kit.sim as sim; print(sim._decimal_tables.cache_info().currsize)"
+    assert run_probe(probe).strip() == "0"
 
 
 # Makes every later `import scipy` in a probe interpreter raise ImportError.

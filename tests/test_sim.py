@@ -678,3 +678,101 @@ class TestWriteCsv:
         assert "x_1" in header and "x_2" in header
         assert "xhat_3_2" in header
         assert len(header) == 2 + 3 + 2 + 6
+
+
+def csv_body(table):
+    """What write_csv writes below its header for a trace whose columns
+    are those of the 2-D table."""
+    trace = SimulationTrace(
+        times=table[:, 0],
+        e_norms=table[:, 2:],
+        e_global=table[:, 1],
+        fitted_rate=None,
+        replay=no_replay,
+    )
+    buf = io.StringIO()
+    write_csv(trace, buf)
+    return buf.getvalue().split("\n", 1)[1]
+
+
+def per_value_body(table):
+    return "".join(",".join("%.17g" % value for value in row) + "\n" for row in table)
+
+
+def assert_formats_like_cpython(values, cols=10):
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, np.zeros(-values.size % cols)])
+    assert_table_formats_like_cpython(values.reshape(-1, cols))
+
+
+def assert_table_formats_like_cpython(table):
+    body, expected = csv_body(table), per_value_body(table)
+    for row, (got, want) in enumerate(zip(body.splitlines(), expected.splitlines())):
+        for col, (g, w) in enumerate(zip(got.split(","), want.split(","))):
+            assert g == w, f"value {table[row, col]!r}: wrote {g!r}, %.17g gives {w!r}"
+    same = body == expected  # not asserted directly: pytest would diff megabytes
+    assert same, "the rows or their separators differ"
+
+
+def signed(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+class TestCsvFormatting:
+    # write_csv formats a chunk of values at a time with numpy, leaving
+    # only the values whose rounding it cannot decide to CPython; the
+    # oracle is CPython's '%.17g' of each value
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(0).integers(0, 2**64, 10**5, np.uint64, endpoint=False)
+        assert_formats_like_cpython(bits.view(np.float64))
+
+    def test_powers_and_their_neighbours(self):
+        powers = [float(f"1e{p}") for p in range(-323, 309)]
+        powers += [math.ldexp(1.0, p) for p in range(-1074, 1024)]
+        powers = signed(powers)
+        around = [powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)]
+        assert_formats_like_cpython(np.concatenate(around))
+
+    def test_exact_ties_round_half_to_even(self):
+        # 18 significant digits ending in 5: exactly halfway at 17 digits
+        ties = signed([1234567890123456.75, 1234567890123456.25, 2251799813685247.5 / 2])
+        assert_formats_like_cpython(ties, cols=3)
+        first = csv_body(ties[None, :]).split(",")[:2]
+        assert first == ["1234567890123456.8", "1234567890123456.2"]
+
+    def test_rounding_into_the_next_decade(self):
+        below = np.nextafter([1e17, 1e16, 1.0, 1e-5, 1e23, 1e300], 0)
+        assert_formats_like_cpython(signed([*below, *np.nextafter(below, 0)]), cols=6)
+
+    def test_just_below_powers_of_ten(self):
+        # floor(log10 |v|) is one too large for most of these: log10 rounds
+        # up to the integer, and the guessed decade must be corrected
+        powers = np.array([float(f"1e{p}") for p in range(-307, 309, 7)])
+        values = np.concatenate([powers * (1 - j * 1e-15) for j in range(1, 40, 3)])
+        assert_formats_like_cpython(signed(values))
+
+    @pytest.mark.parametrize("X", range(-5, 18))
+    def test_each_layout(self, X):
+        # fixed notation for -4 <= X < 17, d.ddde+XX outside; with and
+        # without trailing zeros, so that the point is kept or dropped
+        mantissas = [1.2345678901234567, 1.5, 1.0, 9.875, 3.0000000000000004]
+        values = signed([m * 10.0**X for m in mantissas])
+        assert_formats_like_cpython(values, cols=len(mantissas))
+
+    def test_zeros_infinities_and_nan(self):
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0]
+        assert_formats_like_cpython(values, cols=4)
+        assert csv_body(np.array([values])) == "0,-0,inf,-inf,nan,nan,1,-1\n"
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(3 * (sim._CSV_CHUNK // 7) + 5, 7), (2, sim._CSV_CHUNK + 3)]
+    )
+    def test_tables_across_chunks(self, rows, cols):
+        # a row count that is not a multiple of the chunk, and one row wider
+        # than a chunk: the separators follow the table, not the chunks
+        rng = np.random.default_rng(1)
+        values = rng.standard_normal(rows * cols) * np.exp(rng.uniform(-40, 40, rows * cols))
+        values[::97] = 0.0
+        assert_table_formats_like_cpython(values.reshape(rows, cols))
