@@ -223,13 +223,8 @@ def decompose_nodes(outputs, A):
         nodes = np.flatnonzero(v == k)
         p = rows[nodes]
         O = observability_matrix(HT[nodes, : p.max(), :k], At[nodes, :k, :k])
-        try:
-            s = np.linalg.svd(O, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
         # the padding rows are zero: the threshold counts node i's own rows
-        thresh = s[:, :1] * np.maximum(k * p, k)[:, None] * numerics.RANK_RTOL
-        short += nodes[(s > thresh).sum(axis=1) != k].tolist()
+        short += nodes[numerics.rank(O, np.maximum(k * p, k)) != k].tolist()
     if short:
         raise NumericalFailureError(
             f"node {min(short)}: observable sub-pair failed its rank recheck; the "

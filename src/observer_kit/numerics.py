@@ -14,18 +14,21 @@ matrices, where a loop would cost k.
 
 On the smallest designs (n and N of a few) each numpy call costs more
 than its arithmetic, so each question is one function, which validates
-its input, and no question is asked twice of one array:
-`solve_lyapunov` returns the spectrum of P that its definiteness check
-takes; `coordinate_groups` reads the nonzero patterns of all its stacks
-in one pass and returns a fully linked pattern as one group without any
-closure; `orthonormal_row_space_basis` takes a stack whose every column
-is seen as it is; `rank` takes singular values only; the small Lyapunov
-equations take a direct solve, a few numpy calls, where the sign
-iteration takes 2-5 steps of several calls each; and `is_symmetric`
-compares squared norms, one einsum each, unless a square overflows
-(entries above about 1e154), where it scales by the largest entry. The
-solver's half-plane tolerance and residual bound take
-`_frobenius_norm`, which does the same. Stacks of equal-shape arrays are
+its input, with one route: `eigenvalues` takes the general solver, with
+no symmetry test, as its callers read real parts only; every rank
+decision is `_rank_threshold`; `solve_lyapunov` returns the spectrum of
+P that its definiteness check takes; `coordinate_groups` reads the
+nonzero patterns of all its stacks in one pass and returns a fully
+linked pattern as one group without any closure;
+`orthonormal_row_space_basis` takes a stack whose every column is seen
+as it is; the small Lyapunov equations take a direct solve, a few numpy
+calls, where the sign iteration takes 2-5 steps of several calls each;
+and `is_symmetric` compares squared norms, one einsum each, unless a
+square overflows (entries above about 1e154), where it scales by the
+largest entry, as does `_frobenius_norm` for the solver's half-plane
+tolerance and residual bound. One question is still asked twice:
+`eigenvalues(F)` and `is_symmetric(Q)` validate the F and Q that
+`solve_lyapunov` has just validated. Stacks of equal-shape arrays are
 built with np.array, one C call, where np.stack makes a Python-level
 call per array.
 
@@ -112,19 +115,12 @@ def _as_squares(M, name="matrix"):
 
 def eigenvalues(M):
     """Eigenvalues of a square matrix, or of each matrix of a (k, m, m)
-    stack, with algebraic multiplicity.
-
-    Input whose every matrix is symmetric (relative asymmetry below
-    ``SYMMETRY_RTOL``) is routed to the symmetric solver and yields real
-    values in ascending order. General input yields complex values in no
-    particular order.
+    stack, with algebraic multiplicity, in no particular order: real where
+    numpy finds every one real, complex otherwise. One general solver
+    serves every input, with no symmetry test; the callers read real parts.
     """
     M = _as_squares(M)
-    if M.size == 0:
-        return np.zeros(M.shape[:-1])
     try:
-        if is_symmetric(M).all():
-            return np.linalg.eigvalsh(0.5 * (M + M.swapaxes(-1, -2)))
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
@@ -140,25 +136,39 @@ def svd(M):
     orthogonal: the rows of Vt past the singular values span ker M.
     """
     M = as_matrix(M)
+    return _svd(M, full_matrices=M.shape[0] < M.shape[1])
+
+
+def _svd(M, **options):
+    """np.linalg.svd, raising `NumericalFailureError` where it fails."""
     try:
-        return np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+        return np.linalg.svd(M, **options)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
 
 
-def rank(M):
-    """Numerical rank: count of singular values above the relative
-    threshold sigma_max * max(rows, cols) * RANK_RTOL."""
-    M = as_matrix(M)
-    if M.size == 0:
-        return 0
-    try:
-        s = np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > s[0] * max(M.shape) * RANK_RTOL))
+def rank(M, size=None):
+    """Numerical rank: the count of singular values above the threshold
+    `_rank_threshold`, with size = max(rows, cols) unless given. A 2-d M
+    gives an int; a (c, m, k) stack takes one SVD and gives one count per
+    matrix, and size may hold one value per matrix, so that a matrix
+    padded with zero rows keeps its own."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim not in (2, 3):
+        raise DimensionError(f"matrix must be 2-d or a stack of 2-d, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NumericalFailureError("matrix contains non-finite entries")
+    counts = np.zeros(M.shape[:-2], dtype=int)
+    if M.size:
+        s = _svd(M, compute_uv=False)
+        size = max(M.shape[-2:]) if size is None else size
+        counts = (s > _rank_threshold(s, size)[..., None]).sum(axis=-1)
+    return int(counts) if M.ndim == 2 else counts
+
+
+def _rank_threshold(s, size):
+    """sigma_max * size * RANK_RTOL for descending singular values (..., r)."""
+    return s[..., 0] * size * RANK_RTOL
 
 
 def _is_positive_definite(M):
@@ -388,11 +398,8 @@ def _right_singular_bases(M, size):
     """(V, r, thresh) of a (c, m, k) stack: V[j] the k x k right singular
     basis of M[j], r[j] the count of its singular values above
     thresh[j] = sigma_max * size * RANK_RTOL."""
-    try:
-        _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[1] < M.shape[2])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
-    thresh = s[:, 0] * size * RANK_RTOL
+    _, s, Vt = _svd(M, full_matrices=M.shape[1] < M.shape[2])
+    thresh = _rank_threshold(s, size)
     return Vt.swapaxes(-1, -2).copy(), (s > thresh[:, None]).sum(axis=1), thresh
 
 

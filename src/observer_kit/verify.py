@@ -23,10 +23,12 @@ error matrix and the quadratic form split exactly into one block per
 group of coordinates that no Lambda_i or M_i couples (inv(M_i) has the
 block structure of M_i, so it couples none either); the groups are read
 off the design's own gains, so a design file cannot buy itself a split.
-Each M_i is checked and inverted one group at a time. The abscissa is
-the largest over the blocks and the Lyapunov margin the largest
-eigenvalue over them, one eigenvalue problem of size N |g| per group g,
-in one stacked call per group size. A dense plant is a single group.
+The build restricts Lambda_i and M_i to the groups once; every block is
+held per group from then on, and each M_i is checked and inverted one
+group at a time. The abscissa is the largest over the blocks and the
+Lyapunov margin the largest eigenvalue over them, one eigenvalue problem
+of size N |g| per group g, in one stacked call per group size. A dense
+plant is a single group.
 """
 
 from dataclasses import dataclass
@@ -60,39 +62,33 @@ class GlobalErrorSystem:
     the (k, Nm, Nm) stack of their diagonal blocks of E. A dense plant is
     one group, whose block is E itself.
 
-    Lambda_blocks is the (N, n, n) stack of the Lambda_i and M_blocks[c]
-    the (N, k, m, m) array of the blocks of the M_i in the groups of size
-    m. P_blocks, the (N, n, n) stack of the symmetrized P_i = inv(M_i)
-    that are the blocks of the certificate's quadratic form, is formed
-    when first read: M_i is block diagonal in the groups, so it is
-    inverted in one stacked call per group size, at N sum_g |g|^3. So is
+    Lambda_blocks[c], M_blocks[c] and P_blocks[c] are the (N, k, m, m)
+    arrays of the blocks, in the groups of size m, of the Lambda_i, the M_i
+    and the symmetrized P_i = inv(M_i) of the certificate's quadratic form.
+    P_blocks is formed when first read, one stacked inversion per group
+    size at N sum_g |g|^3, since M_i is block diagonal in the groups. So is
     E_blocks, at O(sum_g (N |g|)^2), which the Lyapunov certificate never
     reads; an entry of it beyond the float range raises
     `NumericalFailureError`.
     """
 
     groups: tuple
-    Lambda_blocks: np.ndarray
+    Lambda_blocks: tuple
     M_blocks: tuple
     RL: np.ndarray
     gamma: float
 
     @cached_property
     def P_blocks(self):
-        P = np.zeros_like(self.Lambda_blocks)
-        for idx, M_g in zip(self.groups, self.M_blocks):
-            P_g = np.linalg.inv(M_g)
-            P[:, idx[:, :, None], idx[:, None, :]] = 0.5 * (P_g + np.swapaxes(P_g, -1, -2))
-        return P
+        inverses = (np.linalg.inv(M_g) for M_g in self.M_blocks)
+        return tuple(0.5 * (P + np.swapaxes(P, -1, -2)) for P in inverses)
 
     @cached_property
     def E_blocks(self):
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = tuple(
-                numerics.coupled_blocks(
-                    numerics.restrict(self.Lambda_blocks, idx), self.RL, M_g, self.gamma
-                )
-                for idx, M_g in zip(self.groups, self.M_blocks)
+                numerics.coupled_blocks(Lam_g, self.RL, M_g, self.gamma)
+                for Lam_g, M_g in zip(self.Lambda_blocks, self.M_blocks)
             )
         if not all(np.isfinite(B).all() for B in blocks):
             raise NumericalFailureError(
@@ -104,7 +100,8 @@ class GlobalErrorSystem:
     def group_rows(self):
         """One (k, Nm) array per entry of groups: the rows of E that each
         group owns, in the order of its block."""
-        N, n = self.Lambda_blocks.shape[:2]
+        N = self.RL.shape[0]
+        n = sum(idx.size for idx in self.groups)
         return [
             (n * np.arange(N)[:, None] + idx[:, None, :]).reshape(len(idx), -1)
             for idx in self.groups
@@ -129,11 +126,11 @@ def _check_compatible(model, design):
 def build_global_error_matrix(model, balanced, design):
     """Assemble the global error system for a design on a balanced graph.
 
+    Lambda_i and M_i are restricted to their coordinate groups here, once.
     Block (i, j) of E is delta_ij (A - L_i H_i) - gamma (R L)_ij M_i,
-    formed directly from the blocks instead of multiplying blockdiag(M_i)
-    by kron(R L, I_n), only inside each coordinate group of Lambda_i and
-    M_i, and only when `GlobalErrorSystem.E_blocks` is first read; the
-    same holds for P_i = inv(M_i). The coupling term uses the balancing
+    formed from those blocks, not as blockdiag(M_i) kron(R L, I_n), when
+    `GlobalErrorSystem.E_blocks` is first read; the same holds for
+    P_i = inv(M_i). The coupling term uses the balancing
     weights recomputed from the graph, which is what makes the result
     depend on the graph only through the product R L.
     """
@@ -142,12 +139,13 @@ def build_global_error_matrix(model, balanced, design):
         raise DimensionError("graph size does not match the design")
     # an overflow here reaches E, whose first read names it
     with np.errstate(over="ignore", invalid="ignore"):
-        Lambda_blocks = np.array([model.A - nd.L @ H for nd, H in zip(design.nodes, model.outputs)])
+        Lambdas = np.array([model.A - nd.L @ H for nd, H in zip(design.nodes, model.outputs)])
     Ms = np.array([node.M for node in design.nodes])
-    groups = numerics.coordinate_groups(Lambda_blocks, Ms)
+    groups = tuple(numerics.coordinate_groups(Lambdas, Ms))
+    Lambda_blocks = tuple(numerics.restrict(Lambdas, idx) for idx in groups)
     M_blocks = tuple(numerics.restrict(Ms, idx) for idx in groups)
     RL = balanced.R @ balanced.laplacian
-    return GlobalErrorSystem(tuple(groups), Lambda_blocks, M_blocks, RL, design.gamma)
+    return GlobalErrorSystem(groups, Lambda_blocks, M_blocks, RL, design.gamma)
 
 
 def error_system(model, g_net, design):
@@ -226,18 +224,16 @@ def certificate_blocks(err_sys, mirror, gamma, alpha):
     """The matrix Z of the Lyapunov certificate, one block per coordinate group.
 
     Z_ij = delta_ij (P_i Lambda_i + Lambda_i.T P_i + 2*alpha*P_i)
-    - gamma * mirror_ij * I_n, with P_i and Lambda_i read from
-    ``err_sys.P_blocks`` and ``err_sys.Lambda_blocks``. The mirror couples
-    equal coordinates only and P_i Lambda_i stays inside the groups of
-    ``err_sys``, so Z is permutation-similar to the block diagonal of the
-    returned blocks: one (k, Nm, Nm) stack per entry of ``err_sys.groups``,
-    rows ordered as in `GlobalErrorSystem.group_rows`. Only products of
-    blocks of at most n x n are formed.
+    - gamma * mirror_ij * I_n, with the group blocks of P_i and Lambda_i
+    read from ``err_sys.P_blocks`` and ``err_sys.Lambda_blocks``. The
+    mirror couples equal coordinates only and P_i Lambda_i stays inside
+    the groups of ``err_sys``, so Z is permutation-similar to the block
+    diagonal of the returned blocks: one (k, Nm, Nm) stack per entry of
+    ``err_sys.groups``, rows ordered as in `GlobalErrorSystem.group_rows`.
+    Only products of blocks of at most n x n are formed.
     """
     blocks = []
-    for idx in err_sys.groups:
-        P = numerics.restrict(err_sys.P_blocks, idx)
-        Lam = numerics.restrict(err_sys.Lambda_blocks, idx)
+    for idx, P, Lam in zip(err_sys.groups, err_sys.P_blocks, err_sys.Lambda_blocks):
         local = P @ Lam + np.swapaxes(Lam, -1, -2) @ P + 2.0 * alpha * P
         unit = np.eye(idx.shape[1])[None, None]
         blocks.append(numerics.coupled_blocks(local, mirror, unit, gamma))

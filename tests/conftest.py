@@ -213,11 +213,22 @@ def rhs(state, model, g_net, design):
     return out
 
 
+def node_blocks(err_sys, blocks):
+    """The (N, n, n) stack of per-node matrices with the given group blocks
+    of err_sys, one (N, k, m, m) array per entry of its groups as in
+    Lambda_blocks, and zeros between groups."""
+    N, n = err_sys.M_blocks[0].shape[0], sum(idx.size for idx in err_sys.groups)
+    out = np.zeros((N, n, n))
+    for idx, stack in zip(err_sys.groups, blocks):
+        out[:, idx[:, :, None], idx[:, None, :]] = stack
+    return out
+
+
 def dense_matrix(err_sys, blocks):
     """The nN x nN matrix with the given group blocks of the error system
     err_sys, one stack per entry of its groups as in E_blocks, and zeros
     between groups."""
-    N, n = err_sys.Lambda_blocks.shape[:2]
+    N, n = err_sys.M_blocks[0].shape[0], sum(idx.size for idx in err_sys.groups)
     out = np.zeros((N * n, N * n))
     for rows, stack in zip(err_sys.group_rows(), blocks):
         out[rows[:, :, None], rows[:, None, :]] = stack

@@ -265,6 +265,14 @@ class TestDecomposeNodes:
         groups = numerics.coordinate_groups(projectors)
         assert len(groups) == 1 and groups[0].shape == (40, 1)
 
+    def test_rank_recheck_counts_each_node_at_its_own_size(self):
+        # node 0's one row sees both modes with sigma_2 / sigma_1 = 4e-10,
+        # above the threshold 2e-10 of its own 2 x 2 observability matrix
+        # but below the 6e-10 of the 6 rows that node 1 pads the stack to
+        A = np.diag([1.0, 1.0 + 1.6e-9])
+        outputs = (np.ones((1, 2)), np.eye(3, 2))
+        assert [d.v for d in decompose_nodes(outputs, A)] == [2, 2]
+
     def test_failure_names_the_first_failing_node(self):
         # one output summing diag(1..9): the rank decision on its
         # observability matrix reads the 9 modes as fewer

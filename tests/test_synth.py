@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -718,6 +719,27 @@ class TestSynthesize:
         assert len(solved) == len(observable) == sum(1 for idx in owned if idx)
         for d in observable:
             assert sum(solves(d, F, Q) for F, Q in solved) == 1
+
+    def test_one_symmetry_test_per_stack(self, monkeypatch):
+        # synthesize + verify_design tests symmetry once per stacked Bass
+        # right-hand side (one per distinct v_i > 0) and once per group
+        # size of the M_i, and never inside numerics.eigenvalues
+        model, g_net = next(
+            (m, g) for m, g in battery_instances(20240817)
+            if len({d.v for d in check_assumptions(m, g).decomps} - {0}) > 1
+        )
+        v = {d.v for d in check_assumptions(model, g_net).decomps} - {0}
+        original, callers = numerics.is_symmetric, []
+
+        def spy(M):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(M)
+
+        monkeypatch.setattr(numerics, "is_symmetric", spy)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        verify_design(model, g_net, design)
+        groups = verify.build_global_error_matrix(model, balance(g_net), design).groups
+        assert callers == ["solve_lyapunov"] * len(v) + ["error_system"] * len(groups)
 
     @pytest.mark.parametrize("n, owned", MIXED_OBSERVABILITY_CASES[:2])
     def test_one_krylov_sequence_per_model(self, monkeypatch, n, owned):

@@ -8,6 +8,7 @@ from conftest import (
     dense_matrix,
     dense_E,
     graph_for,
+    node_blocks,
     partial_instance,
     random_model,
     random_sc_digraph,
@@ -126,7 +127,8 @@ class TestBuildGlobalErrorMatrix:
         model = scalar_pair_model(0.3)
         design = scalar_pair_design(1.2, 0.7, gamma=0.0)
         sys_ = build_global_error_matrix(model, balance(UNIT_2CYCLE), design)
-        assert np.allclose(dense_E(sys_), scipy.linalg.block_diag(*sys_.Lambda_blocks))
+        Lambdas = node_blocks(sys_, sys_.Lambda_blocks)
+        assert np.allclose(dense_E(sys_), scipy.linalg.block_diag(*Lambdas))
 
     def test_depends_on_graph_only_through_balanced_product(self):
         # two different digraphs with the same product R L
@@ -150,7 +152,7 @@ class TestBuildGlobalErrorMatrix:
         bal = balance(ring)
         assert np.allclose(bal.r, 1.0, atol=1e-12)
         sys_ = build_global_error_matrix(model, bal, design)
-        coupling = scipy.linalg.block_diag(*sys_.Lambda_blocks) - dense_E(sys_)
+        coupling = scipy.linalg.block_diag(*node_blocks(sys_, sys_.Lambda_blocks)) - dense_E(sys_)
         Mbar = dense_blocks(model, bal, design)[1]
         expected = design.gamma * Mbar @ np.kron(bal.laplacian, np.eye(2))
         assert np.allclose(coupling, expected, atol=1e-10)
@@ -166,8 +168,9 @@ class TestBuildGlobalErrorMatrix:
         dense = Lambda - design.gamma * Mbar @ np.kron(RL, np.eye(n))
         sys_ = build_global_error_matrix(model, bal, design)
         assert_rel_close(dense_E(sys_), dense)
-        assert sys_.Lambda_blocks.shape == sys_.P_blocks.shape == (len(owned), n, n)
-        assert_rel_close(sys_.Lambda_blocks, diagonal_blocks(Lambda, n))
+        Lambdas = node_blocks(sys_, sys_.Lambda_blocks)
+        assert Lambdas.shape == node_blocks(sys_, sys_.P_blocks).shape == (len(owned), n, n)
+        assert_rel_close(Lambdas, diagonal_blocks(Lambda, n))
 
     def test_dimension_mismatch_rejected(self):
         model = scalar_pair_model(0.3)
@@ -254,7 +257,7 @@ class TestLyapunovCertificate:
             + 2.0 * alpha * P
         )
         sys_ = build_global_error_matrix(model, bal, design)
-        assert_rel_close(sys_.P_blocks, diagonal_blocks(P, n))
+        assert_rel_close(node_blocks(sys_, sys_.P_blocks), diagonal_blocks(P, n))
         Z = dense_matrix(sys_, certificate_blocks(sys_, bal.mirror, design.gamma, alpha))
         assert_rel_close(Z, dense)
         cert = lyapunov_certificate(sys_, bal.mirror, design.gamma, alpha)
@@ -421,7 +424,7 @@ class TestCoordinateGroups:
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
         _, sys_ = error_system(model, g_net, design)
         assert [idx.shape for idx in sys_.groups] == [(1, model.n) if dense else (10, 1)]
-        for P, node in zip(sys_.P_blocks, design.nodes):
+        for P, node in zip(node_blocks(sys_, sys_.P_blocks), design.nodes):
             expected = np.linalg.inv(node.M)
             assert np.max(np.abs(P - expected)) <= 1e-12 * np.max(np.abs(expected))
 
