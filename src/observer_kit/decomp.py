@@ -19,6 +19,7 @@ The network observes the span of the per-node observable bases, so joint
 observability is read off those bases (`joint_observability_rank`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,8 +148,8 @@ def _observable_bases(outputs, A):
         O = O.transpose(1, 0, 2, 3).reshape(len(nodes), n * p, n)
         V, r, thresh = numerics.orthonormal_row_space_basis(O)
         T[nodes], v[nodes] = V, r
-        kernel_sq = np.where(np.arange(n) >= r[:, None], np.square(O @ V).sum(axis=1), 0.0)
-        kernel[nodes] = np.sqrt(kernel_sq.sum(axis=1))
+        kernel_cols = np.where(np.arange(n) >= r[:, None, None], O @ V, 0.0)
+        kernel[nodes] = numerics._frobenius_norm(kernel_cols)
         bound[nodes] = np.maximum(10.0 * thresh, 1e-12)
     bad = kernel > bound
     if bad.any():
@@ -198,10 +199,10 @@ def decompose_nodes(outputs, A):
 
     kernel_cols = np.arange(n) >= v[:, None]
     upper_right = ~kernel_cols[:, :, None] & kernel_cols[:, None, :]
-    norm_A = max(np.linalg.norm(A, "fro"), 1e-300)
+    norm_A = max(math.hypot(*A.ravel().tolist()), 1e-300)
     norm_H = np.maximum(np.linalg.norm(H, axis=(-2, -1)), 1e-300)
     orth = np.linalg.norm(T.swapaxes(-1, -2) @ T - np.eye(n), axis=(-2, -1))
-    cross = np.linalg.norm(np.where(upper_right, At, 0.0), axis=(-2, -1))
+    cross = numerics._frobenius_norm(np.where(upper_right, At, 0.0))
     kern = np.linalg.norm(np.where(kernel_cols[:, None, :], HT, 0.0), axis=(-2, -1))
     failed = (orth > 1e-10) | (cross > 1e-8 * norm_A) | (kern > 1e-8 * norm_H)
     if failed.any():

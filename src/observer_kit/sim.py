@@ -13,20 +13,22 @@ e = xhat - 1 (x) x alone. Its field is E, the error matrix `verify`
 certifies, from the same `verify.error_system`, and it never reads the
 plant state x. e advances one coordinate group of the error system at a
 time, by exp(dt E_g), E_g the group's block of E, `_BLOCK` consecutive
-states per matrix-matrix product, and the node error norms of each block
-are taken while it is in cache. A dense plant is a single group, stepped
-by exp(dt E). Norms whose squares pass the largest float are taken of
-the block scaled by its largest entry, so a norm reads inf only when it
-passes the largest float itself.
+states per matrix-matrix product. A dense plant is a single group,
+stepped by exp(dt E). Norms whose squares pass the largest float are
+taken of the block scaled by its largest entry, so a norm reads inf only
+when it passes the largest float itself.
 
-The error is stepped in the propagator's own column order: each group
-size of the error system as one contiguous run, one sub-run of N |g|
-columns per group g. A step is one batched product per group size on
-strided views of that layout. The plant state x, by exp(dt A), and the
-full states (x, e) are stepped only when a caller reads them from the
-trace, once, by a replay of the same run. The run and the replay share
-one block loop, `_run`, which keeps the node norms of each block in the
-one and the block itself in the other.
+The error is held in panels: one contiguous (k, rows, N |g|) array per
+group size of the error system, group-major, so each jump of `_BLOCK`
+steps is one batched product per group size on contiguous memory. The
+node error norms, the finiteness test and the recording are taken once
+per span, as many consecutive blocks as fit in `_SPAN_BYTES`, while the
+span is in cache. The plant state x, by exp(dt A), and the full states
+(x, e) are stepped only when a caller reads them from the trace, once,
+by a replay of the same run with x as one more panel. The run and the
+replay share one loop, `_run`, which keeps the node norms of each span
+in the one and the span gathered back into coordinate order in the
+other.
 """
 
 import logging
@@ -46,6 +48,10 @@ logger = logging.getLogger(__name__)
 
 # States advanced per matrix-matrix product once the first block is filled.
 _BLOCK = 64
+# Bytes of state in a span, the consecutive blocks whose node norms,
+# finiteness test and recording are taken at once while they are in
+# cache: at least one block, and as many more as fit.
+_SPAN_BYTES = 1 << 19
 
 
 @dataclass
@@ -158,24 +164,26 @@ def integrate(config, model, g_net, design):
     e' = E e, with E the error matrix of `verify.error_system`, never
     reads the plant state x, so a design `verify` certifies simulates
     whatever x does, and a design `verify` rejects is rejected here with
-    the same error. One step multiplies the error rows of each coordinate
+    the same error. One step multiplies the error of each coordinate
     group by exp(dt E_g), E_g its block of E, exact to rounding. The error
-    is held with the rows of the groups of one size side by side, so a
-    step is one batched product per group size. `_run` steps the first
-    `_BLOCK` states one at a time and each later block in one product
-    with the `_BLOCK`-th power of the step, into one of two scratch
-    blocks, whose node norms are taken while it is in cache. A block whose
-    norms are not finite and that holds a non-finite entry is redone one
-    step at a time from the last finite block; one whose norms overflow
-    from finite entries has them taken again of the block scaled by its
-    largest entry, and e_global is summed by `np.hypot` where the norm of
-    the node norms overflows. No state is kept: the trace holds the
-    per-node error norms at the recorded steps.
+    is held in one contiguous panel per group size, the groups of that
+    size one after another, so a step is one batched product per group
+    size. `_run` steps the first `_BLOCK` states one at a time and each
+    later block in one product with the `_BLOCK`-th power of the step,
+    into one of two scratch spans of consecutive blocks, whose node norms
+    are taken once per span while it is in cache. A span whose norms are
+    not finite and that holds a non-finite entry is redone one step at a
+    time from the state before it; one whose norms overflow from finite
+    entries has them taken again, block by block, of the block scaled by
+    its largest entry, and e_global is summed by `np.hypot` where the
+    norm of the node norms overflows. No state is kept: the trace holds
+    the per-node error norms at the recorded steps.
 
     The plant state x, by exp(dt A), and the states (x, e) are stepped
     only when the trace's states, x, e or xhat are first read: a replay of
-    the run over (x, e) through the same `_run`, in the same layout and
-    blocks, whose steps of e are those of this run, keeping whole blocks.
+    the run over (x, e) through the same `_run`, with x as one more panel
+    in front of the same panels and spans of e, whose steps of e are
+    those of this run, gathering each span back into coordinate order.
     It raises `DivergenceError` naming the first step whose x is
     non-finite.
 
@@ -204,16 +212,16 @@ def integrate(config, model, g_net, design):
     if rec_steps[-1] != steps:
         rec_steps = np.append(rec_steps, steps)
 
-    # stepped column j holds coordinate layout[j] of e: each size class of
-    # groups as one contiguous run, one sub-run of N |g| rows per group
-    layout = np.concatenate([rows.ravel() for rows in err_sys.group_rows()])
-    e0 = (xhat0 - x0).ravel()[layout]
-    # states are rows, so one step is e @ blockdiag(exp(dt E_g), ...).T;
+    # the coordinates of e that each group of each size class owns, one
+    # (k, N |g|) array per class: the rows of its panel
+    columns = err_sys.group_rows()
+    e = (xhat0 - x0).ravel()
+    e0 = [e[rows] for rows in columns]
+    # states are rows, so one step is e_g @ exp(dt E_g).T per group g;
     # overflow is detected explicitly, so numpy stays quiet on the way there
     with np.errstate(over="ignore", invalid="ignore"):
         step = [_expm(dt * blocks).transpose(0, 2, 1) for blocks in err_sys.E_blocks]
-        norms = partial(_node_norms, shapes=[g.shape for g in err_sys.groups], N=N)
-        e_norms = _run(step, e0, rec_steps, dt, "estimation error", norms)
+        e_norms = _run(step, e0, rec_steps, dt, "estimation error", partial(_node_norms, N=N))
         e_global = np.linalg.norm(e_norms, axis=1)
         overflowed = ~np.isfinite(e_global)
         e_global[overflowed] = np.hypot.reduce(e_norms[overflowed], axis=1)
@@ -222,7 +230,7 @@ def integrate(config, model, g_net, design):
         e_norms=e_norms,
         e_global=e_global,
         fitted_rate=None,
-        replay=partial(_replay, model.A, step, x0, e0, layout, rec_steps, dt),
+        replay=partial(_replay, model.A, step, x0, e0, columns, rec_steps, dt),
     )
     try:
         rate = estimate_decay_rate(trace, config.resolved_fit_window())
@@ -232,85 +240,121 @@ def integrate(config, model, g_net, design):
     return replace(trace, fitted_rate=rate)
 
 
-def _replay(A, e_step, x0, e0, layout, rec_steps, dt):
+def _replay(A, e_step, x0, e0, columns, rec_steps, dt):
     """The states (x, e) of a run at the ascending steps rec_steps, one
-    per row, in coordinate order: x by exp(dt A) next to e, stepped by
-    `_run` in the run's layout of e, with the plant's n columns first."""
+    per row, in coordinate order: x by exp(dt A) as one more panel next
+    to the run's panels of e, stepped by `_run`, each span gathered back
+    into coordinate order by `_gather`."""
     n = len(x0)
+    columns = [np.arange(n)[None], *(n + rows for rows in columns)]
     with np.errstate(over="ignore", invalid="ignore"):
         step = [_expm(dt * A[None]).transpose(0, 2, 1), *e_step]
-        y0 = np.concatenate([x0, e0])
-        states = _run(step, y0, rec_steps, dt, "plant state x", lambda block: block)
-    columns = np.argsort(np.concatenate([np.arange(n), n + layout]))
-    return np.take(states, columns, axis=1)
+        gather = partial(_gather, columns=columns)
+        return _run(step, [x0[None], *e0], rec_steps, dt, "plant state x", gather)
 
 
 def _run(step, y0, rec_steps, dt, name, reduce):
-    """reduce(block) at the ascending steps rec_steps, one row per step,
-    where block holds consecutive states y_k, one per row, from y_0 = y0
-    and y_{k+1} = _times(y_k, step).
+    """reduce(panels) at the ascending steps rec_steps, one row per step,
+    where panels holds consecutive states y_k from y_0 = y0 and y_{k+1} =
+    y_k times the block-diagonal matrix of the stacks of step.
 
-    The first block is stepped one at a time, each later one in one
-    product with the `_BLOCK`-th power of the step. Blocks alternate
-    between two scratch arrays, and only the recorded rows of each
-    reduction are kept. reduce must be positively homogeneous and
-    non-finite on a block with a non-finite entry. A block whose
-    reduction is not finite and that holds a non-finite entry is redone
-    one step at a time from the last finite block, which raises
-    `DivergenceError` naming the state as name at the first non-finite
-    step; a finite one is reduced by `_finite_reduction`.
+    A state is held in panels, one per (k, m, m) stack T of step: the
+    contiguous (k, rows, m) array whose [c, r] is the part of state r
+    that T[c] steps, as y0 holds the (k, m) parts of y_0. The first
+    `_BLOCK` states are stepped one at a time, and each later block of
+    `_BLOCK` rows in one product per panel, of the block before it with
+    the `_BLOCK`-th power of T. Spans of as many consecutive blocks as fit
+    in `_SPAN_BYTES`, at least one, alternate between two scratch panels,
+    and reduce runs once per span, of which only the recorded rows are
+    kept. reduce must be positively homogeneous and non-finite on a state
+    with a non-finite entry. A span whose reduction is not finite and
+    that holds a non-finite entry is redone one step at a time from the
+    last state before it, which raises `DivergenceError` naming the state
+    as name at the first non-finite step; a finite one is reduced block by
+    block by `_finite_reduction`.
     """
     steps = int(rec_steps[-1])
     width = min(_BLOCK, steps + 1)
-    scratch = np.empty((2, width, y0.size))
-    block = scratch[0]
-    block[0] = y0
-    _step_one_at_a_time(step, y0, 1, block[1:], dt, name)
-    kept = _finite_reduction(reduce, block)
-    out = np.empty((len(rec_steps), *kept.shape[1:]))
+    span = width * max(1, _SPAN_BYTES // (8 * width * sum(part.size for part in y0)))
+    scratch = [np.empty((2, len(T), span, T.shape[1])) for T in step]
+    for buffers, part in zip(scratch, y0):
+        buffers[0, :, 0] = part
     jump = [np.linalg.matrix_power(T, width) for T in step]
-    start = 0  # step of the first row of block
-    while True:
-        lo, hi = np.searchsorted(rec_steps, [start, start + width])
-        out[lo:hi] = kept[rec_steps[lo:hi] - start]
-        start += width
-        if start > steps:
-            return out
-        rows = min(width, steps + 1 - start)
-        following = scratch[start // width % 2, :rows]
-        _times(block[:rows], jump, following)
-        kept = reduce(following)
+    out = None
+    previous = None  # the last block of the span before
+    start = 0  # step of the first row of the span
+    while start <= steps:
+        rows = min(span, steps + 1 - start)
+        panels = [buffers[start // span % 2, :, :rows] for buffers in scratch]
+        # the state before the first row that a redo steps, and that row
+        if previous is None:
+            before, first = _rows(panels, 0, 1), 1
+        else:
+            before, first = _rows(previous, width - 1, width), 0
+        for lo in range(0, rows, width):
+            hi = min(lo + width, rows)
+            if lo == 0 and previous is None:
+                following = _rows(panels, first, hi)
+                _step_one_at_a_time(step, before, start + first, following, dt, name)
+            else:
+                source = _rows(panels, lo - width, hi - width) if lo else _rows(previous, 0, hi)
+                for y, T, following in zip(source, jump, _rows(panels, lo, hi)):
+                    np.matmul(y, T, out=following)
+        kept = reduce(panels)
         if not np.isfinite(kept).all():
-            if not np.isfinite(following).all():
-                _step_one_at_a_time(step, block[-1], start, following, dt, name)
-            kept = _finite_reduction(reduce, following)
-        block = following
+            if not all(np.isfinite(panel).all() for panel in panels):
+                following = _rows(panels, first, rows)
+                _step_one_at_a_time(step, before, start + first, following, dt, name)
+            blocks = range(0, rows, width)
+            kept = np.concatenate(
+                [_finite_reduction(reduce, _rows(panels, lo, lo + width)) for lo in blocks]
+            )
+        if out is None:
+            out = np.empty((len(rec_steps), *kept.shape[1:]))
+        lo, hi = np.searchsorted(rec_steps, [start, start + rows])
+        out[lo:hi] = kept[rec_steps[lo:hi] - start]
+        previous = _rows(panels, rows - width, rows)
+        start += rows
+    return out
 
 
-def _finite_reduction(reduce, block):
-    """reduce(block) of finite states, each entry of it that is not finite
-    taken again of the block divided by its largest entry: a sum of
+def _rows(panels, lo, hi):
+    """The rows lo to hi of each panel."""
+    return [panel[:, lo:hi] for panel in panels]
+
+
+def _finite_reduction(reduce, panels):
+    """reduce(panels) of finite states, each entry of it that is not finite
+    taken again of the panels divided by their largest entry: a sum of
     squares of entries above the square root of the largest float
     overflows, their norm need not."""
-    kept = reduce(block)
+    kept = reduce(panels)
     overflowed = ~np.isfinite(kept)
     if overflowed.any():
-        scale = np.abs(block).max()
-        kept[overflowed] = (reduce(block / scale) * scale)[overflowed]
+        scale = max(np.abs(panel).max() for panel in panels)
+        kept[overflowed] = (reduce([panel / scale for panel in panels]) * scale)[overflowed]
     return kept
 
 
-def _node_norms(block, shapes, N):
-    """Norms of the N node errors of the states of block, one row each,
-    squared and summed inside each size class: its run of group g holds
-    the N |g| rows (i, k), k in g, node-major."""
-    squares = np.zeros((len(block), N))
-    lo = 0
-    for k, m in shapes:
-        part = block[:, lo : lo + k * N * m].reshape(len(block), k, N, m)
-        squares += np.einsum("rkim,rkim->ri", part, part)
-        lo += k * N * m
+def _node_norms(panels, N):
+    """Norms of the N node errors of the states of panels, one row each,
+    squared and summed inside each size class: [c, r] of a panel holds
+    the N |g| coordinates (i, k) of state r, k in group c, node-major."""
+    rows = panels[0].shape[1]
+    squares = np.zeros((rows, N))
+    for panel in panels:
+        part = panel.reshape(len(panel), rows, N, -1)
+        squares += np.einsum("krim,krim->ri", part, part)
     return np.sqrt(squares)
+
+
+def _gather(panels, columns):
+    """The states of panels, one per row, in coordinate order: columns[p]
+    is the (k, m) array of the coordinates that panel p holds."""
+    states = np.empty((panels[0].shape[1], sum(cols.size for cols in columns)))
+    for panel, cols in zip(panels, columns):
+        states[:, cols] = panel.swapaxes(0, 1)
+    return states
 
 
 def _expm(M):
@@ -335,39 +379,20 @@ def _expm(M):
     return P
 
 
-def _times(y, parts, out):
-    """Write to out the states y, one per row, times the block-diagonal
-    matrix of the parts.
-
-    Each part is a (k, m, m) stack T that owns the next k m columns, k
-    consecutive runs of m: row r of out holds y[r, run c] @ T[c] in run c.
-    One batched product per part, on strided views of y and out.
-    """
-    lo = 0
-    for T in parts:
-        k, m = T.shape[:2]
-        hi = lo + k * m
-        np.matmul(_runs(y[:, lo:hi], k), T, out=_runs(out[:, lo:hi], k))
-        lo = hi
-
-
-def _runs(y, k):
-    """The (rows, k m) array y as a (k, rows, m) view, run c at [c]."""
-    return y.reshape(len(y), k, -1).swapaxes(0, 1)
-
-
 def _step_one_at_a_time(step, y, start, out, dt, name):
-    """Fill the rows of out with the states start, start + 1, ..., stepped
-    one at a time from y, the state at step start - 1.
+    """Fill the rows of the panels out with the states start, start + 1,
+    ..., stepped one at a time from y, the one-row panels of the state at
+    step start - 1.
 
     Raises `DivergenceError` at the first step with a non-finite entry,
     naming the state as name.
     """
-    previous = y[None]
-    for row in range(len(out)):
-        current = out[row : row + 1]
-        _times(previous, step, current)
-        if not np.isfinite(current).all():
+    previous = y
+    for row in range(out[0].shape[1]):
+        current = _rows(out, row, row + 1)
+        for y_part, T, part in zip(previous, step, current):
+            np.matmul(y_part, T, out=part)
+        if not all(np.isfinite(part).all() for part in current):
             k = start + row
             raise DivergenceError(
                 f"{name} became non-finite at step {k} (t = {k * dt:.6g})",

@@ -241,15 +241,21 @@ def place_observer_poles(A_io, H_io, alpha):
     if v == 0:
         L_io, P_io = np.zeros((k, 0, H_io.shape[1])), np.zeros((k, 0, 0))
     else:
-        norms = np.linalg.norm(A_io, axis=(-2, -1))
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(A_io, axis=(-2, -1))
+        if norms.max() == math.inf:
+            # a square overflowed (entries above about 1e154): the norms are
+            # taken scaled instead of numpy's, on which beta rests bit for bit
+            norms = numerics._frobenius_norm(A_io)
         # the largest shift alpha + beta, in the order of operations below,
         # and the diagonal 2 (alpha + beta) of the Bass equation's Kronecker
         # form and of Sym(A_io - L_io H_io), on Python floats, which
         # overflow to inf without a warning
-        if 2.0 * (alpha + (1.0 + float(norms.max()) + alpha)) == math.inf:
+        norm = float(norms.max())
+        if 2.0 * (alpha + (1.0 + norm + alpha)) == math.inf:
             raise NumericalFailureError(
                 f"the pole-placement shift alpha + beta = 2 alpha + 1 + ||A_io||_F, "
-                f"or twice it, overflows at alpha = {alpha:.6g}"
+                f"or twice it, overflows at alpha = {alpha:.6g} and ||A_io||_F = {norm:.6g}"
             )
         beta = 1.0 + norms + alpha
         F = A_io + (alpha + beta)[:, None, None] * np.eye(v)
@@ -454,8 +460,9 @@ def check_assumptions(model, g_net):
             f"{g_net.node_count} nodes"
         )
     # norm(A, 2) <= norm(A, "fro"): the SVD only runs when the Frobenius
-    # norm, which needs none, is within rounding of the bound or above it
-    if np.linalg.norm(model.A) > (1.0 - 1e-12) * NORM_WARN:
+    # norm, which needs none and which math.hypot takes without overflow,
+    # is within rounding of the bound or above it
+    if math.hypot(*model.A.ravel().tolist()) > (1.0 - 1e-12) * NORM_WARN:
         norm_A = np.linalg.norm(model.A, 2)
         if norm_A > NORM_WARN:
             logger.warning(

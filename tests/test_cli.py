@@ -431,6 +431,36 @@ class TestSynthesize:
         assert f"overflows at alpha = {float(alpha):.6g}" in err
         assert "non-finite" not in err and "residual" not in err and not out.exists()
 
+    def test_huge_plant_certifies_without_warnings(self, tmp_path, capsys):
+        # the squares of A's entries overflow: check printed numpy
+        # RuntimeWarnings from norm(A) and the kernel residual, and
+        # synthesize exited 4 blaming alpha for an overflowing ||A_io||_F;
+        # taken without overflow, beta = 2e160 + 2 and the design certifies
+        cfg = write_config(tmp_path / "huge.json", A=[[1e160, 0.0], [0.0, 2e160]])
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check", str(cfg)]) == 0
+            assert main(["synthesize", str(cfg), "-o", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["verify", str(cfg), str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is True and report["lyapunov_pass"] is True
+        assert report["abscissa"] <= -1e158
+
+    def test_overflowing_plant_norm_is_named(self, tmp_path, capsys):
+        # alpha + beta = 2 alpha + 1 + ||A_io||_F passes the largest float
+        # at alpha = 1 because ||A_io||_F = 1e308 does
+        cfg = write_config(tmp_path / "huge.json", A=[[1e308]], outputs=[[[1.0]], [[1.0]]])
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check", str(cfg)]) == 0
+            assert main(["synthesize", str(cfg), "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "pole-placement shift alpha + beta" in err and "||A_io||_F = 1e+308" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["1e307", "1.9e307"])
     def test_huge_alpha_below_the_overflow_certifies(self, config_path, tmp_path, capsys, alpha):
         # from 1.1e307 the sum Z + Z.T of the final certificate overflowed,

@@ -50,6 +50,18 @@ def no_replay():
     raise AssertionError("the states were read")
 
 
+def mixed_group_instance():
+    """(model, graph) of a coupled pair of modes and three lone modes: the
+    error system has one group of size 2 and three of size 1, stepped as
+    two size classes whose columns interleave those of (x, e)."""
+    A = np.zeros((5, 5))
+    A[:2, :2] = [[0.5, 1.0], [-1.0, 0.2]]
+    A[2:, 2:] = np.diag([0.3, -0.4, 0.8])
+    eye = np.eye(5)
+    model = SystemModel(A=A, outputs=(eye[[0]], eye[[2, 3]], eye[[4]]))
+    return model, random_sc_digraph(np.random.default_rng(21), 3)
+
+
 def trace_from_norm(times, values):
     e = np.asarray(values, dtype=float)
     return SimulationTrace(
@@ -271,15 +283,8 @@ class TestIntegrate:
         ids=["stride-1", "stride-7", "stride-1-single-steps", "stride-7-single-steps"],
     )
     def test_mixed_group_sizes_match_single_expm_steps(self, monkeypatch, record_stride, block):
-        # a coupled pair of modes and three lone modes: the error system has
-        # one group of size 2 and three of size 1, stepped as two size
-        # classes whose columns interleave those of (x, e)
-        A = np.zeros((5, 5))
-        A[:2, :2] = [[0.5, 1.0], [-1.0, 0.2]]
-        A[2:, 2:] = np.diag([0.3, -0.4, 0.8])
-        eye = np.eye(5)
-        model = SystemModel(A=A, outputs=(eye[[0]], eye[[2, 3]], eye[[4]]))
-        g_net = random_sc_digraph(np.random.default_rng(21), 3)
+        model, g_net = mixed_group_instance()
+        A = model.A
         design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
         err_sys = verify.error_system(model, g_net, design)[1]
         assert len(err_sys.groups) >= 2
@@ -527,6 +532,51 @@ class TestIntegrate:
             write_csv(trace, buf, include_states=True)
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("record_stride", [1, 7])
+    @pytest.mark.parametrize(
+        "instance, t_final",
+        [(mixed_group_instance, 0.3), (lambda: partial_instance(10), 2.0)],
+        ids=["mixed-group-sizes", "rung-10"],
+    )
+    def test_spans_change_no_row(self, monkeypatch, instance, t_final, record_stride):
+        # by default the mixed model takes its 301 states in one span and
+        # rung 10 its 2001 in spans of ten blocks; one block per span must
+        # give the same bits
+        model, g_net = instance()
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        config = SimulationConfig(t_final=t_final, dt=1e-3, seed=3, record_stride=record_stride)
+        spans = integrate(config, model, g_net, design)
+        monkeypatch.setattr(sim, "_SPAN_BYTES", 0)
+        blocks = integrate(config, model, g_net, design)
+        for name in ("e_norms", "e_global", "states"):
+            assert np.array_equal(getattr(spans, name), getattr(blocks, name)), name
+        assert spans.fitted_rate == blocks.fitted_rate
+
+    @pytest.mark.parametrize(
+        "lam, dt, span_bytes, expected",
+        [(10.0, 1e-3, sim._SPAN_BYTES, 70979), (100.0, 1e-2, 4 * sim._BLOCK * 8, 710)],
+        ids=["second-of-the-default-spans", "fourth-block-of-the-third-span"],
+    )
+    def test_divergence_inside_a_later_span(self, monkeypatch, lam, dt, span_bytes, expected):
+        # a scalar error grows by exp(lam dt) per step and first passes the
+        # largest float at step 70979, in the second span of 65536 states,
+        # or at 710, in the fourth block of the third span of 256; the redo
+        # from the start of the span names the step that single steps name
+        assert expected == math.floor(math.log(np.finfo(float).max) / (lam * dt)) + 1
+        model = SystemModel(A=[[0.0]], outputs=([[1.0]],))
+        design = scalar_design(l=-lam, m=1.0, gamma=0.0)
+        config = SimulationConfig(
+            t_final=(expected + 1000) * dt, dt=dt, x0=[0.0], xhat0=[[1.0]], seed=0
+        )
+        monkeypatch.setattr(sim, "_SPAN_BYTES", span_bytes)
+        steps = []
+        for block in (sim._BLOCK, 1):
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            with pytest.raises(DivergenceError, match="estimation error") as err:
+                integrate(config, model, SINGLE_NODE, design)
+            steps.append(err.value.step)
+        assert steps == [expected, expected]
 
 
 class TestEstimateDecayRate:
