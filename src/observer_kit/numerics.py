@@ -44,7 +44,7 @@ from .errors import DimensionError, NumericalFailureError, SingularEquationError
 SYMMETRY_RTOL = 1e-10
 
 # Relative factor of every numerical-rank decision:
-# sigma > sigma_max * max(rows, cols) * RANK_RTOL counts toward the rank.
+# sigma > sigma_max * (max(rows, cols) * RANK_RTOL) counts toward the rank.
 RANK_RTOL = 1e-10
 
 
@@ -167,8 +167,10 @@ def rank(M, size=None):
 
 
 def _rank_threshold(s, size):
-    """sigma_max * size * RANK_RTOL for descending singular values (..., r)."""
-    return s[..., 0] * size * RANK_RTOL
+    """sigma_max * (size * RANK_RTOL) for descending singular values
+    (..., r): scaled before sigma_max multiplies in, so the threshold of a
+    finite sigma_max is finite."""
+    return s[..., 0] * (size * RANK_RTOL)
 
 
 def _is_positive_definite(M):
@@ -363,7 +365,7 @@ def orthonormal_row_space_basis(M):
     Returns (V, r, thresh). V is a (c, n, n) stack of orthogonal matrices:
     the first r[j] columns of V[j] span im M[j].T and the others span
     ker M[j]. r[j] counts the singular values of M[j] above the rank
-    threshold thresh[j] = sigma_max * max(m, n) * RANK_RTOL, so a kernel
+    threshold thresh[j] = sigma_max * (max(m, n) * RANK_RTOL), so a kernel
     column's residual ||M[j] V[j][:, k]|| is about a singular value below
     thresh[j]. A coordinate whose column of M[j] is exactly zero lies in
     the kernel: it becomes a unit column at the end of V[j], and the SVD
@@ -397,7 +399,7 @@ def orthonormal_row_space_basis(M):
 def _right_singular_bases(M, size):
     """(V, r, thresh) of a (c, m, k) stack: V[j] the k x k right singular
     basis of M[j], r[j] the count of its singular values above
-    thresh[j] = sigma_max * size * RANK_RTOL."""
+    thresh[j] = sigma_max * (size * RANK_RTOL)."""
     _, s, Vt = _svd(M, full_matrices=M.shape[1] < M.shape[2])
     thresh = _rank_threshold(s, size)
     return Vt.swapaxes(-1, -2).copy(), (s > thresh[:, None]).sum(axis=1), thresh

@@ -29,11 +29,17 @@ by a replay of the same run with x as one more panel. The run and the
 replay share one loop, `_run`, which keeps the node norms of each span
 in the one and the span gathered back into coordinate order in the
 other.
+
+`write_csv` writes a trace as CPython's %.17g text, formatted with numpy
+a chunk of values at a time on one worker per usable CPU; the workers
+release the interpreter lock in numpy's loops and run side by side.
 """
 
 import logging
 import math
 import numbers
+import os
+import threading
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -436,7 +442,12 @@ def write_csv(trace, stream, include_states=False):
     Columns: t, the global error norm, one error norm per node and, when
     include_states is set, the plant state and every observer state.
     Every value is written byte for byte as CPython's ``'%.17g' % value``,
-    by `_csv_text`, a chunk of the table at a time.
+    by `_write_table`, a chunk of the table at a time. The chunks are
+    formatted by one worker per usable CPU, at most one per chunk: the
+    calling thread and threads started for the call, every one of which
+    has ended when write_csv returns or raises. Each chunk is written in
+    table order as soon as it and the chunks before it are ready, so the
+    text does not depend on the number of workers.
     """
     N = trace.e_norms.shape[1]
     header = ["t", "e_global"] + [f"e_{i + 1}" for i in range(N)]
@@ -448,8 +459,7 @@ def write_csv(trace, stream, include_states=False):
         header += [f"xhat_{i + 1}_{j + 1}" for i in range(N) for j in range(n)]
         columns += [x, trace.xhat.reshape(trace.times.size, N * n)]
     stream.write(",".join(header) + "\n")
-    for text in _csv_text(np.column_stack(columns)):
-        stream.write(text)
+    _write_table(np.column_stack(columns), stream.write)
 
 
 # Values formatted at a time: whole-table temporaries cost more than the
@@ -464,18 +474,70 @@ _EXPONENTIAL = 21
 _UNDECIDED = 22
 
 
-def _csv_text(table):
-    """The rows of the 2-D float table as CSV text, one string per
-    `_CSV_CHUNK` values."""
+def _write_table(table, write):
+    """Write the rows of the 2-D float table as CSV text by write, one
+    string per `_CSV_CHUNK` values, in table order.
+
+    Worker w of W formats the chunks w, w + W, ..., where W is the number
+    of usable CPUs, at most one per chunk; the calling thread is worker 0
+    and the others are threads started here. `_format_chunk` reads only
+    its own chunk, and its numpy loops release the interpreter lock, so
+    the workers run side by side and the text does not depend on W. Each
+    chunk is written as soon as it is formatted and the chunk before it
+    is written. After an error no worker writes again, each stops once
+    its current chunk is formatted, the threads are joined, and the first
+    error is raised.
+    """
     cols = table.shape[1]
     values = table.astype(float, copy=False).ravel()
     tables = _decimal_tables()
     row_seps = np.full(cols, ord(","), np.uint8)
     row_seps[-1] = ord("\n")
-    for start in range(0, values.size, _CSV_CHUNK):
-        chunk = values[start : start + _CSV_CHUNK]
-        seps = np.resize(np.roll(row_seps, -(start % cols)), chunk.size)
-        yield _format_chunk(chunk, seps, tables)
+    starts = range(0, values.size, _CSV_CHUNK)
+    workers = max(1, min(_usable_cpus(), len(starts)))
+    # written[i] is set once chunk i is written, and every one on an error
+    written = [threading.Event() for _ in starts]
+    errors = []
+
+    def fail(exc):
+        errors.append(exc)
+        for event in written:
+            event.set()
+
+    def work(first):
+        try:
+            for i in range(first, len(starts), workers):
+                chunk = values[starts[i] : starts[i] + _CSV_CHUNK]
+                seps = np.resize(np.roll(row_seps, -(starts[i] % cols)), chunk.size)
+                text = _format_chunk(chunk, seps, tables)
+                if i:
+                    written[i - 1].wait()
+                if errors:
+                    return
+                write(text)
+                written[i].set()
+        except BaseException as exc:  # raised again below, in the caller
+            fail(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+    except BaseException as exc:  # a thread that could not start
+        fail(exc)
+    work(0)
+    for thread in threads:
+        if thread.is_alive():
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _format_chunk(x, seps, tables):
@@ -501,8 +563,8 @@ def _format_chunk(x, seps, tables):
     layout, so that each layout is written by slices into a slot of
     `_CSV_SLOT` zero bytes per value. Fixed notation serves -4 <= X < 17
     and d.ddde+XX the rest, each without trailing zeros or a bare point.
-    One boolean mask drops the padding: the zero bytes, and the spaces
-    that pad CPython's text to a slot.
+    One comparison drops the padding, the zero bytes: the spaces that pad
+    CPython's text to a slot are turned to zeros first.
     """
     slots = np.zeros((x.size, _CSV_SLOT), np.uint8)
     a = np.abs(x)
@@ -524,12 +586,11 @@ def _format_chunk(x, seps, tables):
     order = np.argsort(code, kind="stable")
     bounds = np.searchsorted(code[order], np.arange(_UNDECIDED + 1))
     fast = order[: bounds[-1]]
-    D = yh[fast].astype(np.int64) + whole[fast].astype(np.int64) + (frac[fast] > 0.5)
+    D = (yh.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5))[fast]
     X = k[fast]
     digits, last = _digits(D, X, tables)
     out = np.zeros((fast.size, _CSV_SLOT), np.uint8)
-    out[:, 0] = (x[at[fast]] < 0) * np.uint8(ord("-"))
-    for c in range(_UNDECIDED):
+    for c in np.flatnonzero(np.diff(bounds)):
         rows = slice(bounds[c], bounds[c + 1])
         e = c - 4  # the exponent X of fixed notation
         if c == _EXPONENTIAL:
@@ -547,6 +608,7 @@ def _format_chunk(x, seps, tables):
             out[rows, e + 3 : 19] = digits[rows, e + 1 :]
     slot = np.dtype((np.void, _CSV_SLOT))
     slots.view(slot)[at[fast], 0] = out.view(slot)[:, 0]
+    slots[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     special = np.flatnonzero(~finite)
     if special.size:
         v = x[special]
@@ -556,10 +618,12 @@ def _format_chunk(x, seps, tables):
         slots[special[np.isnan(v)], 1:4] = np.frombuffer(b"nan", np.uint8)
     undecided = at[order[bounds[-1] :]]
     if undecided.size:
+        # %.17g writes no space, so the padding of each slot becomes zeros
         text = f"%-{_CSV_SLOT}.17g" * undecided.size % tuple(x[undecided].tolist())
-        slots.view(slot)[undecided, 0] = np.frombuffer(text.encode("ascii"), slot)
+        text = text.encode("ascii").replace(b" ", b"\0")
+        slots.view(slot)[undecided, 0] = np.frombuffer(text, slot)
     slots[:, -1] = seps
-    return slots[(slots != 0) & (slots != ord(" "))].tobytes().decode("ascii")
+    return str(slots[slots != 0], "ascii")
 
 
 def _scale(a, s, tables):
@@ -585,11 +649,17 @@ def _digits(D, X, tables):
     """The 17 digits of each D in [10^16, 10^17), one ASCII row each, with
     the trailing zeros of the fraction of its %.17g text at exponent X
     turned to zero bytes, and the index of each D's last nonzero digit."""
-    lead, rest = np.divmod(D, 10**16)
+    # floor division by a scalar runs on libdivide's multiplications, where
+    # np.divmod divides in hardware: the remainders are multiply-subtracts
+    lead = D // 10**16
+    rest = D - lead * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
     groups = np.empty((D.size, 4), np.int64)
-    high, low = np.divmod(rest, 10**8)
-    groups[:, 0], groups[:, 1] = np.divmod(high, 10**4)
-    groups[:, 2], groups[:, 3] = np.divmod(low, 10**4)
+    groups[:, 0] = high // 10**4
+    groups[:, 1] = high - groups[:, 0] * 10**4
+    groups[:, 2] = low // 10**4
+    groups[:, 3] = low - groups[:, 2] * 10**4
     zeros = tables.trailing_zeros[groups]
     count = zeros[:, 3].copy()
     run = count == 4
@@ -630,26 +700,37 @@ class _DecimalTables:
         self._known = np.zeros(size, bool)
         self._exponent = np.zeros(size, np.intc)  # what np.ldexp takes
         self._parts = np.zeros((4, size))
-        self.words = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode(), np.uint32)
+        self._lock = threading.Lock()
+        # the decimal digits of 0 .. 9999, four per row
+        digits = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+        self.words = digits.astype(np.uint8).view(np.uint32).ravel()
         self.trailing_zeros = np.zeros(10**4, np.int8)
         for step in (10, 100, 1000, 10**4):
             self.trailing_zeros[::step] += 1
         masks = b"".join(b"\xff" * c + b"\0" * (8 - c) for c in range(9))
         self.masks = np.frombuffer(masks, np.uint64)
-        self.exponents = np.zeros((self.X_MAX - self.X_MIN + 1, 5), np.uint8)
-        for X in range(self.X_MIN, self.X_MAX + 1):
-            text = f"e{X:+03d}".encode()
-            self.exponents[X - self.X_MIN, : len(text)] = np.frombuffer(text, np.uint8)
+        # e, the sign and the digits of |X|, at least two
+        X = np.arange(self.X_MIN, self.X_MAX + 1)
+        digits = np.abs(X)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+        wide = np.abs(X) >= 100
+        self.exponents = np.zeros((X.size, 5), np.uint8)
+        self.exponents[:, 0] = ord("e")
+        self.exponents[:, 1] = np.where(X < 0, ord("-"), ord("+"))
+        self.exponents[:, 2:4] = np.where(wide[:, None], digits[:, :2], digits[:, 1:])
+        self.exponents[wide, 4] = digits[wide, 2]
 
     def powers(self, s):
         """E, t, t_hi, t_mid and t_lo of 10^s for each entry of s."""
         j = s - self.S_MIN
         lo, hi = (int(j.min()), int(j.max()) + 1) if j.size else (0, 0)
         if not self._known[lo:hi].all():
-            seen = np.zeros(hi - lo, bool)
-            seen[j - lo] = True
-            for i in lo + np.flatnonzero(seen & ~self._known[lo:hi]):
-                self._add(int(i))
+            # writers of the CSV share the tables; an entry is marked known
+            # only once it is written
+            with self._lock:
+                seen = np.zeros(hi - lo, bool)
+                seen[j - lo] = True
+                for i in lo + np.flatnonzero(seen & ~self._known[lo:hi]):
+                    self._add(int(i))
         return self._exponent[j], *(part[j] for part in self._parts)
 
     def _add(self, i):

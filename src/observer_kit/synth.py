@@ -248,14 +248,16 @@ def place_observer_poles(A_io, H_io, alpha):
             # taken scaled instead of numpy's, on which beta rests bit for bit
             norms = numerics._frobenius_norm(A_io)
         # the largest shift alpha + beta, in the order of operations below,
-        # and the diagonal 2 (alpha + beta) of the Bass equation's Kronecker
-        # form and of Sym(A_io - L_io H_io), on Python floats, which
-        # overflow to inf without a warning
+        # and 2 (||A_io||_F + alpha + beta), on Python floats, which overflow
+        # to inf without a warning: that bounds the diagonal F_ii + F_jj of
+        # the Bass equation's Kronecker form, twice every eigenvalue of F,
+        # and the diagonal 2 (alpha + beta) of Sym(A_io - L_io H_io)
         norm = float(norms.max())
-        if 2.0 * (alpha + (1.0 + norm + alpha)) == math.inf:
+        if 2.0 * (norm + (alpha + (1.0 + norm + alpha))) == math.inf:
             raise NumericalFailureError(
                 f"the pole-placement shift alpha + beta = 2 alpha + 1 + ||A_io||_F, "
-                f"or twice it, overflows at alpha = {alpha:.6g} and ||A_io||_F = {norm:.6g}"
+                f"or 2 (||A_io||_F + alpha + beta) on the diagonal of the Bass "
+                f"equation, overflows at alpha = {alpha:.6g} and ||A_io||_F = {norm:.6g}"
             )
         beta = 1.0 + norms + alpha
         F = A_io + (alpha + beta)[:, None, None] * np.eye(v)

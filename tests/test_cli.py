@@ -461,6 +461,33 @@ class TestSynthesize:
         assert "pole-placement shift alpha + beta" in err and "||A_io||_F = 1e+308" in err
         assert not out.exists()
 
+    def test_bass_diagonal_overflow_is_named(self, tmp_path, capsys):
+        # alpha + beta = 6e307 + 3 is finite, but the Bass equation's
+        # Kronecker diagonal 2 (||A_io||_F + alpha + beta) is not; numpy
+        # printed RuntimeWarnings and the exit 4 blamed a Lyapunov residual
+        cfg = write_config(tmp_path / "huge.json", A=[[6e307]], outputs=[[[1.0]], [[1.0]]])
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check", str(cfg)]) == 0
+            assert main(["synthesize", str(cfg), "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "||A_io||_F = 6e+307" in err and "overflows" in err
+        assert "residual" not in err and not out.exists()
+
+    def test_rank_threshold_of_a_huge_plant_is_finite(self, tmp_path, capsys):
+        # sigma_max * size * RANK_RTOL overflowed left to right, and check
+        # and synthesize exited 4 blaming the observability decomposition
+        cfg = write_config(tmp_path / "huge.json", A=[[1e307, 0.0], [0.0, 1.7e308]])
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check", str(cfg)]) == 0
+            code = main(["synthesize", str(cfg), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert "decomposition" not in err
+        assert code == 0 or (code == 4 and "overflows" in err and not out.exists())
+
     @pytest.mark.parametrize("alpha", ["1e307", "1.9e307"])
     def test_huge_alpha_below_the_overflow_certifies(self, config_path, tmp_path, capsys, alpha):
         # from 1.1e307 the sum Z + Z.T of the final certificate overflowed,
@@ -944,6 +971,32 @@ def run_probe(*args):
 def test_import_loads_no_scipy():
     # importing scipy.linalg would add about 0.3 s to every command's start-up
     assert run_probe(f"import sys, observer_kit; print({SCIPY_MODULES})").strip() == "[]"
+
+
+# Runs cli.main on each argv of the JSON list in sys.argv[1] and prints, per
+# command, the modules it loaded.
+LOADED_PROBE = """
+import contextlib, io, json, sys
+from observer_kit.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    report.append(sorted(set(sys.modules) - before))
+print(json.dumps(report))
+"""
+
+
+def test_design_commands_load_no_module(tmp_path):
+    # simulate's CSV workers are threads from `threading`, which numpy
+    # loads; a pool module imported with the package would cost every
+    # command start-up. argparse's gettext loads locale on the first parse
+    cfg = str(write_config(tmp_path / "readme.json"))
+    design = str(tmp_path / "design.json")
+    argvs = [["check", cfg], ["synthesize", cfg, "-o", design], ["verify", cfg, design]]
+    check, synthesize, verify = json.loads(run_probe(LOADED_PROBE, json.dumps(argvs)))
+    assert set(check) <= {"locale", "_locale"} and synthesize == verify == []
 
 
 def test_import_builds_no_csv_table():

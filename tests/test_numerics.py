@@ -518,7 +518,7 @@ class TestRowSpaceBasis:
         V, r, thresh = orthonormal_row_space_basis(M)
         for M_j, V_j, r_j, thresh_j in zip(M, V, r, thresh):
             _, s, Vt = np.linalg.svd(M_j, full_matrices=m < 5)
-            expected = s[0] * max(m, 5) * numerics.RANK_RTOL
+            expected = s[0] * (max(m, 5) * numerics.RANK_RTOL)
             assert np.array_equal(V_j, Vt.T) and thresh_j == expected
             assert r_j == np.sum(s > expected)
 

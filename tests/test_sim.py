@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -730,18 +732,22 @@ class TestWriteCsv:
         assert len(header) == 2 + 3 + 2 + 6
 
 
-def csv_body(table):
-    """What write_csv writes below its header for a trace whose columns
-    are those of the 2-D table."""
-    trace = SimulationTrace(
+def table_trace(table):
+    """A trace whose write_csv columns are those of the 2-D table."""
+    return SimulationTrace(
         times=table[:, 0],
         e_norms=table[:, 2:],
         e_global=table[:, 1],
         fitted_rate=None,
         replay=no_replay,
     )
+
+
+def csv_body(table):
+    """What write_csv writes below its header for a trace whose columns
+    are those of the 2-D table."""
     buf = io.StringIO()
-    write_csv(trace, buf)
+    write_csv(table_trace(table), buf)
     return buf.getvalue().split("\n", 1)[1]
 
 
@@ -826,3 +832,101 @@ class TestCsvFormatting:
         values = rng.standard_normal(rows * cols) * np.exp(rng.uniform(-40, 40, rows * cols))
         values[::97] = 0.0
         assert_table_formats_like_cpython(values.reshape(rows, cols))
+
+
+def wide_table(rows, cols, seed=1):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(rows * cols) * np.exp(rng.uniform(-40, 40, rows * cols))
+    return values.reshape(rows, cols)
+
+
+class TestCsvWorkers:
+    # write_csv formats its chunks on one worker per usable CPU and writes
+    # them in table order: the text must not depend on the count, and no
+    # thread may outlive the call
+
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "rows, cols", [(3 * (sim._CSV_CHUNK // 7) + 5, 7), (2, sim._CSV_CHUNK + 3)]
+    )
+    def test_worker_count_changes_no_byte(self, monkeypatch, rows, cols, workers):
+        table = wide_table(rows, cols)
+        default = csv_body(table)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: workers)
+        same = csv_body(table) == default  # not asserted directly: pytest would diff megabytes
+        assert same
+
+    def test_one_worker_writes_the_states_trace_alike(self, monkeypatch):
+        # the n = N = 10 simulate --states table at the default settings,
+        # 38 chunks
+        model, g_net = partial_instance(10)
+        design = synthesize(model, g_net, SynthesisParams(alpha=1.0))
+        trace = integrate(SimulationConfig(t_final=10.0, seed=1), model, g_net, design)
+        default, one = io.StringIO(), io.StringIO()
+        write_csv(trace, default, include_states=True)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 1)
+        write_csv(trace, one, include_states=True)
+        same = one.getvalue() == default.getvalue()
+        assert same and len(default.getvalue()) > 30 * sim._CSV_CHUNK
+
+    def test_workers_fill_fresh_tables_alike(self, monkeypatch):
+        # the powers of ten enter the shared tables on first use, from
+        # whichever worker meets them first; more workers than CPUs and a
+        # short switch interval interleave them
+        rng = np.random.default_rng(2)
+        size = 5 * sim._CSV_CHUNK
+        values = rng.standard_normal(size) * 10.0 ** rng.uniform(-300, 300, size)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 8)
+        sim._decimal_tables.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_formats_like_cpython(values)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("stage", ["write", "format"])
+    def test_error_stops_every_worker(self, monkeypatch, stage):
+        # chunk 4 of 9 fails in worker 1 of 3, written or formatted: the
+        # error reaches the caller after every worker has stopped, and
+        # only chunks before it were written, in order
+        table = wide_table(9 * sim._CSV_CHUNK // 10, 10)
+        body = csv_body(table)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
+        texts = []
+
+        class Stream:
+            failed = False
+
+            def write(self, text):
+                # once, after the header and 4 chunks; later writes would land
+                if stage == "write" and len(texts) == 5 and not self.failed:
+                    self.failed = True
+                    raise OSError(28, "No space left on device")
+                texts.append(text)
+
+        format_chunk = sim._format_chunk
+
+        def failing(x, seps, tables):
+            if x[0] == table.flat[4 * sim._CSV_CHUNK]:
+                raise OSError(12, "Cannot allocate memory")
+            return format_chunk(x, seps, tables)
+
+        if stage == "format":
+            monkeypatch.setattr(sim, "_format_chunk", failing)
+        baseline = threading.active_count()
+        raised = []
+
+        def run():
+            try:
+                write_csv(table_trace(table), Stream())
+            except OSError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(raised) == 1
+        assert threading.active_count() == baseline
+        assert len(texts) == 5 if stage == "write" else 1 <= len(texts) <= 5
+        assert body.startswith("".join(texts[1:]))
